@@ -12,7 +12,7 @@ from .fields import (Field, FieldScalar, PrimeField, RationalField,
                      field_from_descriptor)
 from .poly import Polynomial
 from .factor import Factor, Factorization, factor_polynomial, is_irreducible
-from .residue_field import ResidueField, ResidueFieldElem
+from .residue_field import ResidueField
 from .funcfield import FractionField, Place, RationalFunction, support_union
 from .localfield import LaurentSeries, expand
 from .lattices import (BlockShiftOperator, MonomialLattice, MonomialOperator,
@@ -44,7 +44,7 @@ __all__ = [
     "MonomialLattice", "MonomialOperator", "NotAUnitError", "ParseError",
     "Place", "Polynomial", "PrecisionError", "PrimeField", "RationalField",
     "RationalFunction", "ReciprocityError", "ResidueField",
-    "ResidueFieldElem", "ResidueSymbol", "TameSymbol",
+    "ResidueSymbol", "TameSymbol",
     "TruncatedPowerSeries", "UncertifiedFactorError", "VerificationReport",
     "XSymbolFamily", "ZeroInputError", "abstract_residue_trace",
     "banded_commutator_trace", "classical_residue", "cocycle_c",

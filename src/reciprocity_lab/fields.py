@@ -1,11 +1,14 @@
-"""Exact ground fields: the rationals and prime fields F_p.
+"""The `Field` protocol and the exact ground fields Q and F_p.
 
 A field descriptor owns the raw representation of its elements
 (`fractions.Fraction` for Q, canonical ints in 0..p-1 for F_p) and performs
-all arithmetic on raw values.  `FieldScalar` is the tagged wrapper used at
-API boundaries; arithmetic between scalars of different descriptors is a
-hard error, the only implicit conversion anywhere is int literals into the
-ambient field.
+all arithmetic on raw values.  Every coefficient field in the library
+implements this one protocol: the ground fields here, residue fields
+k[T]/(pi) (`residue_field.ResidueField`) and rational function fields k(s)
+(`funcfield.FractionField`).  `FieldScalar` is the one tagged wrapper used
+at API boundaries for all of them; arithmetic between scalars of different
+descriptors is a hard error, the only implicit conversion anywhere is int
+literals into the ambient field.
 """
 from __future__ import annotations
 
@@ -14,18 +17,35 @@ from fractions import Fraction
 from .errors import DomainError, MixedFieldError, ParseError, ZeroInputError
 
 
+# Deterministic Miller-Rabin with the first 13 prime bases is exact below
+# this bound (Sorenson and Webster 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Exact primality below `_MR_LIMIT`; larger n raise DomainError."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n >= _MR_LIMIT:
+        raise DomainError(f"modulus {n} is too large to certify as prime")
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -212,7 +232,7 @@ def ensure_same_field(a: Field, b: Field):
 
 
 class FieldScalar:
-    """An exact element of Q or F_p tagged with its field descriptor."""
+    """An exact field element tagged with its field descriptor."""
 
     __slots__ = ("field", "raw")
 

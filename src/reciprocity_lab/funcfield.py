@@ -4,12 +4,13 @@ A place of the projective line over k is either a monic irreducible
 polynomial pi (residue field k[T]/(pi), degree = deg pi) or the point at
 infinity (residue field k, degree 1).  `RationalFunction` keeps the
 canonical form num/den with den monic and gcd(num, den) = 1, and provides
-valuations, evaluation into residue fields, divisor support, and the
-derivative needed for residues of f dg.
+valuations, evaluation into residue fields (a `FieldScalar` over the
+place's `ResidueField`), divisor support, and the derivative needed for
+residues of f dg.
 
-`FractionField` wraps a rational function field as a coefficient field in
-its own right, which is how functions on the surface k(s)(t) are built from
-the same machinery.
+`FractionField` implements the same `Field` protocol with rational
+functions as raw values, which is how functions on the surface k(s)(t) are
+built from the same machinery.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from .errors import (DomainError, MixedFieldError, NotAUnitError,
 from .factor import factor_polynomial, is_irreducible
 from .fields import Field, FieldScalar, ensure_same_field
 from .poly import Polynomial
-from .residue_field import ResidueField, ResidueFieldElem
+from .residue_field import ResidueField
 
 
 class Place:
@@ -69,15 +70,6 @@ class Place:
                 self._residue_field = ResidueField(
                     Polynomial(self.field, self.pi.coeffs, "T"))
         return self._residue_field
-
-    def uniformizer_tag(self) -> str:
-        """Human-readable name of the canonical local parameter."""
-        if self.pi is None:
-            return f"1/{self.var}"
-        if self.pi.degree == 1:
-            return str(Polynomial.variable(self.field, self.var)
-                       - Polynomial.constant(self.field, self.field.neg(self.pi.coeffs[0]), self.var))
-        return f"{self.var}-T"
 
     def sort_key(self):
         if self.pi is None:
@@ -147,11 +139,6 @@ class RationalFunction:
 
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
-
-    def constant_value(self):
-        if not self.is_constant():
-            raise DomainError("not a constant")
-        return self.num.coefficient(0)
 
     def _coerce(self, other) -> "RationalFunction":
         if isinstance(other, RationalFunction):
@@ -268,13 +255,13 @@ class RationalFunction:
         _, den = _strip_power(self.den, place.pi)
         return L.div(L.from_polynomial(num), L.from_polynomial(den))
 
-    def evaluate(self, place: Place) -> ResidueFieldElem:
+    def evaluate(self, place: Place) -> FieldScalar:
         """The class of f in the residue field; f must be a unit at the place."""
         if self.is_zero():
             raise ZeroInputError("cannot evaluate the zero function as a unit")
         if self.valuation(place) != 0:
             raise NotAUnitError(f"function has a zero or pole at {place}")
-        return ResidueFieldElem(place.residue_field(), self.unit_value(place))
+        return place.residue_field().scalar(self.unit_value(place))
 
     def support(self, seed: int | None = None) -> list[tuple[Place, int]]:
         """The divisor of f: all places with nonzero valuation, canonical order.

@@ -2,79 +2,20 @@
 
 At a finite place x = (pi) the local parameter is w = t - T, where T is the
 class of t in the residue field L = k[T]/(pi).  Numerator and denominator
-are rewritten around T with a characteristic-safe Taylor shift and then
-divided as power series over L.  At infinity the parameter is u = 1/t and
-the expansion comes from coefficient reversal.  Every series carries its
-precision and refuses to report coefficients it does not know.
+become polynomials over L (a `Field` like any other), are rewritten around
+T with a characteristic-safe Taylor shift and then divided as power series
+over L.  At infinity the parameter is u = 1/t and the expansion comes from
+coefficient reversal.  Coefficients are raw values of L internally and
+`FieldScalar`s over L at the API.  Every series carries its precision and
+refuses to report coefficients it does not know.
 """
 from __future__ import annotations
 
 from .errors import MixedFieldError, PrecisionError, ZeroInputError
-from .fields import Field
+from .fields import FieldScalar
 from .funcfield import Place, RationalFunction
 from .poly import Polynomial
-from .residue_field import ResidueField, ResidueFieldElem
-
-
-class ResidueCoefficientField(Field):
-    """A residue field used as a coefficient field for polynomials over it."""
-
-    def __init__(self, ring: ResidueField):
-        self.ring = ring
-        self.char = ring.base.char
-        self.descriptor = f"{ring.base.descriptor}[T]/({ring.modulus})"
-        self.zero = ring.zero
-        self.one = ring.one
-
-    def coerce(self, value):
-        if isinstance(value, tuple) and len(value) == self.ring.degree:
-            return value
-        if isinstance(value, int):
-            return self.ring.from_int(value)
-        if isinstance(value, ResidueFieldElem) and value.parent == self.ring:
-            return value.raw
-        raise MixedFieldError(f"cannot coerce {value!r} into {self.descriptor}")
-
-    def from_int(self, n: int):
-        return self.ring.from_int(n)
-
-    def add(self, a, b):
-        return self.ring.add(a, b)
-
-    def sub(self, a, b):
-        return self.ring.sub(a, b)
-
-    def mul(self, a, b):
-        return self.ring.mul(a, b)
-
-    def neg(self, a):
-        return self.ring.neg(a)
-
-    def inv(self, a):
-        return self.ring.inv(a)
-
-    def pow(self, a, n: int):
-        return self.ring.pow(a, n)
-
-    def is_zero(self, a) -> bool:
-        return self.ring.is_zero(a)
-
-    def eq(self, a, b) -> bool:
-        return self.ring.eq(a, b)
-
-    def sort_key(self, a):
-        base = self.ring.base
-        return tuple(base.sort_key(c) for c in a)
-
-    def render(self, a) -> str:
-        return self.ring.render(a)
-
-    def __eq__(self, other):
-        return (isinstance(other, ResidueCoefficientField)
-                and self.ring == other.ring)
-
-    def __hash__(self):
-        return hash(("residue-coefficients", self.ring))
+from .residue_field import ResidueField
 
 
 class LaurentSeries:
@@ -118,16 +59,16 @@ class LaurentSeries:
             return self.ring.zero
         return self.coeffs[n - self.vmin]
 
-    def elem(self, n: int) -> ResidueFieldElem:
-        return ResidueFieldElem(self.ring, self.coefficient(n))
+    def elem(self, n: int) -> FieldScalar:
+        return self.ring.scalar(self.coefficient(n))
 
-    def residue_coeff(self) -> ResidueFieldElem:
+    def residue_coeff(self) -> FieldScalar:
         return self.elem(-1)
 
-    def leading(self) -> tuple[int, ResidueFieldElem]:
+    def leading(self) -> tuple[int, FieldScalar]:
         if self.is_known_zero():
             raise ZeroInputError("no nonzero term within the known precision")
-        return self.vmin, ResidueFieldElem(self.ring, self.coeffs[0])
+        return self.vmin, self.ring.scalar(self.coeffs[0])
 
     def _compat(self, other: "LaurentSeries"):
         if not isinstance(other, LaurentSeries):
@@ -235,11 +176,10 @@ def expand(f: RationalFunction, place: Place, upto: int) -> LaurentSeries:
         b = 0
         v_extra = f.den.degree - f.num.degree
     else:
-        coeffs = ResidueCoefficientField(ring)
         tau = ring.from_coeffs((ring.base.zero, ring.base.one))
-        num_poly = Polynomial(coeffs, [ring.from_base(c) for c in f.num.coeffs],
+        num_poly = Polynomial(ring, [ring.from_base(c) for c in f.num.coeffs],
                               f.var).taylor_shift(tau)
-        den_poly = Polynomial(coeffs, [ring.from_base(c) for c in f.den.coeffs],
+        den_poly = Polynomial(ring, [ring.from_base(c) for c in f.den.coeffs],
                               f.var).taylor_shift(tau)
         num = list(num_poly.coeffs)
         den = list(den_poly.coeffs)

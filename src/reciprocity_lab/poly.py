@@ -7,7 +7,7 @@ so callers are forced to treat it explicitly.
 from __future__ import annotations
 
 from .errors import MixedFieldError, ZeroInputError
-from .fields import Field, FieldScalar, ensure_same_field
+from .fields import Field, ensure_same_field
 
 
 def _trim(coeffs: list, field: Field) -> tuple:
@@ -349,9 +349,6 @@ class Polynomial:
     def __repr__(self):
         return f"Polynomial({self.field.descriptor}, {self})"
 
-    def scalar_coefficient(self, k: int) -> FieldScalar:
-        return FieldScalar(self.field, self.coefficient(k))
-
 
 def _loose_sum(text: str) -> bool:
     """True when a rendered coefficient has a top-level sum, which would
@@ -365,7 +362,3 @@ def _loose_sum(text: str) -> bool:
         elif ch in "+-" and depth == 0 and i > 0:
             return True
     return False
-
-
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    return a.gcd(b)

@@ -6,43 +6,52 @@ this is the product of a over the roots of pi), and the trace is the power-sum
 pairing tr(T^j) = p_j with the p_j obtained from Newton's identities, which
 need no division and therefore work in any characteristic.  Both are
 cross-checked in the test suite against the multiplication-matrix oracle.
+
+`ResidueField` is a `Field` like Q and F_p, so polynomials can take their
+coefficients in it and its classes travel as `FieldScalar`s tagged with it.
 """
 from __future__ import annotations
 
-from .errors import ZeroInputError
+from .errors import MixedFieldError, ZeroInputError
 from .fields import Field, FieldScalar
 from .poly import Polynomial
 
 
-class ResidueField:
+class ResidueField(Field):
     """k[T]/(pi) for a monic irreducible pi over the ground field."""
 
-    __slots__ = ("base", "modulus", "degree", "_power_sums", "_monomial_table")
+    __slots__ = ("base", "modulus", "degree", "char", "zero", "one",
+                 "_power_sums")
 
     def __init__(self, modulus: Polynomial):
         if not modulus.is_monic() or modulus.degree < 1:
             raise ZeroInputError("residue field modulus must be monic of degree >= 1")
-        self.base = modulus.field
+        F = modulus.field
+        self.base = F
         self.modulus = modulus
         self.degree = modulus.degree
+        self.char = F.char
+        self.zero = (F.zero,) * self.degree
+        self.one = (F.one,) + (F.zero,) * (self.degree - 1)
         self._power_sums = None
-        self._monomial_table = None
 
     @classmethod
     def trivial(cls, base: Field) -> "ResidueField":
         """k itself, presented as k[T]/(T); used for the place at infinity."""
         return cls(Polynomial.variable(base, "T"))
 
+    @property
+    def descriptor(self) -> str:
+        return f"{self.base.descriptor}[T]/({self.modulus})"
+
     # -- raw tuple arithmetic ------------------------------------------------
 
-    @property
-    def zero(self):
-        return (self.base.zero,) * self.degree
-
-    @property
-    def one(self):
-        F = self.base
-        return (F.one,) + (F.zero,) * (self.degree - 1)
+    def coerce(self, value):
+        if isinstance(value, tuple) and len(value) == self.degree:
+            return value
+        if isinstance(value, int):
+            return self.from_int(value)
+        raise MixedFieldError(f"cannot coerce {value!r} into {self.descriptor}")
 
     def from_base(self, raw):
         F = self.base
@@ -126,21 +135,6 @@ class ResidueField:
         scale = F.inv(r1.coeffs[0])
         return self.from_polynomial(s1.scale(scale))
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a, n: int):
-        if n < 0:
-            return self.pow(self.inv(a), -n)
-        result = self.one
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
-
     # -- norm and trace ------------------------------------------------------
 
     def norm_raw(self, a):
@@ -180,13 +174,25 @@ class ResidueField:
             acc = F.add(acc, F.mul(c, pj))
         return acc
 
-    # -- plumbing --------------------------------------------------------------
+    def norm(self, a) -> FieldScalar:
+        return FieldScalar(self.base, self.norm_raw(a))
 
-    def element(self, raw) -> "ResidueFieldElem":
-        return ResidueFieldElem(self, raw)
+    def trace(self, a) -> FieldScalar:
+        return FieldScalar(self.base, self.trace_raw(a))
+
+    def to_base_scalar(self, a) -> FieldScalar:
+        """The class as a ground-field scalar; only for degree-1 residue fields."""
+        if self.degree != 1:
+            raise ZeroInputError("class of a higher-degree place is not a scalar")
+        return FieldScalar(self.base, a[0])
+
+    # -- plumbing --------------------------------------------------------------
 
     def to_polynomial(self, raw) -> Polynomial:
         return Polynomial(self.base, raw, "T")
+
+    def sort_key(self, a):
+        return tuple(self.base.sort_key(c) for c in a)
 
     def render(self, raw) -> str:
         return str(self.to_polynomial(raw))
@@ -198,87 +204,3 @@ class ResidueField:
 
     def __hash__(self):
         return hash((self.base, self.modulus))
-
-    def __repr__(self):
-        return f"ResidueField({self.base.descriptor}[T]/({self.modulus}))"
-
-
-class ResidueFieldElem:
-    """A class in k[T]/(pi); supports field arithmetic, norm and trace."""
-
-    __slots__ = ("parent", "raw")
-
-    def __init__(self, parent: ResidueField, raw):
-        self.parent = parent
-        self.raw = raw
-
-    def _other(self, value):
-        if isinstance(value, ResidueFieldElem):
-            if value.parent != self.parent:
-                raise ZeroInputError("elements of different residue fields")
-            return value.raw
-        if isinstance(value, int):
-            return self.parent.from_int(value)
-        raise ZeroInputError(f"cannot combine residue class with {value!r}")
-
-    def __add__(self, other):
-        return ResidueFieldElem(self.parent, self.parent.add(self.raw, self._other(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return ResidueFieldElem(self.parent, self.parent.sub(self.raw, self._other(other)))
-
-    def __rsub__(self, other):
-        return ResidueFieldElem(self.parent, self.parent.sub(self._other(other), self.raw))
-
-    def __mul__(self, other):
-        return ResidueFieldElem(self.parent, self.parent.mul(self.raw, self._other(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return ResidueFieldElem(self.parent, self.parent.div(self.raw, self._other(other)))
-
-    def __rtruediv__(self, other):
-        return ResidueFieldElem(self.parent, self.parent.div(self._other(other), self.raw))
-
-    def __pow__(self, n: int):
-        return ResidueFieldElem(self.parent, self.parent.pow(self.raw, n))
-
-    def __neg__(self):
-        return ResidueFieldElem(self.parent, self.parent.neg(self.raw))
-
-    def inverse(self) -> "ResidueFieldElem":
-        return ResidueFieldElem(self.parent, self.parent.inv(self.raw))
-
-    def is_zero(self) -> bool:
-        return self.parent.is_zero(self.raw)
-
-    def norm(self) -> FieldScalar:
-        return FieldScalar(self.parent.base, self.parent.norm_raw(self.raw))
-
-    def trace(self) -> FieldScalar:
-        return FieldScalar(self.parent.base, self.parent.trace_raw(self.raw))
-
-    def to_base_scalar(self) -> FieldScalar:
-        """The value as a ground-field scalar; only for degree-1 residue fields."""
-        if self.parent.degree != 1:
-            raise ZeroInputError("class of a higher-degree place is not a scalar")
-        return FieldScalar(self.parent.base, self.raw[0])
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.parent.eq(self.raw, self.parent.from_int(other))
-        if not isinstance(other, ResidueFieldElem):
-            return NotImplemented
-        return self.parent == other.parent and self.parent.eq(self.raw, other.raw)
-
-    def __hash__(self):
-        return hash((self.parent, self.raw))
-
-    def __str__(self):
-        return self.parent.render(self.raw)
-
-    def __repr__(self):
-        return f"ResidueFieldElem({self})"

@@ -155,6 +155,12 @@ def _require_char_zero(field: Field) -> None:
                           "of characteristic zero")
 
 
+def _half(field: Field) -> FieldScalar:
+    """1/2 in a ground field, which must have characteristic zero."""
+    _require_char_zero(field)
+    return FieldScalar(field, field.inv(field.from_int(2)))
+
+
 def exp_z2(a: FieldScalar, order: int = DEFAULT_ORDER) -> TruncatedPowerSeries:
     """The even exponential: sum of a^n z^(2n) / n! up to the order.
 
@@ -177,8 +183,7 @@ def cocycle_c(f: RationalFunction, g: RationalFunction, x: Place,
     """Pairing value at x: even exponential of half the residue of f dg."""
     if f.is_zero() or g.is_zero():
         raise ZeroInputError("the pairing is defined on nonzero functions")
-    _require_char_zero(f.field)
-    half = FieldScalar(f.field, f.field.inv(f.field.from_int(2)))
+    half = _half(f.field)
     return exp_z2(classical_residue(f, g, x) * half, order)
 
 
@@ -189,8 +194,7 @@ def cocycle_on_lattice(f: RationalFunction, g: RationalFunction, x: Place,
     truncated commutator trace instead of the standard residue."""
     if f.is_zero() or g.is_zero():
         raise ZeroInputError("the pairing is defined on nonzero functions")
-    _require_char_zero(f.field)
-    half = FieldScalar(f.field, f.field.inv(f.field.from_int(2)))
+    half = _half(f.field)
     trace = abstract_residue_trace(f, g, x, lattice=lattice)
     return exp_z2(trace * half, order)
 
@@ -201,14 +205,13 @@ def sw_verify(f: RationalFunction, g: RationalFunction,
     """Product of the pairing over all places of the joint support is 1."""
     if f.is_zero() or g.is_zero():
         raise ZeroInputError("the pairing is defined on nonzero functions")
-    _require_char_zero(f.field)
     field = f.field
+    half = _half(field)
     places = residue_theorem_places(f, g, seed)
     product = TruncatedPowerSeries.one(field, order)
     terms = []
     for x in places:
         residue = classical_residue(f, g, x)
-        half = FieldScalar(field, field.inv(field.from_int(2)))
         local = exp_z2(residue * half, order)
         product = product * local
         terms.append({"place": str(x), "deg": x.degree,

@@ -59,7 +59,8 @@ def curve_valuation(f: RationalFunction) -> int:
 def restrict_to_curve(f: RationalFunction) -> RationalFunction:
     """The class of a curve-unit f in k(s); f must have curve valuation 0."""
     _nonzero(f)
-    return f.evaluate(curve_place(f)).to_base_scalar().raw
+    x = curve_place(f)
+    return x.residue_field().to_base_scalar(f.evaluate(x).raw).raw
 
 
 def _parameter(f: RationalFunction, z: RationalFunction | None) -> RationalFunction:
@@ -187,8 +188,8 @@ def _parshin_local(vc, phis, x: Place) -> FieldScalar:
              + vc[1] * vb[0] * vb[2] + vc[2] * vb[0] * vb[1])
     # the monomial has curve valuation 0 and x-valuation 0 identically,
     # so restriction and evaluation never leave the unit locus
-    value = (phis[0] ** a * phis[1] ** (-b) * phis[2] ** c) \
-        .evaluate(x).to_base_scalar()
+    unit = (phis[0] ** a * phis[1] ** (-b) * phis[2] ** c).evaluate(x)
+    value = x.residue_field().to_base_scalar(unit.raw)
     return -value if alpha % 2 else value
 
 

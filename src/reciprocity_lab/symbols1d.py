@@ -9,55 +9,39 @@ residue theorem, and the Hilbert norm residue symbol over prime fields.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError, ZeroInputError
 from .fields import FieldScalar, PrimeField
 from .funcfield import Place, RationalFunction, support_union
 from .report import VerificationReport
-from .residue_field import ResidueFieldElem
 from .tate import abstract_residue_trace, classical_residue
 
 
-@dataclass(frozen=True)
-class SymbolValue:
-    """One symbol evaluation, tagged with its kind and place."""
-    kind: str
-    place: str
-    value: object
-
-    def rendered(self) -> str:
-        return str(self.value)
-
-
 def tame_symbol_elem(f: RationalFunction, g: RationalFunction,
-                     x: Place) -> ResidueFieldElem:
+                     x: Place) -> FieldScalar:
     """(-1)^(v_x(f) v_x(g)) (f^v_x(g) / g^v_x(f))(x) inside the residue field."""
     if f.is_zero() or g.is_zero():
         raise ZeroInputError("tame symbol of the zero function")
     vf = f.valuation(x)
     vg = g.valuation(x)
     ring = x.residue_field()
-    base = ring.base
     # f^vg / g^vf is a unit at x; rebuilding it from the unit parts of f and
     # g keeps the powers inside the residue field instead of blowing up
     # polynomial degrees.
     uf = ring.pow(f.unit_value(x), vg)
     ug = ring.pow(g.unit_value(x), vf)
-    raw = ring.mul(ring.from_base(base.sign(vf * vg)), ring.div(uf, ug))
-    return ring.element(raw)
+    return ring.scalar(ring.mul(ring.sign(vf * vg), ring.div(uf, ug)))
 
 
 def tame_symbol(f: RationalFunction, g: RationalFunction, x: Place) -> FieldScalar:
     """The k-valued tame symbol: norm of the unit part with the degree sign."""
-    return tame_symbol_elem(f, g, x).norm()
+    return x.residue_field().norm(tame_symbol_elem(f, g, x).raw)
 
 
 def milnor_symbol(f: RationalFunction, g: RationalFunction, x: Place) -> FieldScalar:
     """The rational-point form of the tame symbol; only for degree-1 places."""
     if x.degree != 1:
         raise DomainError("the rational-point symbol needs a degree-1 place")
-    return tame_symbol_elem(f, g, x).to_base_scalar()
+    return x.residue_field().to_base_scalar(tame_symbol_elem(f, g, x).raw)
 
 
 def hilbert_symbol(f: RationalFunction, g: RationalFunction, x: Place,
@@ -71,7 +55,8 @@ def hilbert_symbol(f: RationalFunction, g: RationalFunction, x: Place,
     q = field.p
     if m < 1 or (q - 1) % m:
         raise DomainError(f"m = {m} does not divide q - 1 = {q - 1}")
-    return tame_symbol_elem(f, g, x).norm() ** ((q - 1) // m)
+    norm = x.residue_field().norm(tame_symbol_elem(f, g, x).raw)
+    return norm ** ((q - 1) // m)
 
 
 def _require_prime_field(f: RationalFunction) -> PrimeField:

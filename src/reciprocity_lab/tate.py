@@ -19,20 +19,19 @@ from .fields import FieldScalar
 from .funcfield import Place, RationalFunction
 from .lattices import MonomialLattice
 from .localfield import expand
-from .residue_field import ResidueFieldElem
 
 _MARGIN = 3
 
 
 def classical_residue_elem(f: RationalFunction, g: RationalFunction,
-                           x: Place) -> ResidueFieldElem:
+                           x: Place) -> FieldScalar:
     """res_x(f dg) as an element of the residue field k(x)."""
     if f.is_zero() or g.is_zero():
         raise ZeroInputError("residue of a zero differential input")
     h = f * g.derivative()
     ring = x.residue_field()
     if h.is_zero():
-        return ring.element(ring.zero)
+        return ring.zero_scalar()
     if x.is_infinity:
         # t = 1/u turns f dg into -(f g')(u) u^-2 du
         return -expand(h, x, 1).elem(1)
@@ -42,7 +41,7 @@ def classical_residue_elem(f: RationalFunction, g: RationalFunction,
 def classical_residue(f: RationalFunction, g: RationalFunction,
                       x: Place) -> FieldScalar:
     """tr_{k(x)/k} of the local residue of f dg; an exact ground field value."""
-    return classical_residue_elem(f, g, x).trace()
+    return x.residue_field().trace(classical_residue_elem(f, g, x).raw)
 
 
 def _local_band(h: RationalFunction, x: Place, upto: int) -> dict[int, tuple]:
@@ -127,7 +126,7 @@ def abstract_residue_trace(f: RationalFunction, g: RationalFunction, x: Place,
     g_band = _local_band(g, x, -vf + _MARGIN)
     raw = banded_commutator_trace(ring, f_band, g_band, vf, vg,
                                   lattice, window, truncate)
-    return FieldScalar(ring.base, ring.trace_raw(raw))
+    return ring.trace(raw)
 
 
 def banded_commutator_trace(ring, f_band: dict[int, tuple],

@@ -25,10 +25,10 @@ from .fields import Field, FieldScalar
 from .funcfield import Place, RationalFunction, support_union
 from .lattices import (BlockShiftOperator, MonomialLattice, MonomialOperator,
                        lattice_index)
-from .localfield import expand
 from .report import VerificationReport
 from .symbols1d import residue_theorem_places, tame_symbol
-from .tate import _MARGIN, banded_commutator_trace, data_spread, window_bound
+from .tate import (_MARGIN, _local_band, banded_commutator_trace, data_spread,
+                   window_bound)
 
 
 class IndexSymbol:
@@ -68,16 +68,8 @@ class _ResidueBlock:
         self.vf = f.valuation(place)
         self.vg = g.valuation(place)
         self.spread = data_spread(f) + data_spread(g)
-        self.f_band = _band(f, place, -self.vg + _MARGIN)
-        self.g_band = _band(g, place, -self.vf + _MARGIN)
-
-
-def _band(h: RationalFunction, x: Place, upto: int) -> dict[int, tuple]:
-    series = expand(h, x, upto)
-    ring = series.ring
-    return {n: series.coefficient(n)
-            for n in range(series.vmin, series.prec)
-            if not ring.is_zero(series.coefficient(n))}
+        self.f_band = _local_band(f, place, -self.vg + _MARGIN)
+        self.g_band = _local_band(g, place, -self.vf + _MARGIN)
 
 
 class ResidueSymbol:
@@ -105,7 +97,7 @@ class ResidueSymbol:
             raw = banded_commutator_trace(
                 block.ring, block.f_band, block.g_band,
                 block.vf, block.vg, local, window)
-            total = total + FieldScalar(self.field, block.ring.trace_raw(raw))
+            total = total + block.ring.trace(raw)
         return total
 
     def identity(self) -> FieldScalar:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -152,6 +153,21 @@ def test_domain_errors_exit_3(capsys):
     code, _, err = run(capsys, "residue", "--f", "0", "--g", "t",
                        "--place", "t")
     assert code == 3
+
+
+def test_prime_moduli_are_decided_quickly(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "weil", "--field", "Fp:1000000000000000003",
+                       "--f", "t+1", "--g", "t-1")
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    assert out.strip().endswith("OK")
+    for modulus in ("561", "2047", "1000000000000000001",
+                    "3317044064679887385961981"):
+        code, _, err = run(capsys, "weil", "--field", f"Fp:{modulus}",
+                           "--f", "t+1", "--g", "t-1")
+        assert code == 3
+        assert "domain error" in err
 
 
 def test_failed_verification_exits_1(capsys, monkeypatch):

@@ -79,6 +79,31 @@ def test_descriptor_parsing():
         field_from_descriptor("Fp:6")
 
 
+def test_primality_of_moduli_is_exact():
+    def trial_division(n):
+        return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    for n in range(-3, 2000):
+        if trial_division(n):
+            assert PrimeField(n).p == n
+        else:
+            with pytest.raises(DomainError):
+                PrimeField(n)
+    # strong pseudoprimes to every base up to 7, 23 and 37 respectively
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        with pytest.raises(DomainError):
+            PrimeField(n)
+    for p in (2 ** 61 - 1, 10 ** 18 + 3, 3317044064679887385961813):
+        assert PrimeField(p).p == p
+
+
+def test_moduli_beyond_the_certified_range_are_rejected():
+    with pytest.raises(DomainError, match="too large"):
+        PrimeField(3317044064679887385961981)
+    with pytest.raises(DomainError, match="too large"):
+        PrimeField(2 ** 127 - 1)
+
+
 def test_scalar_equality_and_hash():
     assert F5.scalar(7) == F5.scalar(2)
     assert hash(F5.scalar(7)) == hash(F5.scalar(2))
@@ -112,3 +137,10 @@ def test_field_repr_is_the_descriptor():
     assert repr(Q) == "Q"
     assert repr(F13) == "Fp:13"
     assert isinstance(Q, RationalField)
+
+
+def test_package_exports_resolve():
+    import reciprocity_lab
+    missing = [name for name in reciprocity_lab.__all__
+               if not hasattr(reciprocity_lab, name)]
+    assert missing == []

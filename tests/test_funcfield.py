@@ -15,6 +15,11 @@ def tt(field):
     return RationalFunction.variable(field)
 
 
+def base_value(value):
+    """A class of a degree-1 residue field as a ground-field scalar."""
+    return value.field.to_base_scalar(value.raw)
+
+
 def test_canonical_form_is_coprime_with_monic_denominator():
     t = tt(Q)
     f = (t * t - 1) / (2 * t - 2)
@@ -55,12 +60,12 @@ def test_evaluate_examples():
     t5 = tt(F5)
     f = (t5 + 1) / (t5 + 2)
     at_t = Place.finite(Polynomial.variable(F5))
-    assert f.evaluate(at_t).to_base_scalar() == 3
+    assert base_value(f.evaluate(at_t)) == 3
     t7 = tt(F7)
     g = (2 * t7 * t7 + 1) / (t7 * t7 + 3)
-    assert g.evaluate(Place.at_infinity(F7)).to_base_scalar() == 2
+    assert base_value(g.evaluate(Place.at_infinity(F7))) == 2
     c = RationalFunction.constant(F5, 4)
-    assert c.evaluate(at_t).to_base_scalar() == 4
+    assert base_value(c.evaluate(at_t)) == 4
 
 
 def test_evaluate_needs_a_unit():

@@ -37,8 +37,8 @@ def test_leading_coefficient_at_a_quadratic_place():
     assert v == -1
     ring = x.residue_field()
     two_t = ring.from_coeffs([0, 2])
-    assert lead == ring.element(ring.inv(two_t))
-    assert lead == ring.element(ring.from_coeffs([0, 1]))
+    assert lead == ring.scalar(ring.inv(two_t))
+    assert lead == ring.scalar(ring.from_coeffs([0, 1]))
 
 
 def test_product_of_truncations_matches_truncated_product():

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from reciprocity_lab.errors import ZeroInputError
+from reciprocity_lab.errors import MixedFieldError, ZeroInputError
 from reciprocity_lab.factor import is_irreducible
+from reciprocity_lab.fields import Field
 from reciprocity_lab.poly import Polynomial
 from reciprocity_lab.residue_field import ResidueField
 
@@ -84,26 +85,35 @@ def test_inverse_roundtrip_and_zero_rejection():
 
 def test_elem_wrapper_arithmetic():
     ring = quadratic_ring(F3, 0, 1)
-    gen = ring.element(ring.from_coeffs([0, 1]))
-    assert (gen * gen) == ring.element(ring.from_int(-1))
-    assert (gen ** 4).norm() == 1
-    assert (gen + (-gen)) == ring.element(ring.zero)
+    gen = ring.scalar(ring.from_coeffs([0, 1]))
+    assert (gen * gen) == ring.scalar(ring.from_int(-1))
+    assert ring.norm((gen ** 4).raw) == 1
+    assert (gen + (-gen)) == ring.scalar(ring.zero)
     assert (1 / gen) == -gen
 
 
 def test_trivial_ring_round_trip():
     ring = ResidueField.trivial(Q)
-    elem = ring.element(ring.from_int(5))
-    assert elem.to_base_scalar() == 5
-    assert elem.norm() == 5
-    assert elem.trace() == 5
+    raw = ring.scalar(5).raw
+    assert ring.to_base_scalar(raw) == 5
+    assert ring.norm(raw) == 5
+    assert ring.trace(raw) == 5
 
 
 def test_to_base_scalar_needs_degree_one():
     ring = quadratic_ring(F5, 0, 2)
-    gen = ring.element(ring.from_coeffs([0, 1]))
     with pytest.raises(ZeroInputError):
-        gen.to_base_scalar()
+        ring.to_base_scalar(ring.from_coeffs([0, 1]))
+
+
+def test_classes_of_different_places_do_not_mix():
+    ring = quadratic_ring(F5, 0, 2)
+    other = quadratic_ring(F5, 0, 3)
+    assert isinstance(ring, Field)
+    with pytest.raises(MixedFieldError):
+        ring.scalar(1) + other.scalar(1)
+    with pytest.raises(MixedFieldError):
+        ring.coerce((1,))
 
 
 def test_frobenius_fixed_points_have_full_norm():
