@@ -108,13 +108,18 @@ class RationalFunction:
             self.num = num
             self.den = Polynomial.one(field, num.var)
         else:
-            g = num.gcd(den)
-            if g.degree and g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            scale = field.inv(den.leading_coefficient())
-            self.num = num.scale(scale)
-            self.den = den.scale(scale)
+            # a nonzero constant on either side makes the gcd 1
+            if not (num.is_constant() or den.is_constant()):
+                g = num.gcd(den)
+                if g.degree > 0:
+                    num = num.exact_div(g)
+                    den = den.exact_div(g)
+            if not den.is_monic():
+                scale = field.inv(den.leading_coefficient())
+                num = num.scale(scale)
+                den = den.scale(scale)
+            self.num = num
+            self.den = den
         self.field = field
         self.var = num.var
 

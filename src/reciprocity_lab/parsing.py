@@ -134,7 +134,7 @@ def parse_surface(text: str, base: Field, s_var: str = "s",
     s, t = surface_generators(base, s_var, t_var)
     parser = _ExpressionParser(
         _tokenize(text), {s_var: s, t_var: t},
-        lambda n: t ** 0 * n)
+        lambda n: RationalFunction.constant(t.field, n, t_var))
     return parser.parse()
 
 

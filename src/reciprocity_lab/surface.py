@@ -11,11 +11,22 @@ The parameter z is any surface function vanishing to first order along C;
 it defaults to t.  The three-slot symbol of Horozov depends on z, the
 others do not, and the z-free claims are exercised against rescaled
 parameters in the test suite.
+
+Everything the symbols need along C is read off the canonical form
+f = num/den, with num = a_i t^i + (higher) and den = b_j t^j + (higher),
+a_i and b_j nonzero in k(s):
+
+    v_C(f)          = i - j
+    phi_t(f)        = a_i / b_j
+    phi_z(f)        = phi_t(f) * phi_t(z)**(-v_C(f))
+    curve_tame(f,g) = (-1)**(v_C(f) v_C(g)) * phi_t(f)**v_C(g) / phi_t(g)**v_C(f)
+
+so no element of k(s)(t) is built, and no gcd over k(s) runs, to restrict.
 """
 from __future__ import annotations
 
-from .errors import DomainError, ZeroInputError
-from .fields import Field, FieldScalar
+from .errors import DomainError, MixedFieldError, NotAUnitError, ZeroInputError
+from .fields import Field, FieldScalar, ensure_same_field
 from .funcfield import FractionField, Place, RationalFunction, support_union
 from .poly import Polynomial
 from .report import VerificationReport
@@ -50,26 +61,46 @@ def curve_place(f: RationalFunction) -> Place:
     return Place.finite(Polynomial.variable(coeff, f.var), check=False)
 
 
+def _lowest_index(p: Polynomial) -> int:
+    zero = p.field.is_zero
+    return next(k for k, c in enumerate(p.coeffs) if not zero(c))
+
+
+def _t_adic(f: RationalFunction) -> tuple[int, RationalFunction]:
+    """(v_C(f), phi_t(f)) read off the lowest t-coefficients of num and den."""
+    _nonzero(f)
+    _coefficient_field(f)
+    i = _lowest_index(f.num)
+    j = _lowest_index(f.den)
+    return i - j, f.num.coeffs[i] / f.den.coeffs[j]
+
+
+def _same_model(f: RationalFunction, g: RationalFunction) -> None:
+    ensure_same_field(f.field, g.field)
+    if f.var != g.var:
+        raise MixedFieldError(f"mixed variables {f.var}, {g.var}")
+
+
 def curve_valuation(f: RationalFunction) -> int:
     """Order of vanishing of f along the curve."""
-    _nonzero(f)
-    return f.valuation(curve_place(f))
+    return _t_adic(f)[0]
 
 
 def restrict_to_curve(f: RationalFunction) -> RationalFunction:
     """The class of a curve-unit f in k(s); f must have curve valuation 0."""
-    _nonzero(f)
-    x = curve_place(f)
-    return x.residue_field().to_base_scalar(f.evaluate(x).raw).raw
+    v, phi = _t_adic(f)
+    if v:
+        raise NotAUnitError(f"function has a zero or pole at {f.var}")
+    return phi
 
 
 def _parameter(f: RationalFunction, z: RationalFunction | None) -> RationalFunction:
     if z is None:
         return RationalFunction.variable(f.field, f.var)
-    _nonzero(z)
     if curve_valuation(z) != 1:
         raise DomainError("the parameter must vanish to first order "
                           "along the curve")
+    _same_model(f, z)
     return z
 
 
@@ -81,7 +112,8 @@ def phi_z(f: RationalFunction,
     """
     _nonzero(f)
     z = _parameter(f, z)
-    return restrict_to_curve(f * z ** (-curve_valuation(f)))
+    v, phi = _t_adic(f)
+    return phi / _t_adic(z)[1] ** v if v else phi
 
 
 def vbar(f: RationalFunction, x: Place,
@@ -103,7 +135,12 @@ def lambda_shift(z_new: RationalFunction, z_old: RationalFunction,
     The inverted ratio is forced by the definition of the restricted unit
     part: the new parameter enters with exponent -v_C(f).
     """
-    return restrict_to_curve(z_old / z_new).valuation(x)
+    _same_model(z_new, z_old)
+    v_old, phi_old = _t_adic(z_old)
+    v_new, phi_new = _t_adic(z_new)
+    if v_old != v_new:
+        raise NotAUnitError(f"function has a zero or pole at {z_old.var}")
+    return (phi_old / phi_new).valuation(x)
 
 
 def nu_symbol(f: RationalFunction, g: RationalFunction, x: Place,
@@ -152,9 +189,10 @@ def nu_verify(f: RationalFunction, g: RationalFunction,
 def curve_tame(f: RationalFunction, g: RationalFunction) -> RationalFunction:
     """The curve-level tame symbol, a function on C rather than a scalar."""
     _nonzero(f, g)
-    vf = curve_valuation(f)
-    vg = curve_valuation(g)
-    unit = restrict_to_curve(f ** vg / g ** vf)
+    vf, uf = _t_adic(f)
+    vg, ug = _t_adic(g)
+    _same_model(f, g)
+    unit = uf ** vg / ug ** vf
     return -unit if (vf * vg) % 2 else unit
 
 

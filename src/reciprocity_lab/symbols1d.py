@@ -16,9 +16,8 @@ from .report import VerificationReport
 from .tate import abstract_residue_trace, classical_residue
 
 
-def tame_symbol_elem(f: RationalFunction, g: RationalFunction,
-                     x: Place) -> FieldScalar:
-    """(-1)^(v_x(f) v_x(g)) (f^v_x(g) / g^v_x(f))(x) inside the residue field."""
+def _tame_raw(f: RationalFunction, g: RationalFunction, x: Place):
+    """Raw residue-field value of (-1)^(v_x(f) v_x(g)) (f^v_x(g) / g^v_x(f))(x)."""
     if f.is_zero() or g.is_zero():
         raise ZeroInputError("tame symbol of the zero function")
     vf = f.valuation(x)
@@ -29,19 +28,25 @@ def tame_symbol_elem(f: RationalFunction, g: RationalFunction,
     # polynomial degrees.
     uf = ring.pow(f.unit_value(x), vg)
     ug = ring.pow(g.unit_value(x), vf)
-    return ring.scalar(ring.mul(ring.sign(vf * vg), ring.div(uf, ug)))
+    return ring.mul(ring.sign(vf * vg), ring.div(uf, ug))
+
+
+def tame_symbol_elem(f: RationalFunction, g: RationalFunction,
+                     x: Place) -> FieldScalar:
+    """(-1)^(v_x(f) v_x(g)) (f^v_x(g) / g^v_x(f))(x) inside the residue field."""
+    return x.residue_field().scalar(_tame_raw(f, g, x))
 
 
 def tame_symbol(f: RationalFunction, g: RationalFunction, x: Place) -> FieldScalar:
     """The k-valued tame symbol: norm of the unit part with the degree sign."""
-    return x.residue_field().norm(tame_symbol_elem(f, g, x).raw)
+    return x.residue_field().norm(_tame_raw(f, g, x))
 
 
 def milnor_symbol(f: RationalFunction, g: RationalFunction, x: Place) -> FieldScalar:
     """The rational-point form of the tame symbol; only for degree-1 places."""
     if x.degree != 1:
         raise DomainError("the rational-point symbol needs a degree-1 place")
-    return x.residue_field().to_base_scalar(tame_symbol_elem(f, g, x).raw)
+    return x.residue_field().to_base_scalar(_tame_raw(f, g, x))
 
 
 def hilbert_symbol(f: RationalFunction, g: RationalFunction, x: Place,
@@ -55,8 +60,7 @@ def hilbert_symbol(f: RationalFunction, g: RationalFunction, x: Place,
     q = field.p
     if m < 1 or (q - 1) % m:
         raise DomainError(f"m = {m} does not divide q - 1 = {q - 1}")
-    norm = x.residue_field().norm(tame_symbol_elem(f, g, x).raw)
-    return norm ** ((q - 1) // m)
+    return x.residue_field().norm(_tame_raw(f, g, x)) ** ((q - 1) // m)
 
 
 def _require_prime_field(f: RationalFunction) -> PrimeField:

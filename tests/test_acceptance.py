@@ -255,6 +255,7 @@ def test_criterion_07_index_laws():
 
 def test_criterion_08_surface_reciprocities():
     rng = random.Random(SEED + 8)
+    start = time.perf_counter()
     samples = 0
     refinements = 0
     z_checks = 0
@@ -300,10 +301,13 @@ def test_criterion_08_surface_reciprocities():
                         _report(8, False, "parshin is not z-independent")
                     z_checks += 2
         samples += 1
-    _report(8, samples == 100 and refinements >= 50 and z_checks >= 50,
+    elapsed = time.perf_counter() - start
+    _report(8, samples == 100 and refinements >= 50 and z_checks >= 50
+            and elapsed < 10.0,
             f"{samples} surface samples over F5/Q: nu/horozov/parshin/hk4 "
             f"laws hold, {refinements} cyclic refinements, "
-            f"{z_checks} parameter-change checks")
+            f"{z_checks} parameter-change checks, in {elapsed:.2f}s "
+            f"(budget 10s)")
 
 
 def test_criterion_09_segal_wilson():

@@ -5,7 +5,8 @@ import pytest
 
 from reciprocity_lab.errors import (DomainError, NotAUnitError,
                                     UncertifiedFactorError, ZeroInputError)
-from reciprocity_lab.funcfield import Place, RationalFunction, support_union
+from reciprocity_lab.funcfield import (FractionField, Place, RationalFunction,
+                                      support_union)
 from reciprocity_lab.poly import Polynomial
 
 from helpers import F3, F5, F7, Q, rand_fn, rand_fn_for, rand_fn_q
@@ -28,6 +29,44 @@ def test_canonical_form_is_coprime_with_monic_denominator():
     g = (t - 1) / (t * t - 1)
     assert g == 1 / (t + 1)
     assert g.den.is_monic()
+
+
+def _full_gcd_form(num, den):
+    """The canonical form by the general route: divide out the gcd, then
+    scale den to be monic."""
+    g = num.gcd(den)
+    num, den = num.exact_div(g), den.exact_div(g)
+    scale = num.field.inv(den.leading_coefficient())
+    return num.scale(scale), den.scale(scale)
+
+
+def test_canonical_form_matches_the_full_gcd_route():
+    rng = random.Random(359)
+    ks = FractionField(F5, "s")
+
+    def coeff(field):
+        if field is ks:
+            return rand_fn(rng, F5, max_deg=2, var="s")
+        return field.from_int(rng.randint(-9, 9))
+
+    def poly(field, deg):
+        return Polynomial(field, [coeff(field) for _ in range(deg + 1)])
+
+    for field in (Q, F5, ks):
+        for _ in range(10):
+            p = poly(field, rng.randint(1, 4))
+            q = poly(field, rng.randint(1, 4))
+            c = poly(field, 0)
+            if p.is_zero() or q.is_zero() or c.is_zero():
+                continue
+            pairs = ((p, c), (c, p), (p, q), (p, q.monic()), (p * q, q))
+            for num, den in pairs:
+                f = RationalFunction(num, den)
+                want_num, want_den = _full_gcd_form(num, den)
+                assert (f.num.coeffs, f.den.coeffs) == \
+                    (want_num.coeffs, want_den.coeffs)
+                assert (str(f.num), str(f.den)) == \
+                    (str(want_num), str(want_den))
 
 
 def test_valuation_examples():

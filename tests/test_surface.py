@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from reciprocity_lab.errors import DomainError, ZeroInputError
+from reciprocity_lab.errors import (DomainError, MixedFieldError,
+                                    ZeroInputError)
 from reciprocity_lab.funcfield import Place, RationalFunction
 from reciprocity_lab.poly import Polynomial
-from reciprocity_lab.surface import (curve_tame, curve_valuation, hk4,
-                                     horozov3, lambda_shift, nu_symbol,
+from reciprocity_lab.surface import (curve_place, curve_tame,
+                                     curve_valuation, hk4, horozov3,
+                                     lambda_shift, nu_symbol,
                                      nu_verify, parshin3, phi_z,
                                      reciprocity_verify_2d,
                                      restrict_to_curve, surface_generators,
@@ -73,6 +75,29 @@ def test_parameter_must_vanish_to_first_order():
         phi_z(s * t, z=t * t)
     with pytest.raises(DomainError):
         phi_z(s * t, z=s)
+
+
+def test_parameter_from_another_model_is_rejected():
+    s5, t5 = gens(F5)
+    sq, tq = gens(Q)
+    su, u = surface_generators(F5, t_var="u")
+    x = place_s(F5)
+    for z in (sq * tq, su * u):
+        for f in (1 + s5 * t5, s5 * t5):
+            with pytest.raises(MixedFieldError):
+                phi_z(f, z=z)
+            with pytest.raises(MixedFieldError):
+                nu_symbol(f, s5, x, z=z)
+            with pytest.raises(MixedFieldError):
+                horozov3(f, s5, t5, x, z=z)
+            with pytest.raises(MixedFieldError):
+                parshin3(f, s5, t5, x, z=z)
+            with pytest.raises(MixedFieldError):
+                hk4(f, s5, t5, s5, x, z=z)
+            for kind, arity in LAW_ARITY.items():
+                functions = [f, s5, t5, s5][:arity]
+                with pytest.raises(MixedFieldError):
+                    reciprocity_verify_2d(kind, functions, z=z)
 
 
 def test_surface_inputs_need_coefficient_functions():
@@ -272,3 +297,34 @@ def test_restriction_needs_a_curve_unit():
     s, t = gens(Q)
     with pytest.raises(NotAUnitError):
         restrict_to_curve(s * t)
+
+
+def _restrict_via_kst(f, z):
+    """The restricted unit part by k(s)(t) arithmetic: evaluate
+    f * z**(-v) at the place t = 0 and project to k(s)."""
+    x = curve_place(f)
+    unit = (f * z ** (-f.valuation(x))).evaluate(x)
+    return x.residue_field().to_base_scalar(unit.raw).raw
+
+
+def test_t_adic_restriction_matches_the_kst_route():
+    rng = random.Random(353)
+    for base in (F5, Q):
+        s, t = gens(base)
+        x = place_s(base, shift=1)
+        for _ in range(12):
+            f = rand_surface_fn(rng, base)
+            g = rand_surface_fn(rng, base)
+            assert curve_valuation(f) == f.valuation(curve_place(f))
+            for z in (t, t * (1 + t), s * t):
+                got = phi_z(f, z)
+                want = _restrict_via_kst(f, z)
+                assert (got.num, got.den) == (want.num, want.den)
+                assert lambda_shift(z, t, x) == \
+                    _restrict_via_kst(t / z, t).valuation(x)
+            vf, vg = curve_valuation(f), curve_valuation(g)
+            want = _restrict_via_kst(f ** vg / g ** vf, t)
+            if (vf * vg) % 2:
+                want = -want
+            got = curve_tame(f, g)
+            assert (got.num, got.den) == (want.num, want.den)
