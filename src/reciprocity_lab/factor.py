@@ -12,13 +12,14 @@ tuples, so identical inputs and seeds reproduce identical output.
 """
 from __future__ import annotations
 
+import math
 import random
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ZeroInputError
-from .fields import Field, FieldScalar, PrimeField, QQ, RationalField
+from .fields import FieldScalar, PrimeField, RationalField, power
 from .poly import Polynomial
 
 DEFAULT_SEED = 20140901
@@ -53,14 +54,8 @@ def _sorted_factors(items: list[Factor]) -> tuple[Factor, ...]:
 
 
 def _pow_mod(base: Polynomial, exponent: int, modulus: Polynomial) -> Polynomial:
-    result = Polynomial.one(base.field, base.var)
-    acc = base % modulus
-    while exponent:
-        if exponent & 1:
-            result = (result * acc) % modulus
-        acc = (acc * acc) % modulus
-        exponent >>= 1
-    return result
+    return power(lambda a, b: (a * b) % modulus,
+                 Polynomial.one(base.field, base.var), base % modulus, exponent)
 
 
 def _distinct_degree(f: Polynomial) -> list[tuple[int, Polynomial]]:
@@ -138,10 +133,7 @@ def _rational_roots(f: Polynomial) -> list[Fraction]:
     """All rational roots of a squarefree f over Q, via the integer root bound."""
     if f.is_constant():
         return []
-    lcm = 1
-    for c in f.coeffs:
-        d = c.denominator
-        lcm = lcm * d // _gcd_int(lcm, d)
+    lcm = math.lcm(*(c.denominator for c in f.coeffs))
     ints = [int(c * lcm) for c in f.coeffs]
     roots = []
     if ints[0] == 0:
@@ -162,12 +154,6 @@ def _rational_roots(f: Polynomial) -> list[Fraction]:
                 if f.evaluate(cand) == 0:
                     roots.append(cand)
     return roots
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _divisors(n: int) -> list[int]:
@@ -220,29 +206,24 @@ _factor_lock = threading.Lock()
 _CACHE_LIMIT = 4096
 
 
-def factor_polynomial(f: Polynomial, seed: int | None = None,
-                      use_cache: bool = True) -> Factorization:
+def factor_polynomial(f: Polynomial, seed: int | None = None) -> Factorization:
     """Factor over the polynomial's ground field, with a small process cache.
 
-    The cache is keyed by (field, variable, coefficients, seed) behind a lock;
-    pass use_cache=False to bypass it entirely.
+    The cache is keyed by (field, variable, coefficients, seed) behind a lock.
     """
-    key = None
-    if use_cache:
-        key = (f.field.descriptor, f.var, f.coeffs, seed)
-        with _factor_lock:
-            hit = _factor_cache.get(key)
-        if hit is not None:
-            return hit
+    key = (f.field.descriptor, f.var, f.coeffs, seed)
+    with _factor_lock:
+        hit = _factor_cache.get(key)
+    if hit is not None:
+        return hit
     if isinstance(f.field, PrimeField):
         result = factor_prime_field(f, seed)
     else:
         result = factor_rationals_limited(f)
-    if use_cache:
-        with _factor_lock:
-            if len(_factor_cache) >= _CACHE_LIMIT:
-                _factor_cache.clear()
-            _factor_cache[key] = result
+    with _factor_lock:
+        if len(_factor_cache) >= _CACHE_LIMIT:
+            _factor_cache.clear()
+        _factor_cache[key] = result
     return result
 
 

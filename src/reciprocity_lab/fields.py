@@ -9,6 +9,10 @@ k[T]/(pi) (`residue_field.ResidueField`) and rational function fields k(s)
 at API boundaries for all of them; arithmetic between scalars of different
 descriptors is a hard error, the only implicit conversion anywhere is int
 literals into the ambient field.
+
+This module also owns the library's one square-and-multiply loop,
+`power(mul, one, x, n)`, behind `Field.pow`, `Polynomial.__pow__`,
+`TruncatedPowerSeries.__pow__` and modular powers in `factor`.
 """
 from __future__ import annotations
 
@@ -49,6 +53,24 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def power(mul, one, x, n: int):
+    """x**n for n >= 0 by square-and-multiply with the product `mul`.
+
+    It never squares past the top bit of n and never multiplies by `one`,
+    so n >= 1 costs floor(log2 n) + popcount(n) - 1 products.
+    """
+    if n == 0:
+        return one
+    result = None
+    while True:
+        if n & 1:
+            result = x if result is None else mul(result, x)
+        n >>= 1
+        if not n:
+            return result
+        x = mul(x, x)
+
+
 class Field:
     """Common helpers shared by the concrete field descriptors."""
 
@@ -74,14 +96,7 @@ class Field:
     def pow(self, a, n: int):
         if n < 0:
             return self.pow(self.inv(a), -n)
-        result = self.one
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
+        return power(self.mul, self.one, a, n)
 
     def __repr__(self):
         return self.descriptor

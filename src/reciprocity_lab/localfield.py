@@ -14,7 +14,7 @@ from __future__ import annotations
 from .errors import MixedFieldError, PrecisionError, ZeroInputError
 from .fields import FieldScalar
 from .funcfield import Place, RationalFunction
-from .poly import Polynomial
+from .poly import Polynomial, convolve, series_quotient
 from .residue_field import ResidueField
 
 
@@ -101,14 +101,7 @@ class LaurentSeries:
         vmin = self.vmin + other.vmin
         if self.is_known_zero() or other.is_known_zero():
             return LaurentSeries.zero_to_precision(ring, self.param, prec)
-        out = [ring.zero] * (prec - vmin)
-        for i, a in enumerate(self.coeffs):
-            if ring.is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j >= len(out):
-                    break
-                out[i + j] = ring.add(out[i + j], ring.mul(a, b))
+        out = convolve(ring, self.coeffs, other.coeffs, prec - vmin)
         return LaurentSeries(ring, self.param, vmin, out, prec)
 
     def scale(self, raw) -> "LaurentSeries":
@@ -145,18 +138,6 @@ class LaurentSeries:
         return f"LaurentSeries({self})"
 
 
-def _series_quotient(ring: ResidueField, num, den, terms: int):
-    """First `terms` coefficients of num/den over the ring; den[0] must be a unit."""
-    inv0 = ring.inv(den[0])
-    out = []
-    for k in range(terms):
-        acc = num[k] if k < len(num) else ring.zero
-        for j in range(1, min(k, len(den) - 1) + 1):
-            acc = ring.sub(acc, ring.mul(den[j], out[k - j]))
-        out.append(ring.mul(inv0, acc))
-    return out
-
-
 def expand(f: RationalFunction, place: Place, upto: int) -> LaurentSeries:
     """Laurent expansion of f at the place, exact through the exponent `upto`.
 
@@ -190,5 +171,5 @@ def expand(f: RationalFunction, place: Place, upto: int) -> LaurentSeries:
     terms = prec - vmin
     if terms <= 0:
         return LaurentSeries.zero_to_precision(ring, param, prec)
-    out = _series_quotient(ring, num[a:], den[b:], terms)
+    out = series_quotient(ring, num[a:], den[b:], terms)
     return LaurentSeries(ring, param, vmin, out, prec)

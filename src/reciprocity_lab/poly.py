@@ -3,11 +3,66 @@
 Coefficients are stored ascending by exponent as raw field values; the zero
 polynomial is the empty tuple and its degree is the sentinel None, never -1,
 so callers are forced to treat it explicitly.
+
+This module also owns the kernels on bare coefficient sequences that every
+dense type shares (k[t], k[T]/(pi), truncated k((w)) and k[z]/(z^(N+1))):
+`convolve` (products), `reduce_monic` (remainder mod a monic modulus) and
+`series_quotient` (power-series division).
 """
 from __future__ import annotations
 
+from operator import mul as _mul
+
 from .errors import MixedFieldError, ZeroInputError
-from .fields import Field, ensure_same_field
+from .fields import Field, ensure_same_field, power
+
+
+def convolve(F: Field, a, b, length: int | None = None) -> list:
+    """Coefficients of the product of the sequences a and b over F.
+
+    Entry k sums a[i]*b[j] over i + j = k, for k < `length` (default: the
+    full product length).  Zero coefficients on either side cost nothing.
+    """
+    if length is None:
+        length = len(a) + len(b) - 1
+    out = [F.zero] * length
+    right = [(j, y) for j, y in enumerate(b) if not F.is_zero(y)]
+    for i, x in enumerate(a[:length]):
+        if F.is_zero(x):
+            continue
+        for j, y in right:
+            if i + j >= length:
+                break
+            out[i + j] = F.add(out[i + j], F.mul(x, y))
+    return out
+
+
+def reduce_monic(F: Field, coeffs, modulus) -> tuple:
+    """Remainder of `coeffs` modulo the monic coefficient sequence `modulus`,
+    as exactly deg(modulus) coefficients (zero-padded, not trimmed)."""
+    d = len(modulus) - 1
+    work = list(coeffs)
+    for i in range(len(work) - 1, d - 1, -1):
+        c = work[i]
+        if F.is_zero(c):
+            continue
+        for j in range(d):
+            work[i - d + j] = F.sub(work[i - d + j], F.mul(c, modulus[j]))
+    work.extend([F.zero] * (d - len(work)))
+    return tuple(work[:d])
+
+
+def series_quotient(F: Field, num, den, terms: int) -> list:
+    """First `terms` coefficients of the power series num/den over F;
+    den[0] must be a unit."""
+    inv0 = F.inv(den[0])
+    out = []
+    for k in range(terms):
+        acc = num[k] if k < len(num) else F.zero
+        for j in range(1, min(k, len(den) - 1) + 1):
+            acc = F.sub(acc, F.mul(den[j], out[k - j]))
+        out.append(F.mul(inv0, acc))
+    return out
 
 
 def _trim(coeffs: list, field: Field) -> tuple:
@@ -113,17 +168,9 @@ class Polynomial:
         if isinstance(other, int):
             other = Polynomial.constant(self.field, other, self.var)
         self._compat(other)
-        F = self.field
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Polynomial.zero(F, self.var)
-        out = [F.zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if F.is_zero(ai):
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] = F.add(out[i + j], F.mul(ai, bj))
-        return Polynomial(F, out, self.var)
+        return Polynomial(self.field,
+                          convolve(self.field, self.coeffs, other.coeffs),
+                          self.var)
 
     __rmul__ = __mul__
 
@@ -140,14 +187,7 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ZeroInputError("negative power of a polynomial")
-        result = Polynomial.one(self.field, self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(_mul, Polynomial.one(self.field, self.var), self, n)
 
     def divmod(self, other: "Polynomial"):
         self._compat(other)

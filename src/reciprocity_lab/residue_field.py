@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .errors import MixedFieldError, ZeroInputError
 from .fields import Field, FieldScalar
-from .poly import Polynomial
+from .poly import Polynomial, convolve, reduce_monic
 
 
 class ResidueField(Field):
@@ -62,13 +62,7 @@ class ResidueField(Field):
 
     def from_coeffs(self, coeffs):
         """Reduce an arbitrary coefficient sequence mod pi into a raw tuple."""
-        F = self.base
-        d = self.degree
-        work = list(coeffs)
-        if len(work) >= len(self.modulus.coeffs):
-            work = list((Polynomial(F, work, self.modulus.var) % self.modulus).coeffs)
-        work.extend([F.zero] * (d - len(work)))
-        return tuple(work[:d])
+        return reduce_monic(self.base, coeffs, self.modulus.coeffs)
 
     def from_polynomial(self, p: Polynomial):
         return self.from_coeffs(p.coeffs)
@@ -95,25 +89,9 @@ class ResidueField(Field):
 
     def mul(self, a, b):
         F = self.base
-        d = self.degree
-        if d == 1:
+        if self.degree == 1:
             return (F.mul(a[0], b[0]),)
-        prod = [F.zero] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if F.is_zero(x):
-                continue
-            for j, y in enumerate(b):
-                prod[i + j] = F.add(prod[i + j], F.mul(x, y))
-        # reduce by the monic modulus in place
-        mod = self.modulus.coeffs
-        for i in range(2 * d - 2, d - 1, -1):
-            c = prod[i]
-            if F.is_zero(c):
-                continue
-            prod[i] = F.zero
-            for j in range(d):
-                prod[i - d + j] = F.sub(prod[i - d + j], F.mul(c, mod[j]))
-        return tuple(prod[:d])
+        return reduce_monic(F, convolve(F, a, b), self.modulus.coeffs)
 
     def inv(self, a):
         if self.is_zero(a):

@@ -11,10 +11,13 @@ Characteristic zero only: the exponential needs every n! invertible.
 """
 from __future__ import annotations
 
+from operator import mul as _mul
+
 from .errors import DomainError, ZeroInputError
-from .fields import Field, FieldScalar
+from .fields import Field, FieldScalar, power
 from .funcfield import Place, RationalFunction
 from .lattices import MonomialLattice
+from .poly import convolve, series_quotient
 from .report import VerificationReport
 from .symbols1d import residue_theorem_places
 from .tate import abstract_residue_trace, classical_residue
@@ -79,40 +82,23 @@ class TruncatedPowerSeries:
     def __mul__(self, other):
         other = self._check(other)
         F = self.field
-        out = [F.zero] * (self.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if F.is_zero(a):
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if not F.is_zero(b):
-                    out[i + j] = F.add(out[i + j], F.mul(a, b))
-        return TruncatedPowerSeries(F, out, self.order)
+        return TruncatedPowerSeries(
+            F, convolve(F, self.coeffs, other.coeffs, self.order + 1),
+            self.order)
 
     def inverse(self) -> "TruncatedPowerSeries":
         F = self.field
         if F.is_zero(self.coeffs[0]):
             raise ZeroInputError("series with zero constant term has no inverse")
-        lead = F.inv(self.coeffs[0])
-        out = [lead] + [F.zero] * self.order
-        for n in range(1, self.order + 1):
-            acc = F.zero
-            for i in range(1, n + 1):
-                acc = F.add(acc, F.mul(self.coeffs[i], out[n - i]))
-            out[n] = F.neg(F.mul(lead, acc))
-        return TruncatedPowerSeries(F, out, self.order)
+        return TruncatedPowerSeries(
+            F, series_quotient(F, (F.one,), self.coeffs, self.order + 1),
+            self.order)
 
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = TruncatedPowerSeries.one(self.field, self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(_mul, TruncatedPowerSeries.one(self.field, self.order),
+                     self, n)
 
     def is_one(self) -> bool:
         F = self.field

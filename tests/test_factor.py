@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from reciprocity_lab.errors import DomainError, ZeroInputError
-from reciprocity_lab.factor import factor_polynomial, is_irreducible
+from reciprocity_lab.factor import (factor_polynomial, factor_prime_field,
+                                    factor_rationals_limited, is_irreducible)
 from reciprocity_lab.fields import field_from_descriptor
 from reciprocity_lab.poly import Polynomial
 
@@ -37,8 +38,7 @@ def test_recomposition_property():
     for field in (F2, F5, F101):
         for _ in range(60):
             f = rand_poly(rng, field, 7, nonzero=True)
-            fac = factor_polynomial(f, seed=rng.randint(0, 10 ** 6),
-                                    use_cache=False)
+            fac = factor_prime_field(f, seed=rng.randint(0, 10 ** 6))
             assert fac.product() == f
             assert fac.fully_certified()
             for item in fac.factors:
@@ -66,7 +66,7 @@ def test_cubic_without_roots_is_certified_over_q():
 def test_quartic_cofactor_is_flagged_uncertified():
     t = Polynomial.variable(Q)
     f = (t * t + 1) * (t * t + 2)
-    fac = factor_polynomial(f, use_cache=False)
+    fac = factor_rationals_limited(f)
     assert not fac.fully_certified()
     assert not is_irreducible(f)
     # the product identity still holds even without certificates
@@ -89,8 +89,8 @@ def test_seeded_factorization_is_deterministic():
     rng = random.Random(31)
     for _ in range(10):
         f = rand_poly(rng, F5, 6, nonzero=True)
-        a = factor_polynomial(f, seed=123, use_cache=False)
-        b = factor_polynomial(f, seed=123, use_cache=False)
+        a = factor_prime_field(f, seed=123)
+        b = factor_prime_field(f, seed=123)
         assert a.factors == b.factors
 
 

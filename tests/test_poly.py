@@ -4,7 +4,10 @@ from fractions import Fraction
 import pytest
 
 from reciprocity_lab.errors import ZeroInputError
+from reciprocity_lab.funcfield import FractionField, RationalFunction
 from reciprocity_lab.poly import Polynomial
+from reciprocity_lab.residue_field import ResidueField
+from reciprocity_lab.segalwilson import TruncatedPowerSeries
 
 from helpers import F2, F5, Q, rand_poly
 
@@ -148,3 +151,50 @@ def test_evaluate_is_a_homomorphism():
         x = F5.from_int(rng.randint(0, 4))
         assert (a * b).evaluate(x) == F5.mul(a.evaluate(x), b.evaluate(x))
         assert (a + b).evaluate(x) == F5.add(a.evaluate(x), b.evaluate(x))
+
+
+def count_calls(monkeypatch, cls, name):
+    """Patch cls.name with a wrapper that appends one entry per call."""
+    calls = []
+    original = getattr(cls, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_powers_make_the_minimal_number_of_products(monkeypatch):
+    # square-and-multiply needs floor(log2 n) + popcount(n) - 1 products:
+    # no squaring past the top bit, no product with one
+    T = Polynomial.variable(F5, "T")
+    cubic = ResidueField(T ** 3 + T + 1)
+    series = TruncatedPowerSeries(Q, [1, 2, 3], 6)
+    cases = (
+        (Polynomial, "__mul__", lambda n: Polynomial.variable(Q) ** n),
+        (ResidueField, "mul", lambda n: cubic.pow((1, 2, 0), n)),
+        (TruncatedPowerSeries, "__mul__", lambda n: series ** n),
+    )
+    for cls, name, raise_to in cases:
+        calls = count_calls(monkeypatch, cls, name)
+        for n in range(1, 41):
+            calls.clear()
+            raise_to(n)
+            assert len(calls) == n.bit_length() + bin(n).count("1") - 2, \
+                (cls.__name__, n)
+        monkeypatch.undo()
+
+
+def test_products_skip_zero_coefficients_on_both_sides(monkeypatch):
+    ks = FractionField(F5, "s")
+    s = RationalFunction.variable(F5, "s")
+    left = Polynomial(ks, [ks.one, s], "t")
+    cube = Polynomial.monomial(ks, 3, var="t")
+    calls = count_calls(monkeypatch, FractionField, "mul")
+    assert left * cube == left.shift(3)
+    assert len(calls) == 2
+    calls.clear()
+    assert cube * left == left.shift(3)
+    assert len(calls) == 2

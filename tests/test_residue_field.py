@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -123,3 +124,33 @@ def test_frobenius_fixed_points_have_full_norm():
     for c in range(1, 3):
         raw = ring.from_base(F3.from_int(c))
         assert ring.norm_raw(raw) == F3.pow(c, 3)
+
+
+def test_products_and_reduction_match_polynomial_division():
+    # the shared convolution and monic reduction against a schoolbook
+    # product and the remainder of Polynomial.divmod
+    rng = random.Random(47)
+    cases = (
+        (ResidueField(Polynomial(F5, [1, 2, 0, 1], "T")),
+         lambda: F5.from_int(rng.randint(0, 4))),
+        (ResidueField(Polynomial(Q, [3, Fraction(1, 2), 1], "T")),
+         lambda: Fraction(rng.randint(-2, 2), rng.randint(1, 3))),
+    )
+    for ring, draw in cases:
+        F, d = ring.base, ring.degree
+
+        def remainder(coeffs):
+            rem = Polynomial(F, coeffs, "T").divmod(ring.modulus)[1].coeffs
+            return tuple(rem) + (F.zero,) * (d - len(rem))
+
+        for _ in range(60):
+            a = tuple(draw() for _ in range(d))
+            b = tuple(draw() for _ in range(d))
+            plain = [F.zero] * (2 * d - 1)
+            for i in range(d):
+                for j in range(d):
+                    plain[i + j] = F.add(plain[i + j], F.mul(a[i], b[j]))
+            assert ring.mul(a, b) == remainder(plain)
+            assert ring.from_coeffs(plain) == remainder(plain)
+            longer = [draw() for _ in range(rng.randint(0, 3 * d))]
+            assert ring.from_coeffs(longer) == remainder(longer)

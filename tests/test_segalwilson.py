@@ -53,6 +53,13 @@ def test_series_ring_arithmetic():
     assert s * s.inverse() == one
     assert (s ** 3) * (s ** -3) == one
     assert s ** 0 == one
+    rng = random.Random(359)
+    for order in range(9):
+        unit = [Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))]
+        unit += [Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+                 for _ in range(rng.randint(0, order + 2))]
+        u = TruncatedPowerSeries(Q, unit, order)
+        assert u * u.inverse() == TruncatedPowerSeries.one(Q, order)
 
 
 def test_series_truncation_is_consistent():
