@@ -9,21 +9,20 @@ input could not be parsed, 3 the inputs are outside a symbol's domain, 4 a
 reciprocity hypothesis was violated.
 
 Reports print as aligned text, or as canonical JSON with --json: keys are
-sorted and separators fixed, so identical inputs and seed are
-byte-identical.  --seed (or RECIPROCITY_LAB_SEED) pins factorization
-randomness.
+sorted and separators fixed, so identical inputs are byte-identical.
+Factorization into monic irreducibles is unique and reported in canonical
+order, so no run depends on the splitting randomness.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .errors import (DomainError, HypothesisViolation, MixedFieldError,
                      NotAUnitError, ParseError, PrecisionError,
-                     ReciprocityError, UncertifiedFactorError, ZeroInputError)
+                     UncertifiedFactorError, ZeroInputError)
 from .fields import Field
-from .lattices import MonomialLattice, MonomialOperator, lattice_index, parse_lattice
+from .lattices import MonomialOperator, lattice_index, parse_lattice
 from .parsing import parse_field, parse_place, parse_rational, parse_surface
 from .report import VerificationReport
 from .segalwilson import DEFAULT_ORDER, cocycle_c, sw_verify
@@ -54,9 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help='ground field: "Q" or "Fp:<prime>"')
     common.add_argument("--json", action="store_true",
                         help="print the report as canonical JSON")
-    common.add_argument("--seed", type=int, default=None,
-                        help="factorization seed (fallback: "
-                             "RECIPROCITY_LAB_SEED)")
 
     parser = argparse.ArgumentParser(
         prog="reciprocity-lab",
@@ -139,19 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(args) -> int | None:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("RECIPROCITY_LAB_SEED")
-    if env is None:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise ParseError(f"RECIPROCITY_LAB_SEED={env!r} is not an integer") \
-            from None
-
-
 def _surface_inputs(args, names):
     field = parse_field(args.field)
     functions = [parse_surface(getattr(args, name), field) for name in names]
@@ -160,20 +143,19 @@ def _surface_inputs(args, names):
     return field, functions, z, place
 
 
-def _xsymbol_family(args, field, seed):
+def _xsymbol_family(args, field):
     f = parse_rational(args.f, field)
     if args.instance == "index":
-        return curve_index_family(f, seed)
+        return curve_index_family(f)
     if args.g is None:
         raise ParseError(f"the {args.instance} instance needs --g")
     g = parse_rational(args.g, field)
     if args.instance == "residue":
-        return curve_residue_family(f, g, seed)
-    return curve_tame_family(f, g, seed)
+        return curve_residue_family(f, g)
+    return curve_tame_family(f, g)
 
 
 def _dispatch(args) -> VerificationReport:
-    seed = _resolve_seed(args)
     command = args.command
 
     if command in ("tame", "weil", "sumval", "residue", "restheorem",
@@ -189,9 +171,9 @@ def _dispatch(args) -> VerificationReport:
                              tame_symbol(f, g, x))
     if command == "weil":
         return weil_verify(parse_rational(args.f, field),
-                           parse_rational(args.g, field), seed)
+                           parse_rational(args.g, field))
     if command == "sumval":
-        return sum_of_valuations_verify(parse_rational(args.f, field), seed)
+        return sum_of_valuations_verify(parse_rational(args.f, field))
     if command == "residue":
         f = parse_rational(args.f, field)
         g = parse_rational(args.g, field)
@@ -202,7 +184,7 @@ def _dispatch(args) -> VerificationReport:
     if command == "restheorem":
         return residue_theorem_verify(parse_rational(args.f, field),
                                       parse_rational(args.g, field),
-                                      oracle=args.oracle, seed=seed)
+                                      oracle=args.oracle)
     if command == "hilbert":
         f = parse_rational(args.f, field)
         g = parse_rational(args.g, field)
@@ -211,19 +193,19 @@ def _dispatch(args) -> VerificationReport:
             return _value_report("hilbert-symbol", field,
                                  {"f": str(f), "g": str(g), "m": str(args.m)},
                                  str(x), hilbert_symbol(f, g, x, args.m))
-        return hilbert_verify(f, g, args.m, seed)
+        return hilbert_verify(f, g, args.m)
 
     if command == "nu":
         field, (f, g), z, place = _surface_inputs(args, ("f", "g"))
         if args.verify or place is None:
-            return nu_verify(f, g, seed)
+            return nu_verify(f, g)
         return _value_report("nu-symbol", field, {"f": str(f), "g": str(g)},
                              str(place), nu_symbol(f, g, place, z))
     if command in ("horozov", "parshin", "hk4"):
         names = ("f", "g", "h", "w") if command == "hk4" else ("f", "g", "h")
         field, functions, z, place = _surface_inputs(args, names)
         if args.verify or place is None:
-            return reciprocity_verify_2d(command, functions, seed, z)
+            return reciprocity_verify_2d(command, functions, z)
         local = {"horozov": horozov3, "parshin": parshin3, "hk4": hk4}[command]
         value = local(*functions, place, z=z)
         return _value_report(f"{command}-symbol", field,
@@ -240,12 +222,12 @@ def _dispatch(args) -> VerificationReport:
                                  {"f": str(f), "g": str(g),
                                   "order": str(args.order)},
                                  str(x), cocycle_c(f, g, x, args.order))
-        return sw_verify(f, g, args.order, seed)
+        return sw_verify(f, g, args.order)
 
     if command == "index":
         f = parse_rational(args.f, field)
         if args.verify:
-            return general_reciprocity_run(curve_index_family(f, seed))
+            return general_reciprocity_run(curve_index_family(f))
         if args.place is None:
             raise ParseError("index needs --place (or --verify)")
         x = parse_place(args.place, field)
@@ -257,7 +239,7 @@ def _dispatch(args) -> VerificationReport:
                              str(x), value)
 
     if command == "xsymbol":
-        family = _xsymbol_family(args, field, seed)
+        family = _xsymbol_family(args, field)
         if args.check == "reciprocity":
             return general_reciprocity_run(family)
         if args.a is None or args.b is None:
@@ -292,9 +274,6 @@ def main(argv=None) -> int:
     except _DOMAIN_ERRORS as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
-    seed = _resolve_seed(args)
-    if seed is not None:
-        report.details["seed"] = seed
     if args.json:
         print(report.to_json())
     else:

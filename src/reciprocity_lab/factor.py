@@ -8,7 +8,9 @@ degree-2/3 irreducibility test; any surviving cofactor of degree >= 4 is
 returned flagged as not certified irreducible.
 
 Factor order is deterministic: ascending degree, then ascending coefficient
-tuples, so identical inputs and seeds reproduce identical output.
+tuples.  The factorization into monic irreducibles is unique, so the
+Cantor-Zassenhaus seed only picks the splitting path, never the factors;
+the library never passes one, so DEFAULT_SEED always applies.
 """
 from __future__ import annotations
 
@@ -110,9 +112,9 @@ def _split_equal_degree(f: Polynomial, d: int, rng: random.Random) -> list[Polyn
 def factor_prime_field(f: Polynomial, seed: int | None = None) -> Factorization:
     """Complete factorization over F_p into monic irreducibles.
 
-    The splitting randomness is seeded (argument, falling back to a fixed
-    default), and factors are reported in canonical order, so the output is
-    reproducible run to run.
+    The seed (default DEFAULT_SEED) drives the random splittings; the
+    factors are unique and reported in canonical order, so every seed gives
+    the same result.
     """
     field = f.field
     if not isinstance(field, PrimeField):
@@ -206,18 +208,18 @@ _factor_lock = threading.Lock()
 _CACHE_LIMIT = 4096
 
 
-def factor_polynomial(f: Polynomial, seed: int | None = None) -> Factorization:
+def factor_polynomial(f: Polynomial) -> Factorization:
     """Factor over the polynomial's ground field, with a small process cache.
 
-    The cache is keyed by (field, variable, coefficients, seed) behind a lock.
+    The cache is keyed by (field, variable, coefficients) behind a lock.
     """
-    key = (f.field.descriptor, f.var, f.coeffs, seed)
+    key = (f.field.descriptor, f.var, f.coeffs)
     with _factor_lock:
         hit = _factor_cache.get(key)
     if hit is not None:
         return hit
     if isinstance(f.field, PrimeField):
-        result = factor_prime_field(f, seed)
+        result = factor_prime_field(f)
     else:
         result = factor_rationals_limited(f)
     with _factor_lock:
@@ -227,7 +229,7 @@ def factor_polynomial(f: Polynomial, seed: int | None = None) -> Factorization:
     return result
 
 
-def is_irreducible(f: Polynomial, seed: int | None = None) -> bool:
+def is_irreducible(f: Polynomial) -> bool:
     """True when f is certified irreducible over its ground field.
 
     Over Q a degree >= 4 polynomial whose status the limited factorizer
@@ -236,7 +238,7 @@ def is_irreducible(f: Polynomial, seed: int | None = None) -> bool:
     """
     if f.is_zero() or f.is_constant():
         return False
-    fac = factor_polynomial(f, seed)
+    fac = factor_polynomial(f)
     if len(fac.factors) != 1 or fac.factors[0].multiplicity != 1:
         return False
     return fac.factors[0].certified

@@ -268,7 +268,7 @@ class RationalFunction:
             raise NotAUnitError(f"function has a zero or pole at {place}")
         return place.residue_field().scalar(self.unit_value(place))
 
-    def support(self, seed: int | None = None) -> list[tuple[Place, int]]:
+    def support(self) -> list[tuple[Place, int]]:
         """The divisor of f: all places with nonzero valuation, canonical order.
 
         Requires a fully certified factorization of numerator and denominator;
@@ -280,7 +280,7 @@ class RationalFunction:
         for poly, sign in ((self.num, 1), (self.den, -1)):
             if poly.is_constant():
                 continue
-            fac = factor_polynomial(poly, seed)
+            fac = factor_polynomial(poly)
             for item in fac.factors:
                 if not item.certified:
                     raise UncertifiedFactorError(
@@ -306,14 +306,13 @@ def _strip_power(p: Polynomial, pi: Polynomial) -> tuple[int, Polynomial]:
 
 
 def support_union(*functions: RationalFunction,
-                  seed: int | None = None,
                   include_infinity: bool = False) -> list[Place]:
     """Sorted union of the supports of several functions."""
     places: dict = {}
     field = functions[0].field
     var = functions[0].var
     for f in functions:
-        for place, _ in f.support(seed):
+        for place, _ in f.support():
             places[place] = True
     if include_infinity:
         places[Place.at_infinity(field, var)] = True

@@ -277,8 +277,17 @@ def _joint_period(modulus: int, low_pat: frozenset, high_pat: frozenset) -> int:
     return modulus
 
 
+# Largest |n| a lattice literal may name.  The window [lo, hi) is explicit
+# and walked one integer at a time, so a literal far from 0 would make every
+# lattice operation on it slow; +-1000 keeps each command well under a second.
+LITERAL_BOUND = 1000
+
+
 def parse_lattice(text: str) -> MonomialLattice:
-    """Parse "ray:<n0>;add:<i,...>;del:<i,...>" (add and del optional)."""
+    """Parse "ray:<n0>;add:<i,...>;del:<i,...>" (add and del optional).
+
+    Every integer must lie in [-LITERAL_BOUND, LITERAL_BOUND].
+    """
     n0 = None
     added: list[int] = []
     removed: list[int] = []
@@ -300,6 +309,10 @@ def parse_lattice(text: str) -> MonomialLattice:
             raise ParseError(f"bad integer in lattice literal: {chunk!r}") from exc
     if n0 is None:
         raise ParseError("lattice literal needs a ray:<n0> clause")
+    for n in (n0, *added, *removed):
+        if abs(n) > LITERAL_BOUND:
+            raise ParseError(f"lattice literal integer {n} is outside "
+                             f"[-{LITERAL_BOUND}, {LITERAL_BOUND}]")
     try:
         return MonomialLattice.from_ray_spec(n0, added, removed)
     except DomainError as exc:

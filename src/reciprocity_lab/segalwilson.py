@@ -19,7 +19,7 @@ from .funcfield import Place, RationalFunction
 from .lattices import MonomialLattice
 from .poly import convolve, series_quotient
 from .report import VerificationReport
-from .symbols1d import residue_theorem_places
+from .symbols1d import _identity_count, residue_theorem_places
 from .tate import abstract_residue_trace, classical_residue
 
 DEFAULT_ORDER = 12
@@ -186,14 +186,13 @@ def cocycle_on_lattice(f: RationalFunction, g: RationalFunction, x: Place,
 
 
 def sw_verify(f: RationalFunction, g: RationalFunction,
-              order: int = DEFAULT_ORDER,
-              seed: int | None = None) -> VerificationReport:
+              order: int = DEFAULT_ORDER) -> VerificationReport:
     """Product of the pairing over all places of the joint support is 1."""
     if f.is_zero() or g.is_zero():
         raise ZeroInputError("the pairing is defined on nonzero functions")
     field = f.field
     half = _half(field)
-    places = residue_theorem_places(f, g, seed)
+    places = residue_theorem_places(f, g)
     product = TruncatedPowerSeries.one(field, order)
     terms = []
     for x in places:
@@ -211,6 +210,5 @@ def sw_verify(f: RationalFunction, g: RationalFunction,
         expected="1",
         ok=product.is_one(),
         details={"places": len(places),
-                 "suppressed_trivial": sum(1 for u in terms
-                                           if u["value"] == "1")},
+                 "suppressed_trivial": _identity_count(terms, "value", "1")},
     )

@@ -30,7 +30,7 @@ from .fields import Field, FieldScalar, ensure_same_field
 from .funcfield import FractionField, Place, RationalFunction, support_union
 from .poly import Polynomial
 from .report import VerificationReport
-from .symbols1d import tame_symbol
+from .symbols1d import _identity_count, tame_symbol
 
 
 def surface_generators(base: Field, s_var: str = "s",
@@ -156,8 +156,7 @@ def nu_symbol(f: RationalFunction, g: RationalFunction, x: Place,
             - vbar(g, x, z) * curve_valuation(f))
 
 
-def nu_verify(f: RationalFunction, g: RationalFunction,
-              seed: int | None = None) -> VerificationReport:
+def nu_verify(f: RationalFunction, g: RationalFunction) -> VerificationReport:
     """Degree-weighted sum of the intersection pairing over the curve is 0."""
     _nonzero(f, g)
     base = _coefficient_field(f).base
@@ -165,7 +164,7 @@ def nu_verify(f: RationalFunction, g: RationalFunction,
     vcg = curve_valuation(g)
     pf = phi_z(f)
     pg = phi_z(g)
-    places = support_union(pf, pg, seed=seed, include_infinity=True)
+    places = support_union(pf, pg, include_infinity=True)
     total = 0
     terms = []
     for x in places:
@@ -182,7 +181,7 @@ def nu_verify(f: RationalFunction, g: RationalFunction,
         expected="0",
         ok=total == 0,
         details={"places": len(places),
-                 "suppressed_trivial": sum(1 for u in terms if u["term"] == 0)},
+                 "suppressed_trivial": _identity_count(terms, "term", 0)},
     )
 
 
@@ -287,7 +286,7 @@ def hk4(f1: RationalFunction, f2: RationalFunction, f3: RationalFunction,
 _ARITY = {"horozov": 3, "parshin": 3, "hk4": 4}
 
 
-def reciprocity_verify_2d(kind: str, functions, seed: int | None = None,
+def reciprocity_verify_2d(kind: str, functions,
                           z: RationalFunction | None = None) -> VerificationReport:
     """Product of a local surface symbol over the places of the curve.
 
@@ -312,7 +311,7 @@ def reciprocity_verify_2d(kind: str, functions, seed: int | None = None,
         tame12 = curve_tame(functions[0], functions[1])
         tame34 = curve_tame(functions[2], functions[3])
         carriers += [tame12, tame34]
-    places = support_union(*carriers, seed=seed, include_infinity=True)
+    places = support_union(*carriers, include_infinity=True)
     value = base.one_scalar()
     terms = []
     for x in places:
@@ -333,6 +332,5 @@ def reciprocity_verify_2d(kind: str, functions, seed: int | None = None,
         expected="1",
         ok=value.is_one(),
         details={"places": len(places),
-                 "suppressed_trivial": sum(1 for u in terms
-                                           if u["value"] == "1")},
+                 "suppressed_trivial": _identity_count(terms, "value", "1")},
     )

@@ -69,18 +69,17 @@ def _require_prime_field(f: RationalFunction) -> PrimeField:
     return f.field
 
 
-def _identity_count(terms: list[dict], key: str, identity: str) -> int:
+def _identity_count(terms: list[dict], key: str, identity) -> int:
     return sum(1 for term in terms if term[key] == identity)
 
 
-def sum_of_valuations_verify(f: RationalFunction,
-                             seed: int | None = None) -> VerificationReport:
+def sum_of_valuations_verify(f: RationalFunction) -> VerificationReport:
     """Check sum over places of deg(x) * v_x(f) = 0."""
     if f.is_zero():
         raise ZeroInputError("the zero function has no divisor")
     terms = []
     total = 0
-    for place, v in f.support(seed):
+    for place, v in f.support():
         term = {"place": str(place), "deg": place.degree, "v": v,
                 "value": place.degree * v}
         total += place.degree * v
@@ -97,10 +96,9 @@ def sum_of_valuations_verify(f: RationalFunction,
     )
 
 
-def weil_verify(f: RationalFunction, g: RationalFunction,
-                seed: int | None = None) -> VerificationReport:
+def weil_verify(f: RationalFunction, g: RationalFunction) -> VerificationReport:
     """Check the product of tame symbols over the joint support equals 1."""
-    places = support_union(f, g, seed=seed)
+    places = support_union(f, g)
     field = f.field
     product = field.one_scalar()
     terms = []
@@ -124,11 +122,11 @@ def weil_verify(f: RationalFunction, g: RationalFunction,
     )
 
 
-def hilbert_verify(f: RationalFunction, g: RationalFunction, m: int,
-                   seed: int | None = None) -> VerificationReport:
+def hilbert_verify(f: RationalFunction, g: RationalFunction,
+                   m: int) -> VerificationReport:
     """Check the product of Hilbert norm residue symbols equals 1."""
     field = _require_prime_field(f)
-    places = support_union(f, g, seed=seed)
+    places = support_union(f, g)
     product = field.one_scalar()
     terms = []
     for x in places:
@@ -150,17 +148,15 @@ def hilbert_verify(f: RationalFunction, g: RationalFunction, m: int,
 
 
 def residue_theorem_places(f: RationalFunction,
-                           g: RationalFunction,
-                           seed: int | None = None) -> list[Place]:
+                           g: RationalFunction) -> list[Place]:
     """Joint support of f, g, and f*g', plus infinity: residues vanish elsewhere."""
     h = f * g.derivative()
     funcs = [f, g] + ([h] if not h.is_zero() else [])
-    return support_union(*funcs, seed=seed, include_infinity=True)
+    return support_union(*funcs, include_infinity=True)
 
 
 def residue_theorem_verify(f: RationalFunction, g: RationalFunction,
-                           oracle: bool = False,
-                           seed: int | None = None) -> VerificationReport:
+                           oracle: bool = False) -> VerificationReport:
     """Check sum over places of tr res_x(f dg) = 0, optionally cross-checked.
 
     With `oracle` set, every classical coefficient residue is recomputed as
@@ -169,7 +165,7 @@ def residue_theorem_verify(f: RationalFunction, g: RationalFunction,
     if f.is_zero() or g.is_zero():
         raise ZeroInputError("residue theorem needs nonzero functions")
     field = f.field
-    places = residue_theorem_places(f, g, seed)
+    places = residue_theorem_places(f, g)
     total = field.zero_scalar()
     terms = []
     agreements = 0

@@ -113,15 +113,15 @@ def abstract_residue_trace(f: RationalFunction, g: RationalFunction, x: Place,
     if f.is_zero() or g.is_zero():
         raise ZeroInputError("zero input to the abstract residue")
     lattice = MonomialLattice.ray(0) if lattice is None else lattice
-    bound = minimal_window(f, g, x, lattice)
+    vf = f.valuation(x)
+    vg = g.valuation(x)
+    bound = window_bound(lattice, vf, vg, data_spread(f) + data_spread(g))
     if window is None:
         window = bound
     elif window < bound:
         raise DomainError(f"window {window} is below the admissible bound {bound}")
 
     ring = x.residue_field()
-    vf = f.valuation(x)
-    vg = g.valuation(x)
     f_band = _local_band(f, x, -vg + _MARGIN)
     g_band = _local_band(g, x, -vf + _MARGIN)
     raw = banded_commutator_trace(ring, f_band, g_band, vf, vg,

@@ -120,19 +120,16 @@ def _two_sided_class(local: MonomialLattice) -> tuple[int, int]:
     when it contains everything far below; partial periodic patterns have no
     class value and are rejected.
     """
-    full = len(local.high_pat) == local.modulus
-    if not full and local.high_pat:
-        raise DomainError("block-local lattice is not commensurable "
-                          "with a ray, a lower set, the full line, "
-                          "or a finite set")
-    upper = 1 if full else 0
-    full = len(local.low_pat) == local.modulus
-    if not full and local.low_pat:
-        raise DomainError("block-local lattice is not commensurable "
-                          "with a ray, a lower set, the full line, "
-                          "or a finite set")
-    lower = 1 if full else 0
-    return upper, lower
+    def flag(pattern) -> int:
+        if len(pattern) == local.modulus:
+            return 1
+        if pattern:
+            raise DomainError("block-local lattice is not commensurable "
+                              "with a ray, a lower set, the full line, "
+                              "or a finite set")
+        return 0
+
+    return flag(local.high_pat), flag(local.low_pat)
 
 
 class TameSymbol:
@@ -310,8 +307,7 @@ def general_reciprocity_run(family: XSymbolFamily) -> VerificationReport:
 # -- curve encodings ---------------------------------------------------------
 
 
-def curve_index_family(f: RationalFunction,
-                       seed: int | None = None) -> XSymbolFamily:
+def curve_index_family(f: RationalFunction) -> XSymbolFamily:
     """Sum-of-valuations data: one block of deg(x) progressions per place.
 
     Multiplication by f shifts the block of x by v_x(f) levels, so the index
@@ -319,7 +315,7 @@ def curve_index_family(f: RationalFunction,
     """
     if f.is_zero():
         raise ZeroInputError("the zero function has no valuation data")
-    support = f.support(seed)
+    support = f.support()
     if not support:
         support = [(Place.at_infinity(f.field, f.var), 0)]
     modulus = sum(x.degree for x, _ in support)
@@ -336,10 +332,9 @@ def curve_index_family(f: RationalFunction,
     return XSymbolFamily.with_derived_b(symbol, lattices)
 
 
-def curve_residue_family(f: RationalFunction, g: RationalFunction,
-                         seed: int | None = None) -> XSymbolFamily:
+def curve_residue_family(f: RationalFunction, g: RationalFunction) -> XSymbolFamily:
     """Residue theorem data: one progression per place of the joint support."""
-    places = residue_theorem_places(f, g, seed)
+    places = residue_theorem_places(f, g)
     modulus = len(places)
     symbol = ResidueSymbol(f, g, places)
     lattices = [MonomialLattice.progression_ray((j,), modulus)
@@ -347,10 +342,9 @@ def curve_residue_family(f: RationalFunction, g: RationalFunction,
     return XSymbolFamily.with_derived_b(symbol, lattices)
 
 
-def curve_tame_family(f: RationalFunction, g: RationalFunction,
-                      seed: int | None = None) -> XSymbolFamily:
+def curve_tame_family(f: RationalFunction, g: RationalFunction) -> XSymbolFamily:
     """Weil reciprocity data: one progression per place of the joint support."""
-    places = support_union(f, g, seed=seed)
+    places = support_union(f, g)
     if not places:
         places = [Place.at_infinity(f.field, f.var)]
     modulus = len(places)

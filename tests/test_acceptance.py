@@ -68,7 +68,7 @@ def test_criterion_01_sum_of_valuations():
         for _ in range(500):
             f = rand_fn_q(rng, max_deg=8) if field is Q \
                 else rand_fn(rng, field, max_deg=8)
-            if not sum_of_valuations_verify(f, seed=3).ok:
+            if not sum_of_valuations_verify(f).ok:
                 _report(1, False, f"nonzero valuation sum for {f}")
             count += 1
     elapsed = time.perf_counter() - start
@@ -86,7 +86,7 @@ def test_criterion_02_weil_reciprocity():
         for _ in range(100):
             f = rand_fn(rng, field, max_deg=6)
             g = rand_fn(rng, field, max_deg=6)
-            report = weil_verify(f, g, seed=3)
+            report = weil_verify(f, g)
             if not report.ok:
                 _report(2, False, f"weil product != 1 for ({f}, {g})")
             high_degree_places += sum(1 for term in report.terms
@@ -114,7 +114,7 @@ def test_criterion_03_residue_theorem():
             else:
                 f = rand_fn(rng, field, max_deg=deg)
                 g = rand_fn(rng, field, max_deg=deg)
-            report = residue_theorem_verify(f, g, oracle=with_oracle, seed=3)
+            report = residue_theorem_verify(f, g, oracle=with_oracle)
             if not report.ok:
                 _report(3, False, f"residues of ({f})d({g}) do not sum to 0")
             if with_oracle:
@@ -134,7 +134,7 @@ def test_criterion_04_oracle_equivalence():
         field = Q if cases % 2 else F5
         f = rand_fn_for(rng, field, max_deg=3)
         g = rand_fn_for(rng, field, max_deg=3)
-        places = support_union(f, g, seed=3, include_infinity=True)
+        places = support_union(f, g, include_infinity=True)
         for x in places[:2]:
             want = classical_residue(f, g, x)
             window = minimal_window(f, g, x)
@@ -160,7 +160,7 @@ def test_criterion_05_hilbert_reciprocity():
             m = divisors[i % len(divisors)]
             f = rand_fn(rng, field, max_deg=4)
             g = rand_fn(rng, field, max_deg=4)
-            report = hilbert_verify(f, g, m, seed=3)
+            report = hilbert_verify(f, g, m)
             if not report.ok:
                 _report(5, False, f"hilbert product != 1 for m={m} over "
                                   f"{field.descriptor}")
@@ -183,7 +183,7 @@ def test_criterion_06_xsymbol_additivity_and_reciprocity():
         while done < budget:
             f = rand_fn(rng, F5, max_deg=2)
             g = rand_fn(rng, F5, max_deg=2)
-            sym = builder(f, g, seed=3).symbol
+            sym = builder(f, g).symbol
             for _ in range(min(30, budget - done)):
                 if not xsymbol_axiom_check(sym, _two_sided(rng),
                                            _two_sided(rng)):
@@ -195,7 +195,7 @@ def test_criterion_06_xsymbol_additivity_and_reciprocity():
     for _ in range(20):
         field = (F5, Q)[families % 2]
         f = rand_fn_for(rng, field, max_deg=4)
-        if not general_reciprocity_run(curve_index_family(f, seed=3)).ok:
+        if not general_reciprocity_run(curve_index_family(f)).ok:
             _report(6, False, f"index family reciprocity failed for {f}")
         families += 1
     for builder in (curve_residue_family, curve_tame_family):
@@ -203,7 +203,7 @@ def test_criterion_06_xsymbol_additivity_and_reciprocity():
             field = (F5, Q)[families % 2]
             f = rand_fn_for(rng, field, max_deg=3)
             g = rand_fn_for(rng, field, max_deg=3)
-            if not general_reciprocity_run(builder(f, g, seed=3)).ok:
+            if not general_reciprocity_run(builder(f, g)).ok:
                 _report(6, False, "curve family reciprocity failed")
             families += 1
     _report(6, pairs == 1000 and families == 50,
@@ -233,7 +233,7 @@ def test_criterion_07_index_laws():
     while degree_weighted < 1000:
         field = (F5, F7, Q)[degree_weighted % 3]
         f = rand_fn_for(rng, field, max_deg=5)
-        support = f.support(3)
+        support = f.support()
         if not support:
             continue
         modulus = sum(x.degree for x, _ in support)
@@ -267,7 +267,7 @@ def test_criterion_08_surface_reciprocities():
         if i % 4 == 3:
             quad = [rand_surface_fn(rng, base, max_factors=2)
                     for _ in range(4)]
-            if not reciprocity_verify_2d("hk4", quad, seed=3).ok:
+            if not reciprocity_verify_2d("hk4", quad).ok:
                 _report(8, False, "hk4 product != 1")
             want = hk4(*quad, x)
             for z in rescalings:
@@ -279,9 +279,9 @@ def test_criterion_08_surface_reciprocities():
                       for _ in range(3)]
             kind = ("nu", "horozov", "parshin")[i % 3]
             if kind == "nu":
-                report = nu_verify(triple[0], triple[1], seed=3)
+                report = nu_verify(triple[0], triple[1])
             else:
-                report = reciprocity_verify_2d(kind, triple, seed=3)
+                report = reciprocity_verify_2d(kind, triple)
             if not report.ok:
                 _report(8, False, f"{kind} law failed over "
                                   f"{base.descriptor}")
@@ -316,7 +316,7 @@ def test_criterion_09_segal_wilson():
     for _ in range(100):
         f = rand_fn_q(rng, max_deg=4, quadratic=False)
         g = rand_fn_q(rng, max_deg=4, quadratic=False)
-        report = sw_verify(f, g, seed=3)
+        report = sw_verify(f, g)
         if not (report.ok and report.inputs["order"] == str(DEFAULT_ORDER)):
             _report(9, False, f"cocycle product != 1 for ({f}, {g})")
         products += 1
@@ -352,7 +352,7 @@ def test_criterion_10_tame_symbol_algebra():
         f = rand_fn_for(rng, field, max_deg=4)
         g = rand_fn_for(rng, field, max_deg=4)
         h = rand_fn_for(rng, field, max_deg=4)
-        places = support_union(f, g, h, seed=3, include_infinity=True)
+        places = support_union(f, g, h, include_infinity=True)
         for x in places[:3]:
             ab = tame_symbol(f, g, x)
             if ab * tame_symbol(g, f, x) != field.scalar(1):

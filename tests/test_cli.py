@@ -171,7 +171,7 @@ def test_prime_moduli_are_decided_quickly(capsys):
 
 
 def test_failed_verification_exits_1(capsys, monkeypatch):
-    def broken(f, g, seed=None):
+    def broken(f, g):
         return VerificationReport(
             law="weil", field_descriptor="Q", inputs={}, terms=[],
             value="2", expected="1", ok=False, details={})
@@ -182,7 +182,7 @@ def test_failed_verification_exits_1(capsys, monkeypatch):
 
 
 def test_hypothesis_violation_exits_4(capsys, monkeypatch):
-    def inadmissible(f, seed=None):
+    def inadmissible(f):
         sym = IndexSymbol(MonomialOperator(f.field, f.field.one, 1))
         return XSymbolFamily.with_derived_b(
             sym, [MonomialLattice.ray(0), MonomialLattice.ray(0)])
@@ -193,25 +193,28 @@ def test_hypothesis_violation_exits_4(capsys, monkeypatch):
 
 
 def test_json_output_is_deterministic(capsys):
-    argv = ["sw", "--f", "1/(t^2-t)", "--g", "t", "--json", "--seed", "7"]
+    argv = ["sw", "--f", "1/(t^2-t)", "--g", "t", "--json"]
     code1, out1, _ = run(capsys, *argv)
     code2, out2, _ = run(capsys, *argv)
     assert code1 == code2 == 0
     assert out1 == out2
-    data = json.loads(out1)
-    assert data["details"]["seed"] == 7
 
 
-def test_seed_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("RECIPROCITY_LAB_SEED", "9")
-    code, out, _ = run(capsys, "weil", "--field", "Fp:5", "--f", "t",
-                       "--g", "1-t", "--json")
-    assert code == 0
-    assert json.loads(out)["details"]["seed"] == 9
-    monkeypatch.setenv("RECIPROCITY_LAB_SEED", "xyz")
-    code, _, err = run(capsys, "weil", "--field", "Fp:5", "--f", "t",
-                       "--g", "1-t")
+def test_seed_is_not_an_option():
+    # factorizations are unique, so no seed can change a report
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["weil", "--field", "Fp:5", "--f", "t", "--g", "1-t",
+                  "--seed", "7"])
+    assert exc.value.code == 2
+
+
+def test_far_lattice_literals_are_rejected_quickly(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "index", "--f", "t^2",
+                       "--lattice", "ray:0;add:-30000000", "--place", "t")
+    assert time.perf_counter() - start < 2.0
     assert code == 2
+    assert "parse error" in err
 
 
 def test_reports_validate_against_the_schema(capsys):

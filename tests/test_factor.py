@@ -94,6 +94,23 @@ def test_seeded_factorization_is_deterministic():
         assert a.factors == b.factors
 
 
+def test_every_seed_gives_the_same_factorization():
+    # the factorization into monic irreducibles is unique, so the seed only
+    # picks the Cantor-Zassenhaus splitting path
+    rng = random.Random(37)
+    fields = (F2, F3, F5, field_from_descriptor("Fp:13"),
+              field_from_descriptor("Fp:1000003"))
+    for field in fields:
+        for _ in range(12):
+            coeffs = [rng.randrange(field.p) for _ in range(rng.randint(1, 10))]
+            f = Polynomial(field, coeffs + [rng.randrange(1, field.p)])
+            expected = factor_prime_field(f)
+            for seed in (0, 1, 7, rng.randint(0, 10 ** 9)):
+                got = factor_prime_field(f, seed=seed)
+                assert got.unit == expected.unit
+                assert got.factors == expected.factors
+
+
 def test_surface_coefficient_polynomials_are_out_of_scope():
     from reciprocity_lab.funcfield import FractionField
     ks = FractionField(Q, "s")

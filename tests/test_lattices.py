@@ -3,9 +3,10 @@ import random
 import pytest
 
 from reciprocity_lab.errors import DomainError, ParseError
-from reciprocity_lab.lattices import (BlockShiftOperator, MonomialLattice,
-                                      MonomialOperator, index_additivity_check,
-                                      lattice_index, parse_lattice)
+from reciprocity_lab.lattices import (LITERAL_BOUND, BlockShiftOperator,
+                                      MonomialLattice, MonomialOperator,
+                                      index_additivity_check, lattice_index,
+                                      parse_lattice)
 
 from helpers import F5, Q, lattice_with_oracle, rand_lattice
 
@@ -191,6 +192,17 @@ def test_parse_lattice_grammar():
     # bad set data surfaces as a parse failure too
     with pytest.raises(ParseError):
         parse_lattice("ray:0;add:5")
+
+
+def test_parse_lattice_bounds_its_integers():
+    top = LITERAL_BOUND
+    got = parse_lattice(f"ray:{top};add:{-top};del:{top}")
+    assert got == MonomialLattice.from_ray_spec(top, added={-top},
+                                                removed={top})
+    for text in (f"ray:{top + 1}", f"ray:{-top - 1}",
+                 f"ray:0;add:{-top - 1}", f"ray:0;del:{top + 1}"):
+        with pytest.raises(ParseError):
+            parse_lattice(text)
 
 
 def test_size_and_finiteness():

@@ -154,7 +154,7 @@ def test_additive_two_cocycle_identity():
 def test_product_formula_frozen_example():
     t = RationalFunction.variable(Q)
     f = 1 / (t * t - t)
-    report = sw_verify(f, t, seed=3)
+    report = sw_verify(f, t)
     assert report.ok
     assert report.law == "segal-wilson-product"
     assert report.value == "1"
@@ -170,13 +170,13 @@ def test_product_formula_random():
     for _ in range(15):
         f = rand_fn_q(rng, max_deg=4)
         g = rand_fn_q(rng, max_deg=4)
-        report = sw_verify(f, g, seed=3)
+        report = sw_verify(f, g)
         assert report.ok, report.to_json(indent=2)
 
 
 def test_product_formula_respects_requested_order():
     t = RationalFunction.variable(Q)
-    report = sw_verify(1 / t, t, order=4, seed=3)
+    report = sw_verify(1 / t, t, order=4)
     assert report.ok
     assert report.inputs["order"] == "4"
     local = [term["value"] for term in report.terms

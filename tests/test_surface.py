@@ -129,7 +129,7 @@ def test_intersection_symbol_is_z_independent():
 
 def test_intersection_sum_example():
     s, t = gens(Q)
-    report = nu_verify(s * t, s, seed=3)
+    report = nu_verify(s * t, s)
     assert report.ok
     assert report.law == "nu-sum"
     by_place = {term["place"]: term["nu"] for term in report.terms}
@@ -141,7 +141,7 @@ def test_intersection_sum_example():
 def test_intersection_sum_on_constants_is_empty():
     s, _ = gens(Q)
     f = s / s
-    report = nu_verify(f * 3, f * 7, seed=3)
+    report = nu_verify(f * 3, f * 7)
     assert report.ok
     assert all(term["nu"] == 0 for term in report.terms)
 
@@ -152,7 +152,7 @@ def test_intersection_sum_random():
         for _ in range(12):
             f = rand_surface_fn(rng, base)
             g = rand_surface_fn(rng, base)
-            report = nu_verify(f, g, seed=3)
+            report = nu_verify(f, g)
             assert report.ok, report.to_json(indent=2)
 
 
@@ -267,7 +267,7 @@ def test_hk4_unit_slot_reduces_to_restricted_tame():
 
 def test_reciprocity_products_2d():
     s, t = gens(Q)
-    report = reciprocity_verify_2d("parshin", [t, s, 1 - s], seed=3)
+    report = reciprocity_verify_2d("parshin", [t, s, 1 - s])
     assert report.ok
     names = {term["place"] for term in report.terms}
     assert {"s", "s-1", "inf"} <= names
@@ -277,7 +277,7 @@ def test_reciprocity_products_2d():
             for _ in range(4):
                 functions = [rand_surface_fn(rng, base, max_factors=2)
                              for _ in range(arity)]
-                report = reciprocity_verify_2d(kind, functions, seed=3)
+                report = reciprocity_verify_2d(kind, functions)
                 assert report.ok, report.to_json(indent=2)
                 assert report.value == "1"
 

@@ -55,7 +55,7 @@ def test_steinberg_relations():
             one = RationalFunction.constant(field, 1)
             if f.is_zero() or f == one:
                 continue
-            for x, _ in f.support(seed=3):
+            for x, _ in f.support():
                 assert tame_symbol(f, -f, x) == field.scalar(1)
                 g = one - f
                 if not g.is_zero():
@@ -69,7 +69,7 @@ def test_antisymmetry_and_bimultiplicativity():
         f = rand_fn_for(rng, field, max_deg=4)
         g = rand_fn_for(rng, field, max_deg=4)
         h = rand_fn_for(rng, field, max_deg=4)
-        places = [x for x, _ in (f * g * h).support(seed=3)]
+        places = [x for x, _ in (f * g * h).support()]
         places.append(Place.at_infinity(field))
         for x in places[:4]:
             ab = tame_symbol(f, g, x)
@@ -90,7 +90,7 @@ def test_milnor_matches_tame_at_rational_places():
     for _ in range(20):
         f = rand_fn(rng, F5, max_deg=3)
         g = rand_fn(rng, F5, max_deg=3)
-        places = [x for x, _ in (f * g).support(seed=3) if x.degree == 1]
+        places = [x for x, _ in (f * g).support() if x.degree == 1]
         for x in places:
             elem = tame_symbol_elem(f, g, x)
             assert milnor_symbol(f, g, x) == \
@@ -117,7 +117,7 @@ def test_tame_at_higher_degree_place_is_a_norm():
 
 def test_weil_reciprocity_steinberg_pair():
     t = tt(F5)
-    report = weil_verify(t, 1 - t, seed=3)
+    report = weil_verify(t, 1 - t)
     assert report.ok
     assert report.law == "weil"
     assert report.value == "1" and report.expected == "1"
@@ -130,7 +130,7 @@ def test_weil_reciprocity_random_pairs():
         for _ in range(12):
             f = rand_fn_for(rng, field, max_deg=5)
             g = rand_fn_for(rng, field, max_deg=5)
-            report = weil_verify(f, g, seed=3)
+            report = weil_verify(f, g)
             assert report.ok, report.to_json(indent=2)
 
 
@@ -138,7 +138,7 @@ def test_weil_covers_higher_degree_places():
     t = tt(F5)
     f = (t * t + 2) * t
     g = (t * t + 3) / (t - 1)
-    report = weil_verify(f, g, seed=3)
+    report = weil_verify(f, g)
     assert report.ok
     assert any(term["deg"] > 1 for term in report.terms)
 
@@ -146,7 +146,7 @@ def test_weil_covers_higher_degree_places():
 def test_sum_of_valuations():
     t = tt(F5)
     f = (t * t + 2) / (t - 1) ** 3
-    report = sum_of_valuations_verify(f, seed=3)
+    report = sum_of_valuations_verify(f)
     assert report.ok
     assert report.law == "sum-of-valuations"
     total = sum(term["deg"] * term["v"] for term in report.terms)
@@ -162,7 +162,7 @@ def test_sum_of_valuations_random():
     for field in (F5, F7, Q):
         for _ in range(15):
             f = rand_fn_for(rng, field, max_deg=6)
-            report = sum_of_valuations_verify(f, seed=3)
+            report = sum_of_valuations_verify(f)
             assert report.ok
 
 
@@ -184,7 +184,7 @@ def test_hilbert_symbol_lands_in_roots_of_unity():
         for _ in range(20):
             f = rand_fn(rng, field, max_deg=3)
             g = rand_fn(rng, field, max_deg=3)
-            places = [x for x, _ in (f * g).support(seed=3)]
+            places = [x for x, _ in (f * g).support()]
             for m in divisors:
                 for x in places[:2]:
                     value = hilbert_symbol(f, g, x, m)
@@ -196,7 +196,7 @@ def test_hilbert_symbol_is_a_tame_power():
     for _ in range(15):
         f = rand_fn(rng, F13, max_deg=3)
         g = rand_fn(rng, F13, max_deg=3)
-        for x, _ in f.support(seed=3):
+        for x, _ in f.support():
             tame = tame_symbol(f, g, x)
             assert hilbert_symbol(f, g, x, 4) == tame ** 3
             assert hilbert_symbol(f, g, x, 12) == tame
@@ -219,7 +219,7 @@ def test_hilbert_product_formula():
             for _ in range(5):
                 f = rand_fn(rng, field, max_deg=4)
                 g = rand_fn(rng, field, max_deg=4)
-                report = hilbert_verify(f, g, m, seed=3)
+                report = hilbert_verify(f, g, m)
                 assert report.ok, report.to_json(indent=2)
                 assert report.inputs["m"] == str(m)
 
@@ -227,7 +227,7 @@ def test_hilbert_product_formula():
 def test_residue_theorem_frozen_example():
     t = tt(Q)
     f = 1 / (t * t - t)
-    report = residue_theorem_verify(f, t, seed=3)
+    report = residue_theorem_verify(f, t)
     assert report.ok
     assert report.law == "residue-theorem"
     by_place = {term["place"]: term["value"] for term in report.terms}
@@ -241,7 +241,7 @@ def test_residue_theorem_includes_derivative_support():
     t = tt(Q)
     f = t
     g = 1 / (t - 2)
-    places = residue_theorem_places(f, g, seed=3)
+    places = residue_theorem_places(f, g)
     names = [str(x) for x in places]
     assert "t-2" in names and "inf" in names
 
@@ -252,7 +252,7 @@ def test_residue_theorem_random_with_oracle():
         for i in range(10):
             f = rand_fn_for(rng, field, max_deg=4)
             g = rand_fn_for(rng, field, max_deg=4)
-            report = residue_theorem_verify(f, g, oracle=(i % 3 == 0), seed=3)
+            report = residue_theorem_verify(f, g, oracle=(i % 3 == 0))
             assert report.ok, report.to_json(indent=2)
             if i % 3 == 0:
                 assert int(report.details["oracle_agreements"]) >= 1
@@ -262,7 +262,7 @@ def test_residue_theorem_at_quadratic_place():
     pi = Polynomial.variable(F3) ** 2 + Polynomial.one(F3)
     f = 1 / RationalFunction.from_polynomial(pi)
     g = RationalFunction.from_polynomial(pi)
-    report = residue_theorem_verify(f, g, oracle=True, seed=3)
+    report = residue_theorem_verify(f, g, oracle=True)
     assert report.ok
     by_place = {term["place"]: term for term in report.terms}
     assert by_place["t^2+1"]["value"] == "2"

@@ -50,7 +50,7 @@ def test_residue_symbol_axioms():
     while checked < 50:
         f = rand_fn(rng, F5, max_deg=3)
         g = rand_fn(rng, F5, max_deg=3)
-        sym = curve_residue_family(f, g, seed=3).symbol
+        sym = curve_residue_family(f, g).symbol
         for _ in range(5):
             assert xsymbol_axiom_check(sym, rand_two_sided(rng),
                                        rand_two_sided(rng))
@@ -63,7 +63,7 @@ def test_tame_symbol_axioms():
     while checked < 50:
         f = rand_fn_q(rng, max_deg=4)
         g = rand_fn_q(rng, max_deg=4)
-        sym = curve_tame_family(f, g, seed=3).symbol
+        sym = curve_tame_family(f, g).symbol
         for _ in range(5):
             assert xsymbol_axiom_check(sym, rand_two_sided(rng),
                                        rand_two_sided(rng))
@@ -77,8 +77,8 @@ def test_trivial_lattices_take_the_identity_value():
     rng = random.Random(229)
     f = rand_fn(rng, F5, max_deg=3)
     g = rand_fn(rng, F5, max_deg=3)
-    for sym in (curve_residue_family(f, g, seed=3).symbol,
-                curve_tame_family(f, g, seed=3).symbol):
+    for sym in (curve_residue_family(f, g).symbol,
+                curve_tame_family(f, g).symbol):
         assert sym.eq(sym.evaluate(MonomialLattice.empty()), sym.identity())
         assert sym.eq(sym.evaluate(MonomialLattice.everything()),
                       sym.identity())
@@ -112,7 +112,7 @@ def test_curve_index_family_reciprocity():
     for field in (F5, Q):
         for _ in range(10):
             f = rand_fn_q(rng) if field is Q else rand_fn(rng, field)
-            report = general_reciprocity_run(curve_index_family(f, seed=3))
+            report = general_reciprocity_run(curve_index_family(f))
             assert report.ok
             assert report.law == "general-reciprocity"
             assert report.value == report.expected
@@ -123,7 +123,7 @@ def test_curve_index_family_reciprocity():
 def test_curve_index_family_records_degree_weighted_valuations():
     t = RationalFunction.variable(F5)
     f = (t * t * t) / (t * t + 2)
-    family = curve_index_family(f, seed=3)
+    family = curve_index_family(f)
     report = general_reciprocity_run(family)
     values = sorted(int(term["value"]) for term in report.terms)
     assert values == [-3, -1, 1, 3] or sum(values) == 0
@@ -138,8 +138,7 @@ def test_curve_residue_family_reciprocity():
                 f, g = rand_fn_q(rng, max_deg=4), rand_fn_q(rng, max_deg=4)
             else:
                 f, g = rand_fn(rng, field, 3), rand_fn(rng, field, 3)
-            report = general_reciprocity_run(curve_residue_family(f, g,
-                                                                  seed=3))
+            report = general_reciprocity_run(curve_residue_family(f, g))
             assert report.ok, report.to_json(indent=2)
 
 
@@ -151,7 +150,7 @@ def test_curve_tame_family_reciprocity():
                 f, g = rand_fn_q(rng, max_deg=4), rand_fn_q(rng, max_deg=4)
             else:
                 f, g = rand_fn(rng, field, 3), rand_fn(rng, field, 3)
-            report = general_reciprocity_run(curve_tame_family(f, g, seed=3))
+            report = general_reciprocity_run(curve_tame_family(f, g))
             assert report.ok, report.to_json(indent=2)
             assert report.value == report.expected == "1"
 
@@ -245,7 +244,7 @@ def test_tame_symbol_rejects_partial_periodic_patterns():
     rng = random.Random(257)
     f = rand_fn(rng, F5, max_deg=3)
     g = rand_fn(rng, F5, max_deg=3)
-    places = [x for x, _ in f.support(3)] or None
+    places = [x for x, _ in f.support()] or None
     if places is None:
         pytest.skip("constant sample")
     sym = TameSymbol(f, g, places[:1], modulus=2)
