@@ -25,7 +25,7 @@ from .fields import Field
 from .lattices import MonomialOperator, lattice_index, parse_lattice
 from .parsing import parse_field, parse_place, parse_rational, parse_surface
 from .report import VerificationReport
-from .segalwilson import DEFAULT_ORDER, cocycle_c, sw_verify
+from .segalwilson import DEFAULT_ORDER, ORDER_BOUND, cocycle_c, sw_verify
 from .surface import (hk4, horozov3, nu_symbol, nu_verify, parshin3,
                       reciprocity_verify_2d)
 from .symbols1d import (hilbert_symbol, hilbert_verify, residue_theorem_verify,
@@ -109,7 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
             "product without)",
             f=(True, expr), g=(True, expr), place=(False, expr))
     p.add_argument("--order", type=int, default=DEFAULT_ORDER,
-                   help=f"truncation order in z (default {DEFAULT_ORDER})")
+                   help=f"truncation order in z (default {DEFAULT_ORDER}, "
+                        f"at most {ORDER_BOUND})")
 
     p = cmd("index", "lattice index of multiplication by f at a place",
             f=(True, expr), place=(False, expr))
@@ -214,6 +215,8 @@ def _dispatch(args) -> VerificationReport:
                              str(place), value)
 
     if command == "sw":
+        if args.order > ORDER_BOUND:
+            raise ParseError(f"--order {args.order} is above {ORDER_BOUND}")
         f = parse_rational(args.f, field)
         g = parse_rational(args.g, field)
         if args.place:

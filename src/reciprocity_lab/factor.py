@@ -232,9 +232,9 @@ def factor_polynomial(f: Polynomial) -> Factorization:
 def is_irreducible(f: Polynomial) -> bool:
     """True when f is certified irreducible over its ground field.
 
-    Over Q a degree >= 4 polynomial whose status the limited factorizer
-    cannot settle raises through the caller's handling of certified flags;
-    here it simply reports False only when a genuine splitting was found.
+    False covers both a genuine splitting and, over Q, a single factor the
+    limited factorizer could not certify (t^4 + 2, say); callers that must
+    tell the two apart read the certified flag of `factor_polynomial`.
     """
     if f.is_zero() or f.is_constant():
         return False

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .errors import (DomainError, MixedFieldError, NotAUnitError,
                      UncertifiedFactorError, ZeroInputError)
-from .factor import factor_polynomial, is_irreducible
+from .factor import factor_polynomial
 from .fields import Field, FieldScalar, ensure_same_field
 from .poly import Polynomial
 from .residue_field import ResidueField
@@ -39,15 +39,17 @@ class Place:
             raise DomainError("a finite place needs a nonconstant polynomial")
         if not pi.is_monic():
             raise DomainError("a finite place needs a monic polynomial")
-        if check and not is_irreducible(pi):
+        if check:
             # a genuine splitting is a caller mistake; an unsettled
             # certificate over Q is a different failure class
-            fac = factor_polynomial(pi)
-            if len(fac.factors) == 1 and fac.factors[0].multiplicity == 1:
+            factors = factor_polynomial(pi).factors
+            if len(factors) != 1 or factors[0].multiplicity != 1:
+                raise DomainError(
+                    f"{pi} is reducible over {pi.field.descriptor}")
+            if not factors[0].certified:
                 raise UncertifiedFactorError(
                     f"{pi} is not certified irreducible "
                     f"over {pi.field.descriptor}")
-            raise DomainError(f"{pi} is reducible over {pi.field.descriptor}")
         return cls(pi.field, pi.var, pi)
 
     @classmethod
@@ -108,8 +110,15 @@ class RationalFunction:
             self.num = num
             self.den = Polynomial.one(field, num.var)
         else:
-            # a nonzero constant on either side makes the gcd 1
-            if not (num.is_constant() or den.is_constant()):
+            # when either side is a monomial c*t^k (a constant when k = 0)
+            # the gcd is t^min(v_t(num), v_t(den)): a slice, no Euclid
+            i, j = num.lowest_index(), den.lowest_index()
+            if i == num.degree or j == den.degree:
+                m = min(i, j)
+                if m:
+                    num = Polynomial(field, num.coeffs[m:], num.var)
+                    den = Polynomial(field, den.coeffs[m:], den.var)
+            else:
                 g = num.gcd(den)
                 if g.degree > 0:
                     num = num.exact_div(g)

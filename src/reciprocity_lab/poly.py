@@ -117,6 +117,14 @@ class Polynomial:
             raise ZeroInputError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
+    def lowest_index(self) -> int:
+        """Index of the lowest nonzero coefficient, the order at var = 0."""
+        is_zero = self.field.is_zero
+        for k, c in enumerate(self.coeffs):
+            if not is_zero(c):
+                return k
+        raise ZeroInputError("zero polynomial has no lowest coefficient")
+
     def coefficient(self, k: int):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]

@@ -61,17 +61,12 @@ def curve_place(f: RationalFunction) -> Place:
     return Place.finite(Polynomial.variable(coeff, f.var), check=False)
 
 
-def _lowest_index(p: Polynomial) -> int:
-    zero = p.field.is_zero
-    return next(k for k, c in enumerate(p.coeffs) if not zero(c))
-
-
 def _t_adic(f: RationalFunction) -> tuple[int, RationalFunction]:
     """(v_C(f), phi_t(f)) read off the lowest t-coefficients of num and den."""
     _nonzero(f)
     _coefficient_field(f)
-    i = _lowest_index(f.num)
-    j = _lowest_index(f.den)
+    i = f.num.lowest_index()
+    j = f.den.lowest_index()
     return i - j, f.num.coeffs[i] / f.den.coeffs[j]
 
 

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from reciprocity_lab import cli
+from reciprocity_lab import cli, segalwilson
 from reciprocity_lab.errors import HypothesisViolation
 from reciprocity_lab.lattices import MonomialLattice, MonomialOperator
 from reciprocity_lab.report import VerificationReport
@@ -215,6 +215,26 @@ def test_far_lattice_literals_are_rejected_quickly(capsys):
     assert time.perf_counter() - start < 2.0
     assert code == 2
     assert "parse error" in err
+
+
+def test_huge_exponents_are_rejected_quickly(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "sumval", "--field", "Fp:5",
+                       "--f", "t^20000000")
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert "parse error" in err
+
+
+def test_orders_above_the_bound_are_rejected(capsys):
+    code, _, err = run(capsys, "sw", "--f", "1/t", "--g", "t",
+                       "--place", "t", "--order", "3000")
+    assert code == 2
+    assert "parse error" in err and "Traceback" not in err
+    code, out, _ = run(capsys, "sw", "--f", "1/t", "--g", "t", "--place",
+                       "t", "--order", str(segalwilson.ORDER_BOUND))
+    assert code == 0
+    assert out.strip().endswith("OK")
 
 
 def test_reports_validate_against_the_schema(capsys):

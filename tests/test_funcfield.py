@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from reciprocity_lab import funcfield
 from reciprocity_lab.errors import (DomainError, NotAUnitError,
                                     UncertifiedFactorError, ZeroInputError)
 from reciprocity_lab.funcfield import (FractionField, Place, RationalFunction,
@@ -42,6 +43,7 @@ def _full_gcd_form(num, den):
 
 def test_canonical_form_matches_the_full_gcd_route():
     rng = random.Random(359)
+    exponents = random.Random(361)
     ks = FractionField(F5, "s")
 
     def coeff(field):
@@ -59,7 +61,12 @@ def test_canonical_form_matches_the_full_gcd_route():
             c = poly(field, 0)
             if p.is_zero() or q.is_zero() or c.is_zero():
                 continue
-            pairs = ((p, c), (c, p), (p, q), (p, q.monic()), (p * q, q))
+            # monomial sides c*t^k and t^j take the gcd-free slice route
+            k, j = exponents.randint(0, 3), exponents.randint(0, 3)
+            ck = c * Polynomial.monomial(field, k)
+            tj = Polynomial.monomial(field, j)
+            pairs = ((p, c), (c, p), (p, q), (p, q.monic()), (p * q, q),
+                     (ck * p, tj), (tj, p), (p, ck), (p.shift(j), ck))
             for num, den in pairs:
                 f = RationalFunction(num, den)
                 want_num, want_den = _full_gcd_form(num, den)
@@ -228,3 +235,26 @@ def test_derivative_quotient_rule():
         f = rand_fn(rng, F7, 4)
         g = rand_fn(rng, F7, 4)
         assert (f * g).derivative() == f.derivative() * g + f * g.derivative()
+
+
+def test_finite_places_factor_once(monkeypatch):
+    calls = []
+    factor = funcfield.factor_polynomial
+
+    def counted(p):
+        calls.append(p)
+        return factor(p)
+
+    monkeypatch.setattr(funcfield, "factor_polynomial", counted)
+    t = Polynomial.variable(Q)
+    cases = ((t * t + 1, None), (t * t - 1, DomainError),
+             ((t + 1) * (t + 1), DomainError),
+             (t ** 4 + 2, UncertifiedFactorError))
+    for pi, error in cases:
+        calls.clear()
+        if error is None:
+            assert Place.finite(pi).pi == pi
+        else:
+            with pytest.raises(error):
+                Place.finite(pi)
+        assert calls == [pi]

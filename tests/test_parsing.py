@@ -1,16 +1,25 @@
 import random
+import re
+import shlex
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reciprocity_lab.errors import (DomainError, ParseError,
                                     UncertifiedFactorError, ZeroInputError)
+from reciprocity_lab.fields import field_from_descriptor
 from reciprocity_lab.funcfield import Place, RationalFunction
-from reciprocity_lab.parsing import (parse_field, parse_place,
-                                     parse_rational, parse_surface)
+from reciprocity_lab.parsing import (EXPONENT_BOUND, _tokenize, parse_field,
+                                     parse_place, parse_rational,
+                                     parse_surface)
 from reciprocity_lab.poly import Polynomial
 from reciprocity_lab.surface import surface_generators
 
 from helpers import F5, F7, Q, rand_fn_for, rand_surface_fn
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_rational_literal_basics():
@@ -133,3 +142,174 @@ def test_field_descriptors():
 def test_whitespace_is_tolerated():
     t = RationalFunction.variable(Q)
     assert parse_rational(" ( t + 1 ) / ( t - 2 ) ", Q) == (t + 1) / (t - 2)
+
+
+def test_exponents_are_bounded():
+    t = RationalFunction.variable(Q)
+    assert parse_rational(f"t^{EXPONENT_BOUND}", Q) == t ** EXPONENT_BOUND
+    assert parse_rational(f"t^-{EXPONENT_BOUND}", Q) == t ** -EXPONENT_BOUND
+    assert parse_rational("t^0002", Q) == t * t
+    for text in (f"t^{EXPONENT_BOUND + 1}", f"t^-{EXPONENT_BOUND + 1}",
+                 "(1+s)^20000000", "t^" + "9" * 5000):
+        with pytest.raises(ParseError):
+            parse_surface(text, F5)
+
+
+# -- the route before pairs, kept as the oracle of the differential tests ----
+
+def _reference_parse(text, variables, make_int):
+    """Recursive descent where every +, -, *, / and ^ builds a canonical
+    RationalFunction: the parser before (num, den) pairs."""
+    tokens = _tokenize(text)
+    pos = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else None
+
+    def take():
+        nonlocal pos
+        if peek() is None:
+            raise ParseError("unexpected end of expression")
+        pos += 1
+        return tokens[pos - 1]
+
+    def expression():
+        value = term()
+        while peek() in ("+", "-"):
+            value = value + term() if take() == "+" else value - term()
+        return value
+
+    def term():
+        value = factor()
+        while peek() in ("*", "/"):
+            value = value * factor() if take() == "*" else value / factor()
+        return value
+
+    def factor():
+        sign = 1
+        while peek() in ("+", "-"):
+            if take() == "-":
+                sign = -sign
+        value = power()
+        return -value if sign < 0 else value
+
+    def power():
+        value = atom()
+        if peek() == "^":
+            take()
+            sign = -1 if peek() == "-" and take() else 1
+            value = value ** (sign * int(take()))
+        return value
+
+    def atom():
+        token = take()
+        if token.isdigit():
+            return make_int(int(token))
+        if token == "(":
+            value = expression()
+            take()
+            return value
+        return variables[token]
+
+    value = expression()
+    assert peek() is None
+    return value
+
+
+def _reference_rational(text, field):
+    return _reference_parse(
+        text, {"t": RationalFunction.variable(field)},
+        lambda n: RationalFunction.constant(field, n))
+
+
+def _reference_surface(text, base):
+    s, t = surface_generators(base)
+    return _reference_parse(text, {"s": s, "t": t},
+                            lambda n: RationalFunction.constant(t.field, n))
+
+
+def _outcome(parse, text, field):
+    try:
+        f = parse(text, field)
+    except ZeroInputError as exc:
+        return type(exc), str(exc)
+    return f.num.coeffs, f.den.coeffs, str(f.num), str(f.den)
+
+
+def _assert_same_parse(text, field, surface):
+    new, old = ((parse_surface, _reference_surface) if surface
+                else (parse_rational, _reference_rational))
+    assert _outcome(new, text, field) == _outcome(old, text, field), text
+
+
+def test_benchmark_texts_parse_as_by_the_reference_route():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        from workloads import curve_item, surface_item
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    for seed in (1, 7):
+        for index in range(48):
+            spec = surface_item(seed, index)
+            base = field_from_descriptor(spec["field"])
+            for text in spec["functions"] + [spec["z"]]:
+                _assert_same_parse(text, base, surface=True)
+            spec = curve_item(seed, index)
+            field = field_from_descriptor(spec["field"])
+            for text in (spec["f"], spec["g"]):
+                _assert_same_parse(text, field, surface=False)
+
+
+def test_readme_expressions_parse_as_by_the_reference_route():
+    readme = (ROOT / "README.md").read_text()
+    lines = re.findall(r"^\$ reciprocity-lab ((?:.*\\\n)?.*)$", readme, re.M)
+    assert len(lines) == 16
+    checked = 0
+    for line in lines:
+        argv = shlex.split(line.replace("\\\n", " "))
+        flags = dict(zip(argv[1::2], argv[2::2]))
+        field = field_from_descriptor(flags.get("--field", "Q"))
+        surface = argv[0] in ("nu", "horozov", "parshin", "hk4")
+        for flag in ("--f", "--g", "--h", "--w", "--z", "--place"):
+            if flag not in flags or (flag == "--place" and surface):
+                continue
+            _assert_same_parse(flags[flag], field, surface)
+            checked += 1
+    for text in re.findall(r'parse_rational\("([^"]*)"', readme):
+        _assert_same_parse(text, F5, surface=False)
+        checked += 1
+    assert checked > 30
+
+
+def _grammar(variables):
+    """Expression texts in which every step up is a binary operation."""
+    leaf = st.one_of(st.integers(0, 12).map(str), st.sampled_from(variables))
+    exponent = st.integers(-3, 3).map(str)
+    atoms = st.one_of(leaf, st.tuples(leaf, exponent).map("^".join))
+
+    def extend(inner):
+        operand = st.one_of(
+            inner, inner.map("({})".format),
+            st.tuples(inner, exponent).map(lambda x: f"({x[0]})^{x[1]}"))
+        return st.tuples(st.sampled_from(("", "-")), operand,
+                         st.sampled_from("+-*/"), operand).map("".join)
+
+    return st.recursive(atoms, extend, max_leaves=10)
+
+
+@settings(max_examples=120)
+@given(_grammar(("t",)))
+def test_generated_expressions_over_q_parse_as_by_the_reference_route(text):
+    _assert_same_parse(text, Q, surface=False)
+
+
+@settings(max_examples=120)
+@given(_grammar(("t",)))
+def test_generated_expressions_over_f5_parse_as_by_the_reference_route(text):
+    _assert_same_parse(text, F5, surface=False)
+
+
+@settings(max_examples=120)
+@given(_grammar(("s", "t")))
+def test_generated_surface_expressions_parse_as_by_the_reference_route(text):
+    _assert_same_parse(text, F5, surface=True)
