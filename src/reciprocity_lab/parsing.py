@@ -17,8 +17,11 @@ the end, the only canonicalization of a parse.  `parse_rational` never
 binds s; `parse_surface` reads the s-exponents into k(s) coefficients of
 polynomials in t.
 
-Exponents are bounded: "^n" with |n| > EXPONENT_BOUND is a ParseError,
-raised before any power is built.
+Work is bounded before it is done.  "^n" with |n| > EXPONENT_BOUND, a
+product whose num or den would have total degree above DEGREE_BOUND
+(nested powers such as ((t+1)^50)^50 included), and an integer literal of
+more than DIGIT_BOUND digits are each a ParseError, raised before the
+power, the product or the integer is built.
 """
 from __future__ import annotations
 
@@ -36,6 +39,19 @@ _TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|\^|[-+*/()]")
 # (1+s+t)^100 takes 10 s and t^20000000 built a dense tuple of twenty
 # million entries.
 EXPONENT_BOUND = 50
+
+# Largest total degree in t and s of a numerator or denominator, checked
+# before every product (a power is a chain of products).  The tests parse
+# degree 50 (t^50 at the exponent bound, (1+s+t)^50), README and perfbench
+# at most 7; 100 leaves 2x headroom.  The costliest product under it,
+# (1+s+t)^50 squared over Q, takes about 11 s in Fraction arithmetic;
+# ((t+1)^50)^50 would have degree 2500.
+DEGREE_BOUND = 100
+
+# Most digits in an integer literal.  The longest literal in README, tests,
+# perfbench and ROADMAP has 25 digits; 1000 leaves 40x headroom and stays
+# under the 4300 digits that int() accepts by default.
+DIGIT_BOUND = 1000
 
 _T, _S = (1, 0), (0, 1)
 
@@ -65,6 +81,10 @@ def _add(F: Field, a: dict, b: dict) -> dict:
                 continue
         out[key] = c
     return out
+
+
+def _degree(a: dict) -> int:
+    return max((i + j for i, j in a), default=0)
 
 
 def _mul(F: Field, a: dict, b: dict) -> dict:
@@ -104,6 +124,10 @@ class _ExpressionParser:
         return value
 
     def mul(self, a: dict, b: dict) -> dict:
+        degree = _degree(a) + _degree(b)
+        if degree > DEGREE_BOUND:
+            raise ParseError(f"degree {degree} is above the bound "
+                             f"{DEGREE_BOUND}")
         return _mul(self.field, a, b)
 
     def neg(self, a: dict) -> dict:
@@ -176,7 +200,12 @@ class _ExpressionParser:
     def atom(self):
         token = self.take()
         if token.isdigit():
-            c = self.field.coerce(int(token))
+            # lengths first, as for exponents
+            digits = token.lstrip("0") or "0"
+            if len(digits) > DIGIT_BOUND:
+                raise ParseError(f"integer literal of {len(digits)} digits; "
+                                 f"at most {DIGIT_BOUND} are read")
+            c = self.field.coerce(int(digits))
             return ({} if self.field.is_zero(c) else {(0, 0): c}), self.one
         if token == "(":
             value = self.expression()

@@ -226,6 +226,22 @@ def test_huge_exponents_are_rejected_quickly(capsys):
     assert "parse error" in err
 
 
+def test_nested_powers_are_rejected_quickly(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "sumval", "--f", "((t+1)^50)^50")
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert "parse error" in err and "Traceback" not in err
+
+
+def test_long_literals_are_rejected(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "sumval", "--f", "7" * 5000 + "*t")
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert "parse error" in err and "Traceback" not in err
+
+
 def test_orders_above_the_bound_are_rejected(capsys):
     code, _, err = run(capsys, "sw", "--f", "1/t", "--g", "t",
                        "--place", "t", "--order", "3000")

@@ -4,14 +4,17 @@ from fractions import Fraction
 import pytest
 
 from reciprocity_lab.errors import DomainError, ZeroInputError
-from reciprocity_lab.factor import (factor_polynomial, factor_prime_field,
+from reciprocity_lab.factor import (_frobenius, _frobenius_rows,
+                                    factor_polynomial, factor_prime_field,
                                     factor_rationals_limited, is_irreducible)
-from reciprocity_lab.fields import field_from_descriptor
+from reciprocity_lab.fields import field_from_descriptor, power
 from reciprocity_lab.poly import Polynomial
 
-from helpers import F2, F3, F5, Q, rand_poly
+from helpers import F2, F3, F5, F13, Q, rand_poly
 
 F101 = field_from_descriptor("Fp:101")
+F1000003 = field_from_descriptor("Fp:1000003")
+ORACLE_FIELDS = (F2, F3, F5, F13, F1000003)
 
 
 def test_quadratic_irreducible_over_f3_splits_over_f5():
@@ -117,3 +120,85 @@ def test_surface_coefficient_polynomials_are_out_of_scope():
     f = Polynomial.variable(ks, "t")
     with pytest.raises(DomainError):
         factor_polynomial(f)
+
+
+def _reference_power_mod(h: Polynomial, n: int, f: Polynomial) -> Polynomial:
+    return power(lambda a, b: (a * b) % f, Polynomial.one(f.field), h % f, n)
+
+
+def test_frobenius_rows_are_the_powers_of_x_to_the_p_i():
+    rng = random.Random(41)
+    for field in ORACLE_FIELDS:
+        p = field.p
+        x = Polynomial.variable(field)
+        for n in (1, 2, 3, 5, 8):
+            f = Polynomial(field, [rng.randrange(p) for _ in range(n)] + [1])
+            rows = _frobenius_rows(field, f.coeffs)
+            assert len(rows) == n
+            for i, row in enumerate(rows):
+                assert len(row) == n
+                assert Polynomial(field, row) == _reference_power_mod(x, p * i, f)
+            h = tuple(rng.randrange(p) for _ in range(n))
+            assert Polynomial(field, _frobenius(field, rows, h)) == \
+                _reference_power_mod(Polynomial(field, h), p, f)
+
+
+def _oracle_inputs(rng, field):
+    """Dense polynomials and products of small pieces with multiplicities,
+    all of degree <= 12."""
+    p = field.p
+    out = []
+    for _ in range(12):
+        deg = rng.randint(0, 12)
+        out.append(Polynomial(field, [rng.randrange(p) for _ in range(deg)]
+                              + [rng.randrange(1, p)]))
+    for _ in range(12):
+        f = Polynomial.constant(field, rng.randrange(1, p))
+        while True:
+            piece = Polynomial(field, [rng.randrange(p) for _ in
+                                       range(rng.randint(1, 4))] + [1])
+            piece = piece ** rng.randint(1, 3)
+            if f.degree + piece.degree > 12:
+                break
+            f = f * piece
+        out.append(f)
+    return out
+
+
+def _sympy_factorization(f: Polynomial):
+    """(unit, sorted [(monic coefficient tuple, multiplicity)]) from
+    sympy.factor_list, its symmetric residues moved to 0..p-1."""
+    sympy = pytest.importorskip("sympy")
+    p = f.field.p
+    x = sympy.Symbol("x")
+    expr = sum(int(c) * x ** k for k, c in enumerate(f.coeffs))
+    unit, items = sympy.factor_list(expr, x, modulus=p)
+    unit = int(unit) % p
+    factors = []
+    for g, mult in items:
+        mult = int(mult)
+        coeffs = [int(c) % p for c in reversed(sympy.Poly(g, x).all_coeffs())]
+        lead_inv = pow(coeffs[-1], -1, p)
+        unit = unit * pow(coeffs[-1], mult, p) % p
+        factors.append((tuple(c * lead_inv % p for c in coeffs), mult))
+    return unit, sorted(factors)
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def test_prime_field_factorization_agrees_with_sympy():
+    pytest.importorskip("sympy")
+    rng = random.Random(43)
+    t2 = Polynomial.variable(F2)
+    # over F_2, blocks of two and three same-degree irreducibles (d = 3, 4)
+    # that only the trace map splits, next to a repeated quadratic
+    fixed = [(t2 ** 3 + t2 + 1) * (t2 ** 3 + t2 ** 2 + 1)
+             * (t2 ** 2 + t2 + 1) ** 2,
+             (t2 ** 4 + t2 + 1) * (t2 ** 4 + t2 ** 3 + 1)
+             * (t2 ** 4 + t2 ** 3 + t2 ** 2 + t2 + 1)]
+    cases = fixed + [f for field in ORACLE_FIELDS
+                     for f in _oracle_inputs(rng, field)]
+    for f in cases:
+        fac = factor_prime_field(f)
+        got = sorted((item.base.coeffs, item.multiplicity)
+                     for item in fac.factors)
+        assert (fac.unit.raw, got) == _sympy_factorization(f), str(f)

@@ -11,7 +11,8 @@ from reciprocity_lab.errors import (DomainError, ParseError,
                                     UncertifiedFactorError, ZeroInputError)
 from reciprocity_lab.fields import field_from_descriptor
 from reciprocity_lab.funcfield import Place, RationalFunction
-from reciprocity_lab.parsing import (EXPONENT_BOUND, _tokenize, parse_field,
+from reciprocity_lab.parsing import (DEGREE_BOUND, DIGIT_BOUND,
+                                     EXPONENT_BOUND, _tokenize, parse_field,
                                      parse_place, parse_rational,
                                      parse_surface)
 from reciprocity_lab.poly import Polynomial
@@ -153,6 +154,28 @@ def test_exponents_are_bounded():
                  "(1+s)^20000000", "t^" + "9" * 5000):
         with pytest.raises(ParseError):
             parse_surface(text, F5)
+
+
+def test_degrees_are_bounded():
+    t = RationalFunction.variable(Q)
+    half = f"t^{DEGREE_BOUND // 2}"
+    assert parse_rational(f"{half}*{half}", Q) == t ** DEGREE_BOUND
+    assert parse_rational(f"1/({half}*{half})", Q) == t ** -DEGREE_BOUND
+    parse_surface("(1+s+t)^50", Q)
+    for text in (f"{half}*{half}*t", f"1/({half}*{half}*s)",
+                 f"1/{half}+1/((t+1)^{DEGREE_BOUND // 2}*t)",
+                 "((t+1)^50)^50", "((1+s)^50)^-50"):
+        with pytest.raises(ParseError, match="degree"):
+            parse_surface(text, F5)
+
+
+def test_literals_are_bounded():
+    assert parse_rational("7" * DIGIT_BOUND, Q) == \
+        RationalFunction.constant(Q, int("7" * DIGIT_BOUND))
+    assert parse_rational("0" * 5000 + "7", Q) == RationalFunction.constant(Q, 7)
+    for text in ("7" * (DIGIT_BOUND + 1) + "*t", "7" * 5000):
+        with pytest.raises(ParseError, match="digits"):
+            parse_rational(text, Q)
 
 
 # -- the route before pairs, kept as the oracle of the differential tests ----
