@@ -26,6 +26,7 @@ power, the product or the integer is built.
 from __future__ import annotations
 
 import re
+from functools import partial
 
 from .errors import ParseError, ZeroInputError
 from .fields import Field, field_from_descriptor, power
@@ -41,11 +42,11 @@ _TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|\^|[-+*/()]")
 EXPONENT_BOUND = 50
 
 # Largest total degree in t and s of a numerator or denominator, checked
-# before every product (a power is a chain of products).  The tests parse
-# degree 50 (t^50 at the exponent bound, (1+s+t)^50), README and perfbench
-# at most 7; 100 leaves 2x headroom.  The costliest product under it,
-# (1+s+t)^50 squared over Q, takes about 11 s in Fraction arithmetic;
-# ((t+1)^50)^50 would have degree 2500.
+# before every product and, once for the whole chain, before every power.
+# The tests parse degree 50 (t^50 at the exponent bound, (1+s+t)^50),
+# README and perfbench at most 7; 100 leaves 2x headroom.  The costliest
+# product under it, (1+s+t)^50 squared over Q, takes about 11 s in Fraction
+# arithmetic; ((t+1)^50)^50 would have degree 2500.
 DEGREE_BOUND = 100
 
 # Most digits in an integer literal.  The longest literal in README, tests,
@@ -87,6 +88,11 @@ def _degree(a: dict) -> int:
     return max((i + j for i, j in a), default=0)
 
 
+def _check_degree(degree: int) -> None:
+    if degree > DEGREE_BOUND:
+        raise ParseError(f"degree {degree} is above the bound {DEGREE_BOUND}")
+
+
 def _mul(F: Field, a: dict, b: dict) -> dict:
     out: dict = {}
     for (i, j), x in a.items():
@@ -124,10 +130,7 @@ class _ExpressionParser:
         return value
 
     def mul(self, a: dict, b: dict) -> dict:
-        degree = _degree(a) + _degree(b)
-        if degree > DEGREE_BOUND:
-            raise ParseError(f"degree {degree} is above the bound "
-                             f"{DEGREE_BOUND}")
+        _check_degree(_degree(a) + _degree(b))
         return _mul(self.field, a, b)
 
     def neg(self, a: dict) -> dict:
@@ -178,8 +181,10 @@ class _ExpressionParser:
             if not num:
                 raise ZeroInputError("negative power of zero")
             num, den, n = den, num, -n
-        return (power(self.mul, self.one, num, n),
-                power(self.mul, self.one, den, n))
+        # one check for the whole chain: no square passes the result's degree
+        _check_degree(n * max(_degree(num), _degree(den)))
+        mul = partial(_mul, self.field)
+        return power(mul, self.one, num, n), power(mul, self.one, den, n)
 
     def exponent(self) -> int:
         sign = 1
