@@ -85,7 +85,7 @@ def _add(F: Field, a: dict, b: dict) -> dict:
 
 
 def _degree(a: dict) -> int:
-    return max((i + j for i, j in a), default=0)
+    return max(map(sum, a)) if a else 0
 
 
 def _check_degree(degree: int) -> None:
