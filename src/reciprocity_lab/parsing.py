@@ -21,7 +21,11 @@ Work is bounded before it is done.  "^n" with |n| > EXPONENT_BOUND, a
 product whose num or den would have total degree above DEGREE_BOUND
 (nested powers such as ((t+1)^50)^50 included), and an integer literal of
 more than DIGIT_BOUND digits are each a ParseError, raised before the
-power, the product or the integer is built.
+power, the product or the integer is built.  Over Q the coefficients are
+integers, and a product or power whose coefficients could pass DIGIT_BOUND
+digits, by a bound from the sums and maxima of its operands' coefficients,
+is refused too, so ((7^50)^50)^50 never reaches the renderer.  Sums are not
+checked: they add at most one digit per "+" of the text.
 """
 from __future__ import annotations
 
@@ -49,9 +53,10 @@ EXPONENT_BOUND = 50
 # arithmetic; ((t+1)^50)^50 would have degree 2500.
 DEGREE_BOUND = 100
 
-# Most digits in an integer literal.  The longest literal in README, tests,
-# perfbench and ROADMAP has 25 digits; 1000 leaves 40x headroom and stays
-# under the 4300 digits that int() accepts by default.
+# Most digits in an integer literal, and in any coefficient a product or a
+# power may build over Q.  The longest literal in README, tests, perfbench
+# and ROADMAP has 25 digits; 1000 leaves 40x headroom and stays under the
+# 4300 digits that int() and str() accept by default.
 DIGIT_BOUND = 1000
 
 _T, _S = (1, 0), (0, 1)
@@ -93,6 +98,13 @@ def _check_degree(degree: int) -> None:
         raise ParseError(f"degree {degree} is above the bound {DEGREE_BOUND}")
 
 
+def _height(a: dict) -> tuple[int, int]:
+    """Sum and largest of the absolute values of a's coefficients over Q,
+    which are integers while parsing: "/" only swaps num and den."""
+    sizes = [abs(c.numerator) for c in a.values()]
+    return sum(sizes), max(sizes, default=0)
+
+
 def _mul(F: Field, a: dict, b: dict) -> dict:
     out: dict = {}
     for (i, j), x in a.items():
@@ -112,6 +124,8 @@ class _ExpressionParser:
         self.field = field
         self.one = {(0, 0): field.one}
         self.variables = variables
+        # over F_p every value is already reduced, so only Q bounds heights
+        self.height_limit = 10 ** DIGIT_BOUND if field.char == 0 else None
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -130,8 +144,20 @@ class _ExpressionParser:
         return value
 
     def mul(self, a: dict, b: dict) -> dict:
+        # values are never changed in place, so 1 * b may be b itself
+        if a is self.one or b is self.one:
+            return b if a is self.one else a
         _check_degree(_degree(a) + _degree(b))
+        if self.height_limit:
+            (sum_a, max_a), (sum_b, max_b) = _height(a), _height(b)
+            # each coefficient of a*b sums products over pairs of terms
+            self.check_height(min(sum_a * max_b, max_a * sum_b))
         return _mul(self.field, a, b)
+
+    def check_height(self, bound: int) -> None:
+        if bound >= self.height_limit:
+            raise ParseError(f"a coefficient could have more than "
+                             f"{DIGIT_BOUND} digits")
 
     def neg(self, a: dict) -> dict:
         return {key: self.field.neg(c) for key, c in a.items()}
@@ -181,8 +207,11 @@ class _ExpressionParser:
             if not num:
                 raise ZeroInputError("negative power of zero")
             num, den, n = den, num, -n
-        # one check for the whole chain: no square passes the result's degree
+        # one check for the whole chain: no square passes the result's degree,
+        # and over Q no coefficient passes (sum of |coefficients|)^n
         _check_degree(n * max(_degree(num), _degree(den)))
+        if self.height_limit:
+            self.check_height(max(_height(num)[0], _height(den)[0]) ** n)
         mul = partial(_mul, self.field)
         return power(mul, self.one, num, n), power(mul, self.one, den, n)
 

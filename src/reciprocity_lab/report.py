@@ -4,6 +4,11 @@ Every verifier returns a VerificationReport: what law ran, over which field,
 on which rendered inputs, the per-term contributions, the combined value,
 the expected value, and whether they agree.  Serialization is deterministic
 (sorted keys, no timestamps) so identical runs produce identical bytes.
+
+Most laws share one shape: a local symbol with values in a group is combined
+over the places of a curve, and the law says the total is the identity.
+`place_law_report` is that assembly, once, for the Weil, Hilbert, residue
+theorem, exponential pairing, intersection pairing and surface laws.
 """
 from __future__ import annotations
 
@@ -48,3 +53,29 @@ class VerificationReport:
         lines.append(f"value: {self.value}  expected: {self.expected}")
         lines.append("OK" if self.ok else "FAILED")
         return lines
+
+
+def place_law_report(law: str, field_descriptor: str, inputs: dict, places,
+                     local, identity, combine, **extra) -> VerificationReport:
+    """Combine a local symbol over `places`; the law holds when the total
+    equals `identity`.
+
+    `local(x)` returns the value at x in the group and the entries of its
+    term beside the place and its degree; `combine` is the group operation.
+    The details count the places, the terms whose value is the identity
+    ("suppressed_trivial"), and whatever `extra` adds.
+    """
+    total = identity
+    terms = []
+    trivial = 0
+    for x in places:
+        value, entries = local(x)
+        total = combine(total, value)
+        trivial += value == identity
+        terms.append({"place": str(x), "deg": x.degree, **entries})
+    return VerificationReport(
+        law=law, field_descriptor=field_descriptor, inputs=inputs,
+        terms=terms, value=str(total), expected=str(identity),
+        ok=total == identity,
+        details={"places": len(terms), "suppressed_trivial": trivial,
+                 **extra})

@@ -18,8 +18,8 @@ from .fields import Field, FieldScalar, power
 from .funcfield import Place, RationalFunction
 from .lattices import MonomialLattice
 from .poly import convolve, series_quotient
-from .report import VerificationReport
-from .symbols1d import _identity_count, residue_theorem_places
+from .report import VerificationReport, place_law_report
+from .symbols1d import residue_theorem_places
 from .tate import abstract_residue_trace, classical_residue
 
 DEFAULT_ORDER = 12
@@ -199,23 +199,13 @@ def sw_verify(f: RationalFunction, g: RationalFunction,
         raise ZeroInputError("the pairing is defined on nonzero functions")
     field = f.field
     half = _half(field)
-    places = residue_theorem_places(f, g)
-    product = TruncatedPowerSeries.one(field, order)
-    terms = []
-    for x in places:
+
+    def local(x):
         residue = classical_residue(f, g, x)
-        local = exp_z2(residue * half, order)
-        product = product * local
-        terms.append({"place": str(x), "deg": x.degree,
-                      "residue": str(residue), "value": str(local)})
-    return VerificationReport(
-        law="segal-wilson-product",
-        field_descriptor=field.descriptor,
-        inputs={"f": str(f), "g": str(g), "order": str(order)},
-        terms=terms,
-        value=str(product),
-        expected="1",
-        ok=product.is_one(),
-        details={"places": len(places),
-                 "suppressed_trivial": _identity_count(terms, "value", "1")},
-    )
+        value = exp_z2(residue * half, order)
+        return value, {"residue": str(residue), "value": str(value)}
+
+    return place_law_report("segal-wilson-product", field.descriptor,
+                            {"f": str(f), "g": str(g), "order": str(order)},
+                            residue_theorem_places(f, g), local,
+                            TruncatedPowerSeries.one(field, order), _mul)

@@ -22,15 +22,24 @@ a_i and b_j nonzero in k(s):
     curve_tame(f,g) = (-1)**(v_C(f) v_C(g)) * phi_t(f)**v_C(g) / phi_t(g)**v_C(f)
 
 so no element of k(s)(t) is built, and no gcd over k(s) runs, to restrict.
+
+`_local_symbol` builds the Horozov, Parshin or four-slot symbol of given
+functions as a function of the place x, together with the functions whose
+supports carry it.  `horozov3`, `parshin3` and `hk4` evaluate it at one
+place; `reciprocity_verify_2d`, like `nu_verify`, hands it to
+`report.place_law_report` to multiply over the places of C.
 """
 from __future__ import annotations
+
+from functools import partial
+from operator import add, mul
 
 from .errors import DomainError, MixedFieldError, NotAUnitError, ZeroInputError
 from .fields import Field, FieldScalar, ensure_same_field
 from .funcfield import FractionField, Place, RationalFunction, support_union
 from .poly import Polynomial
-from .report import VerificationReport
-from .symbols1d import _identity_count, tame_symbol
+from .report import VerificationReport, place_law_report
+from .symbols1d import tame_symbol
 
 
 def surface_generators(base: Field, s_var: str = "s",
@@ -159,25 +168,15 @@ def nu_verify(f: RationalFunction, g: RationalFunction) -> VerificationReport:
     vcg = curve_valuation(g)
     pf = phi_z(f)
     pg = phi_z(g)
-    places = support_union(pf, pg, include_infinity=True)
-    total = 0
-    terms = []
-    for x in places:
+
+    def local(x):
         det = pf.valuation(x) * vcg - pg.valuation(x) * vcf
-        terms.append({"place": str(x), "deg": x.degree, "nu": det,
-                      "term": x.degree * det})
-        total += x.degree * det
-    return VerificationReport(
-        law="nu-sum",
-        field_descriptor=base.descriptor,
-        inputs={"f": str(f), "g": str(g)},
-        terms=terms,
-        value=str(total),
-        expected="0",
-        ok=total == 0,
-        details={"places": len(places),
-                 "suppressed_trivial": _identity_count(terms, "term", 0)},
-    )
+        return x.degree * det, {"nu": det, "term": x.degree * det}
+
+    return place_law_report("nu-sum", base.descriptor,
+                            {"f": str(f), "g": str(g)},
+                            support_union(pf, pg, include_infinity=True),
+                            local, 0, add)
 
 
 def curve_tame(f: RationalFunction, g: RationalFunction) -> RationalFunction:
@@ -188,16 +187,6 @@ def curve_tame(f: RationalFunction, g: RationalFunction) -> RationalFunction:
     _same_model(f, g)
     unit = uf ** vg / ug ** vf
     return -unit if (vf * vg) % 2 else unit
-
-
-def _minus_one(base: Field, s_var: str) -> RationalFunction:
-    return RationalFunction.constant(base, -1, s_var)
-
-
-def _restricted_data(functions, z):
-    vc = tuple(curve_valuation(w) for w in functions)
-    phis = tuple(phi_z(w, z) for w in functions)
-    return vc, phis
 
 
 def _horozov_local(vc, phis, minus_one, x: Place) -> FieldScalar:
@@ -225,7 +214,7 @@ def _parshin_local(vc, phis, x: Place) -> FieldScalar:
     return -value if alpha % 2 else value
 
 
-def _hk4_local(vc, phis, tame12, tame34, minus_one, base, x: Place) -> FieldScalar:
+def _hk4_local(vc, phis, tames, minus_one, base, x: Place) -> FieldScalar:
     value = base.one_scalar()
     for i, p in enumerate(phis):
         exponent = 1
@@ -233,7 +222,25 @@ def _hk4_local(vc, phis, tame12, tame34, minus_one, base, x: Place) -> FieldScal
             if j != i:
                 exponent *= vc[j]
         value = value * tame_symbol(p, minus_one, x) ** exponent
-    return value * tame_symbol(tame12, tame34, x)
+    return value * tame_symbol(*tames, x)
+
+
+def _local_symbol(kind: str, functions, z):
+    """The local symbol of `kind` at the parameter z, as a function of x,
+    and the functions whose supports on C carry its nontrivial values."""
+    _nonzero(*functions)
+    base = _coefficient_field(functions[0]).base
+    z = _parameter(functions[0], z)
+    vc = tuple(curve_valuation(w) for w in functions)
+    phis = tuple(phi_z(w, z) for w in functions)
+    if kind == "parshin":
+        return partial(_parshin_local, vc, phis), phis
+    minus_one = RationalFunction.constant(base, -1, functions[0].field.var)
+    if kind == "horozov":
+        return partial(_horozov_local, vc, phis, minus_one), phis
+    tames = (curve_tame(*functions[:2]), curve_tame(*functions[2:]))
+    return (partial(_hk4_local, vc, phis, tames, minus_one, base),
+            phis + tames)
 
 
 def horozov3(f: RationalFunction, g: RationalFunction, h: RationalFunction,
@@ -243,10 +250,7 @@ def horozov3(f: RationalFunction, g: RationalFunction, h: RationalFunction,
     Tame value of the restricted outer pair to the middle curve valuation,
     times a sign-type tame factor of the middle restriction.
     """
-    _nonzero(f, g, h)
-    base = _coefficient_field(f).base
-    vc, phis = _restricted_data((f, g, h), _parameter(f, z))
-    return _horozov_local(vc, phis, _minus_one(base, f.field.var), x)
+    return _local_symbol("horozov", (f, g, h), z)[0](x)
 
 
 def parshin3(f: RationalFunction, g: RationalFunction, h: RationalFunction,
@@ -257,9 +261,7 @@ def parshin3(f: RationalFunction, g: RationalFunction, h: RationalFunction,
     exponents; the parameter z drops out, and the value equals the cyclic
     product of three-slot symbols (f,g,h)(h,f,g)(g,h,f) at the same z.
     """
-    _nonzero(f, g, h)
-    vc, phis = _restricted_data((f, g, h), _parameter(f, z))
-    return _parshin_local(vc, phis, x)
+    return _local_symbol("parshin", (f, g, h), z)[0](x)
 
 
 def hk4(f1: RationalFunction, f2: RationalFunction, f3: RationalFunction,
@@ -270,12 +272,7 @@ def hk4(f1: RationalFunction, f2: RationalFunction, f3: RationalFunction,
     Four sign-type tame factors with triple-product curve exponents, times
     the tame value at x of the two curve-level tame symbols of the pairs.
     """
-    functions = (f1, f2, f3, f4)
-    _nonzero(*functions)
-    base = _coefficient_field(f1).base
-    vc, phis = _restricted_data(functions, _parameter(f1, z))
-    return _hk4_local(vc, phis, curve_tame(f1, f2), curve_tame(f3, f4),
-                      _minus_one(base, f1.field.var), base, x)
+    return _local_symbol("hk4", (f1, f2, f3, f4), z)[0](x)
 
 
 _ARITY = {"horozov": 3, "parshin": 3, "hk4": 4}
@@ -295,37 +292,15 @@ def reciprocity_verify_2d(kind: str, functions,
     if len(functions) != _ARITY[kind]:
         raise DomainError(f"{kind} takes {_ARITY[kind]} functions, "
                           f"got {len(functions)}")
-    _nonzero(*functions)
-    base = _coefficient_field(functions[0]).base
-    z = _parameter(functions[0], z)
-    vc, phis = _restricted_data(functions, z)
-    minus_one = _minus_one(base, functions[0].field.var)
-    carriers = list(phis)
-    tame12 = tame34 = None
-    if kind == "hk4":
-        tame12 = curve_tame(functions[0], functions[1])
-        tame34 = curve_tame(functions[2], functions[3])
-        carriers += [tame12, tame34]
-    places = support_union(*carriers, include_infinity=True)
-    value = base.one_scalar()
-    terms = []
-    for x in places:
-        if kind == "horozov":
-            local = _horozov_local(vc, phis, minus_one, x)
-        elif kind == "parshin":
-            local = _parshin_local(vc, phis, x)
-        else:
-            local = _hk4_local(vc, phis, tame12, tame34, minus_one, base, x)
-        value = value * local
-        terms.append({"place": str(x), "deg": x.degree, "value": str(local)})
-    return VerificationReport(
-        law=f"{kind}-product",
-        field_descriptor=base.descriptor,
-        inputs={f"f{i + 1}": str(w) for i, w in enumerate(functions)},
-        terms=terms,
-        value=str(value),
-        expected="1",
-        ok=value.is_one(),
-        details={"places": len(places),
-                 "suppressed_trivial": _identity_count(terms, "value", "1")},
-    )
+    symbol, carriers = _local_symbol(kind, functions, z)
+
+    def local(x):
+        value = symbol(x)
+        return value, {"value": str(value)}
+
+    base = functions[0].field.base
+    return place_law_report(
+        f"{kind}-product", base.descriptor,
+        {f"f{i + 1}": str(w) for i, w in enumerate(functions)},
+        support_union(*carriers, include_infinity=True), local,
+        base.one_scalar(), mul)

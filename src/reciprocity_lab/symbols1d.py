@@ -6,13 +6,20 @@ taken from the residue field down to k.  Multiplying over all places gives 1
 (the product over the joint support of f and g, since every other factor is
 a norm of 1).  The same machinery yields the sum-of-valuations formula, the
 residue theorem, and the Hilbert norm residue symbol over prime fields.
+
+The Weil, Hilbert and residue-theorem verifiers hand a local symbol, its
+places and its group to `report.place_law_report`, which combines the terms
+and builds the report; only the sum of valuations, whose details carry no
+count of trivial terms, keeps its own loop.
 """
 from __future__ import annotations
+
+from operator import add, mul
 
 from .errors import DomainError, ZeroInputError
 from .fields import FieldScalar, PrimeField
 from .funcfield import Place, RationalFunction, support_union
-from .report import VerificationReport
+from .report import VerificationReport, place_law_report
 from .tate import abstract_residue_trace, classical_residue
 
 
@@ -69,10 +76,6 @@ def _require_prime_field(f: RationalFunction) -> PrimeField:
     return f.field
 
 
-def _identity_count(terms: list[dict], key: str, identity) -> int:
-    return sum(1 for term in terms if term[key] == identity)
-
-
 def sum_of_valuations_verify(f: RationalFunction) -> VerificationReport:
     """Check sum over places of deg(x) * v_x(f) = 0."""
     if f.is_zero():
@@ -98,53 +101,29 @@ def sum_of_valuations_verify(f: RationalFunction) -> VerificationReport:
 
 def weil_verify(f: RationalFunction, g: RationalFunction) -> VerificationReport:
     """Check the product of tame symbols over the joint support equals 1."""
-    places = support_union(f, g)
-    field = f.field
-    product = field.one_scalar()
-    terms = []
-    for x in places:
+    def local(x):
         val = tame_symbol(f, g, x)
-        product = product * val
-        terms.append({"place": str(x), "deg": x.degree,
-                      "v_f": f.valuation(x), "v_g": g.valuation(x),
-                      "value": str(val)})
-    one = field.one_scalar()
-    return VerificationReport(
-        law="weil",
-        field_descriptor=field.descriptor,
-        inputs={"f": str(f), "g": str(g)},
-        terms=terms,
-        value=str(product),
-        expected=str(one),
-        ok=product == one,
-        details={"places": len(terms),
-                 "suppressed_trivial": _identity_count(terms, "value", str(one))},
-    )
+        return val, {"v_f": f.valuation(x), "v_g": g.valuation(x),
+                     "value": str(val)}
+
+    return place_law_report("weil", f.field.descriptor,
+                            {"f": str(f), "g": str(g)}, support_union(f, g),
+                            local, f.field.one_scalar(), mul)
 
 
 def hilbert_verify(f: RationalFunction, g: RationalFunction,
                    m: int) -> VerificationReport:
     """Check the product of Hilbert norm residue symbols equals 1."""
     field = _require_prime_field(f)
-    places = support_union(f, g)
-    product = field.one_scalar()
-    terms = []
-    for x in places:
+
+    def local(x):
         val = hilbert_symbol(f, g, x, m)
-        product = product * val
-        terms.append({"place": str(x), "deg": x.degree, "value": str(val)})
-    one = field.one_scalar()
-    return VerificationReport(
-        law="hilbert",
-        field_descriptor=field.descriptor,
-        inputs={"f": str(f), "g": str(g), "m": str(m)},
-        terms=terms,
-        value=str(product),
-        expected=str(one),
-        ok=product == one,
-        details={"places": len(terms),
-                 "suppressed_trivial": _identity_count(terms, "value", str(one))},
-    )
+        return val, {"value": str(val)}
+
+    return place_law_report("hilbert", field.descriptor,
+                            {"f": str(f), "g": str(g), "m": str(m)},
+                            support_union(f, g), local, field.one_scalar(),
+                            mul)
 
 
 def residue_theorem_places(f: RationalFunction,
@@ -164,35 +143,21 @@ def residue_theorem_verify(f: RationalFunction, g: RationalFunction,
     """
     if f.is_zero() or g.is_zero():
         raise ZeroInputError("residue theorem needs nonzero functions")
-    field = f.field
     places = residue_theorem_places(f, g)
-    total = field.zero_scalar()
-    terms = []
-    agreements = 0
-    for x in places:
+
+    def local(x):
         val = classical_residue(f, g, x)
-        term = {"place": str(x), "deg": x.degree, "value": str(val)}
+        term = {"value": str(val)}
         if oracle:
             other = abstract_residue_trace(f, g, x)
-            term["oracle"] = str(other)
             if other != val:
                 raise DomainError(
                     f"classical and commutator residues disagree at {x}")
-            agreements += 1
-        total = total + val
-        terms.append(term)
-    zero = field.zero_scalar()
-    details = {"places": len(terms),
-               "suppressed_trivial": _identity_count(terms, "value", str(zero))}
-    if oracle:
-        details["oracle_agreements"] = agreements
-    return VerificationReport(
-        law="residue-theorem",
-        field_descriptor=field.descriptor,
-        inputs={"f": str(f), "g": str(g)},
-        terms=terms,
-        value=str(total),
-        expected=str(zero),
-        ok=total == zero,
-        details=details,
-    )
+            term["oracle"] = str(other)
+        return val, term
+
+    # a disagreement raises, so every place that ran agreed
+    extra = {"oracle_agreements": len(places)} if oracle else {}
+    return place_law_report("residue-theorem", f.field.descriptor,
+                            {"f": str(f), "g": str(g)}, places, local,
+                            f.field.zero_scalar(), add, **extra)

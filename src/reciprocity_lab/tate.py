@@ -23,25 +23,21 @@ from .localfield import expand
 _MARGIN = 3
 
 
-def classical_residue_elem(f: RationalFunction, g: RationalFunction,
-                           x: Place) -> FieldScalar:
-    """res_x(f dg) as an element of the residue field k(x)."""
+def classical_residue(f: RationalFunction, g: RationalFunction,
+                      x: Place) -> FieldScalar:
+    """tr_{k(x)/k} of the local residue of f dg; an exact ground field value."""
     if f.is_zero() or g.is_zero():
         raise ZeroInputError("residue of a zero differential input")
     h = f * g.derivative()
     ring = x.residue_field()
     if h.is_zero():
-        return ring.zero_scalar()
-    if x.is_infinity:
+        raw = ring.zero
+    elif x.is_infinity:
         # t = 1/u turns f dg into -(f g')(u) u^-2 du
-        return -expand(h, x, 1).elem(1)
-    return expand(h, x, -1).elem(-1)
-
-
-def classical_residue(f: RationalFunction, g: RationalFunction,
-                      x: Place) -> FieldScalar:
-    """tr_{k(x)/k} of the local residue of f dg; an exact ground field value."""
-    return x.residue_field().trace(classical_residue_elem(f, g, x).raw)
+        raw = ring.neg(expand(h, x, 1).coefficient(1))
+    else:
+        raw = expand(h, x, -1).coefficient(-1)
+    return ring.trace(raw)
 
 
 def _local_band(h: RationalFunction, x: Place, upto: int) -> dict[int, tuple]:
@@ -51,6 +47,17 @@ def _local_band(h: RationalFunction, x: Place, upto: int) -> dict[int, tuple]:
     return {n: series.coefficient(n)
             for n in range(series.vmin, series.prec)
             if not ring.is_zero(series.coefficient(n))}
+
+
+def commutator_bands(f: RationalFunction, g: RationalFunction, x: Place,
+                     vf: int, vg: int) -> tuple[dict, dict]:
+    """Expansion bands of f and g at x, as far as the commutator trace reads.
+
+    vf and vg are the valuations at x.  The diagonal pairs the n-th
+    coefficient of f with the (-n)-th of g, which starts at vg, so f is read
+    through -vg and g through -vf; both bands run _MARGIN further.
+    """
+    return _local_band(f, x, -vg + _MARGIN), _local_band(g, x, -vf + _MARGIN)
 
 
 def _support_bound(lattice: MonomialLattice, vf: int, vg: int) -> tuple[int, int]:
@@ -122,8 +129,7 @@ def abstract_residue_trace(f: RationalFunction, g: RationalFunction, x: Place,
         raise DomainError(f"window {window} is below the admissible bound {bound}")
 
     ring = x.residue_field()
-    f_band = _local_band(f, x, -vg + _MARGIN)
-    g_band = _local_band(g, x, -vf + _MARGIN)
+    f_band, g_band = commutator_bands(f, g, x, vf, vg)
     raw = banded_commutator_trace(ring, f_band, g_band, vf, vg,
                                   lattice, window, truncate)
     return ring.trace(raw)

@@ -27,7 +27,7 @@ from .lattices import (BlockShiftOperator, MonomialLattice, MonomialOperator,
                        lattice_index)
 from .report import VerificationReport
 from .symbols1d import residue_theorem_places, tame_symbol
-from .tate import (_MARGIN, _local_band, banded_commutator_trace, data_spread,
+from .tate import (banded_commutator_trace, commutator_bands, data_spread,
                    window_bound)
 
 
@@ -68,8 +68,8 @@ class _ResidueBlock:
         self.vf = f.valuation(place)
         self.vg = g.valuation(place)
         self.spread = data_spread(f) + data_spread(g)
-        self.f_band = _local_band(f, place, -self.vg + _MARGIN)
-        self.g_band = _local_band(g, place, -self.vf + _MARGIN)
+        self.f_band, self.g_band = commutator_bands(f, g, place,
+                                                    self.vf, self.vg)
 
 
 class ResidueSymbol:

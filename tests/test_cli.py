@@ -1,4 +1,5 @@
 import json
+import shlex
 import time
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from reciprocity_lab import cli, segalwilson
 from reciprocity_lab.errors import HypothesisViolation
 from reciprocity_lab.lattices import MonomialLattice, MonomialOperator
+from reciprocity_lab.parsing import DIGIT_BOUND
 from reciprocity_lab.report import VerificationReport
 from reciprocity_lab.xsymbol import IndexSymbol, XSymbolFamily
 
@@ -200,6 +202,79 @@ def test_json_output_is_deterministic(capsys):
     assert out1 == out2
 
 
+# README command lines of every law, run with --json, and their stdout as
+# captured before the verifiers shared one place-by-place assembly.
+_PINNED_REPORTS = (
+    ('sumval --field Fp:5 --f "(t^2+2)/(t-1)^3"',
+     '{"details":{"places":3},"expected":"0","field":"Fp:5",'
+     '"inputs":{"f":"(t^2+2)/(t^3+2*t^2+3*t+4)"},'
+     '"law":"sum-of-valuations","ok":true,"terms":[{"deg":1,'
+     '"place":"t+4","v":-3,"value":-3},{"deg":2,"place":"t^2+2","v":1,'
+     '"value":2},{"deg":1,"place":"inf","v":1,"value":1}],"value":"0"}\n'),
+    ('weil --field Fp:5 --f "(t^2+2)/t" --g "t-1"',
+     '{"details":{"places":4,"suppressed_trivial":0},"expected":"1",'
+     '"field":"Fp:5","inputs":{"f":"(t^2+2)/(t)","g":"t+4"},'
+     '"law":"weil","ok":true,"terms":[{"deg":1,"place":"t","v_f":-1,'
+     '"v_g":0,"value":"4"},{"deg":1,"place":"t+4","v_f":0,"v_g":1,'
+     '"value":"3"},{"deg":2,"place":"t^2+2","v_f":1,"v_g":0,'
+     '"value":"2"},{"deg":1,"place":"inf","v_f":-1,"v_g":-1,'
+     '"value":"4"}],"value":"1"}\n'),
+    ('hilbert --field Fp:13 --f "t^2-1" --g "t" --m 4',
+     '{"details":{"places":4,"suppressed_trivial":2},"expected":"1",'
+     '"field":"Fp:13","inputs":{"f":"t^2+12","g":"t","m":"4"},'
+     '"law":"hilbert","ok":true,"terms":[{"deg":1,"place":"t",'
+     '"value":"12"},{"deg":1,"place":"t+1","value":"12"},{"deg":1,'
+     '"place":"t+12","value":"1"},{"deg":1,"place":"inf","value":"1"}],'
+     '"value":"1"}\n'),
+    ('restheorem --f "(t+2)/(t^2-t)" --g "t^2" --oracle',
+     '{"details":{"oracle_agreements":4,"places":4,'
+     '"suppressed_trivial":2},"expected":"0","field":"Q",'
+     '"inputs":{"f":"(t+2)/(t^2-t)","g":"t^2"},"law":"residue-theorem",'
+     '"ok":true,"terms":[{"deg":1,"oracle":"6","place":"t-1",'
+     '"value":"6"},{"deg":1,"oracle":"0","place":"t","value":"0"},'
+     '{"deg":1,"oracle":"0","place":"t+2","value":"0"},{"deg":1,'
+     '"oracle":"-6","place":"inf","value":"-6"}],"value":"0"}\n'),
+    ('sw --f "(t+2)/t^2" --g "t^2-t"',
+     '{"details":{"places":5,"suppressed_trivial":3},"expected":"1",'
+     '"field":"Q","inputs":{"f":"(t+2)/(t^2)","g":"t^2-t","order":"12"},'
+     '"law":"segal-wilson-product","ok":true,"terms":[{"deg":1,'
+     '"place":"t-1","residue":"0","value":"1"},{"deg":1,"place":"t-1/2",'
+     '"residue":"0","value":"1"},{"deg":1,"place":"t","residue":"3",'
+     '"value":"1 + 3/2*z^2 + 9/8*z^4 + 9/16*z^6 + 27/128*z^8 + '
+     '81/1280*z^10 + 81/5120*z^12"},{"deg":1,"place":"t+2",'
+     '"residue":"0","value":"1"},{"deg":1,"place":"inf","residue":"-3",'
+     '"value":"1 + -3/2*z^2 + 9/8*z^4 + -9/16*z^6 + 27/128*z^8 + '
+     '-81/1280*z^10 + 81/5120*z^12"}],"value":"1"}\n'),
+    ('nu --f "s*t" --g "s+t" --verify',
+     '{"details":{"places":2,"suppressed_trivial":0},"expected":"0",'
+     '"field":"Q","inputs":{"f":"s*t","g":"t+s"},"law":"nu-sum",'
+     '"ok":true,"terms":[{"deg":1,"nu":-1,"place":"s","term":-1},'
+     '{"deg":1,"nu":1,"place":"inf","term":1}],"value":"0"}\n'),
+    ('horozov --f "s*t" --g "s+t" --h "1+s*t" --z "t*(1+t)" --verify',
+     '{"details":{"places":2,"suppressed_trivial":2},"expected":"1",'
+     '"field":"Q","inputs":{"f1":"s*t","f2":"t+s","f3":"s*t+1"},'
+     '"law":"horozov-product","ok":true,"terms":[{"deg":1,"place":"s",'
+     '"value":"1"},{"deg":1,"place":"inf","value":"1"}],"value":"1"}\n'),
+    ('parshin --field Fp:5 --f "s*t" --g "s+t" --h "1+s*t" --verify',
+     '{"details":{"places":2,"suppressed_trivial":2},"expected":"1",'
+     '"field":"Fp:5","inputs":{"f1":"s*t","f2":"t+s","f3":"s*t+1"},'
+     '"law":"parshin-product","ok":true,"terms":[{"deg":1,"place":"s",'
+     '"value":"1"},{"deg":1,"place":"inf","value":"1"}],"value":"1"}\n'),
+    ('hk4 --f "s*t" --g "s+t" --h "1+s*t" --w "s" --verify',
+     '{"details":{"places":2,"suppressed_trivial":2},"expected":"1",'
+     '"field":"Q","inputs":{"f1":"s*t","f2":"t+s","f3":"s*t+1",'
+     '"f4":"s"},"law":"hk4-product","ok":true,"terms":[{"deg":1,'
+     '"place":"s","value":"1"},{"deg":1,"place":"inf","value":"1"}],'
+     '"value":"1"}\n'),
+)
+
+
+def test_law_reports_keep_their_bytes(capsys):
+    for line, expected in _PINNED_REPORTS:
+        code, out, _ = run(capsys, *shlex.split(line), "--json")
+        assert (code, out) == (0, expected), line
+
+
 def test_seed_is_not_an_option():
     # factorizations are unique, so no seed can change a report
     with pytest.raises(SystemExit) as exc:
@@ -240,6 +315,18 @@ def test_long_literals_are_rejected(capsys):
     assert time.perf_counter() - start < 2.0
     assert code == 2
     assert "parse error" in err and "Traceback" not in err
+
+
+def test_tall_coefficients_are_rejected_quickly(capsys):
+    for text in ("((7^50)^50)^50*t", "((((7^50)^50)^50)^50)^50*t"):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "sumval", "--f", text)
+        assert time.perf_counter() - start < 2.0
+        assert code == 2
+        assert "parse error" in err and "Traceback" not in err
+    code, out, _ = run(capsys, "sumval", "--f", "7" * DIGIT_BOUND + "*t")
+    assert code == 0
+    assert out.strip().endswith("OK")
 
 
 def test_orders_above_the_bound_are_rejected(capsys):

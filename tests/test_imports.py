@@ -32,3 +32,27 @@ def test_every_imported_name_is_used():
 def test_the_check_sees_an_unused_import():
     source = "import os\nfrom sys import argv, path\nprint(path)\n"
     assert _unused_imports(source) == ["os (line 1)", "argv (line 2)"]
+
+
+def _private_imports(source: str) -> list[str]:
+    """Underscore names taken from sibling modules by relative imports."""
+    return [f"{'.' * node.level}{node.module or ''} import {alias.name} "
+            f"(line {node.lineno})"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_no_private_name_crosses_modules():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    private = {p.name: _private_imports(p.read_text()) for p in modules}
+    assert {name: names for name, names in private.items() if names} == {}
+
+
+def test_the_check_sees_a_private_import():
+    source = ("from operator import mul as _mul\n"
+              "from .tate import _MARGIN, expand\n"
+              "from . import _helpers\n")
+    assert _private_imports(source) == [".tate import _MARGIN (line 2)",
+                                        ". import _helpers (line 3)"]

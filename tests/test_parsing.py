@@ -178,6 +178,27 @@ def test_literals_are_bounded():
             parse_rational(text, Q)
 
 
+def test_coefficient_heights_are_bounded():
+    t = RationalFunction.variable(Q)
+    top = 10 ** (DIGIT_BOUND - 1)
+    # monomial products are bounded exactly: 9 * 10^999 has 1000 digits
+    assert parse_rational(f"{top}*9*t", Q) == 9 * top * t
+    # a coefficient of c*(t+1) is c, not c times the sum 2 of t+1
+    assert parse_rational(f"{5 * top}*(t+1)", Q) == 5 * top * (t + 1)
+    assert parse_rational(f"(t+1)*{5 * top}", Q) == 5 * top * (t + 1)
+    assert parse_rational("(7^50)^20", Q) == \
+        RationalFunction.constant(Q, 7 ** 1000)
+    for text in (f"{top}*10*t", f"{top}*{top}", "((7^50)^50)^50*t",
+                 "1/((7^50)^50)", "(t+7^50)^50", f"({top}*t+1)^2"):
+        with pytest.raises(ParseError, match="digits"):
+            parse_rational(text, Q)
+        with pytest.raises(ParseError, match="digits"):
+            parse_surface(text, Q)
+    # over F_p every value is reduced, so only the literals are bounded
+    assert parse_rational("((7^50)^50)^50*t", F5) == \
+        RationalFunction.variable(F5)
+
+
 # -- the route before pairs, kept as the oracle of the differential tests ----
 
 def _reference_parse(text, variables, make_int):
