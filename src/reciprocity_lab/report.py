@@ -57,13 +57,12 @@ class VerificationReport:
 
 def place_law_report(law: str, field_descriptor: str, inputs: dict, places,
                      local, identity, combine, **extra) -> VerificationReport:
-    """Combine a local symbol over `places`; the law holds when the total
-    equals `identity`.
+    """Combine `local` over `places` with the group operation `combine`;
+    the law holds when the total equals `identity`.
 
-    `local(x)` returns the value at x in the group and the entries of its
-    term beside the place and its degree; `combine` is the group operation.
-    The details count the places, the terms whose value is the identity
-    ("suppressed_trivial"), and whatever `extra` adds.
+    `local(x)` returns the value at x and the entries of its term beside the
+    place and its degree.  The details count the places, the terms whose
+    value is the identity ("suppressed_trivial"), and add `extra`.
     """
     total = identity
     terms = []

@@ -23,11 +23,9 @@ a_i and b_j nonzero in k(s):
 
 so no element of k(s)(t) is built, and no gcd over k(s) runs, to restrict.
 
-`_local_symbol` builds the Horozov, Parshin or four-slot symbol of given
-functions as a function of the place x, together with the functions whose
-supports carry it.  `horozov3`, `parshin3` and `hk4` evaluate it at one
-place; `reciprocity_verify_2d`, like `nu_verify`, hands it to
-`report.place_law_report` to multiply over the places of C.
+`_local_symbol` builds the Horozov, Parshin or four-slot symbol as a function
+of the place x: `horozov3`, `parshin3` and `hk4` evaluate it at one place,
+and `reciprocity_verify_2d` multiplies it over C in `place_law_report`.
 """
 from __future__ import annotations
 
