@@ -244,6 +244,10 @@ def factor_rationals_limited(f: Polynomial) -> Factorization:
     unit = FieldScalar(field, f.leading_coefficient())
     items: list[Factor] = []
     for squarefree, mult in f.squarefree_part_decomposition():
+        if squarefree.degree == 1:
+            # irreducible as it stands; its root needs no divisor search
+            items.append(Factor(squarefree.monic(), mult, True))
+            continue
         rest = squarefree
         for root in sorted(_rational_roots(squarefree)):
             linear = Polynomial(field, [-root, Fraction(1)], f.var)

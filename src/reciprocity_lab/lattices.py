@@ -4,8 +4,12 @@ A lattice stands for the span of {t^i : i in S} inside a Laurent model.  The
 representation covers every set needed here: rays [n0, oo) with finitely many
 exceptions, finite sets, arithmetic progressions, lower sets, and disjoint
 unions of these.  Membership below `lo` follows `low_pat` (mod `modulus`),
-membership at or above `hi` follows `high_pat`, and the window [lo, hi) is
-explicit.  Canonicalization makes structural equality coincide with set
+membership at or above `hi` follows `high_pat`, and inside the window
+[lo, hi) the members are `runs`: a sorted tuple of disjoint, maximal
+half-open intervals (start, stop).  Set operations merge run endpoints, so
+their cost follows the number of runs, not the width of the window; a
+stretch under a full pattern is one run and one under an empty pattern is
+none.  Canonicalization makes structural equality coincide with set
 equality.
 
 The index of a shift operator over a lattice counts |S \\ sigma(S)| minus
@@ -14,7 +18,9 @@ deg(x) * v_x(f).
 """
 from __future__ import annotations
 
-from math import gcd, lcm
+from bisect import bisect_right
+from math import gcd, inf, lcm
+from operator import and_, or_, xor
 
 from .errors import DomainError, ParseError
 from .fields import Field
@@ -23,18 +29,18 @@ from .fields import Field
 class MonomialLattice:
     """An eventually periodic subset of Z, canonicalized on construction."""
 
-    __slots__ = ("modulus", "lo", "hi", "window", "low_pat", "high_pat")
+    __slots__ = ("modulus", "lo", "hi", "runs", "low_pat", "high_pat")
 
-    def __init__(self, modulus: int, lo: int, hi: int, window,
+    def __init__(self, modulus: int, lo: int, hi: int, runs,
                  low_pat, high_pat):
         if modulus < 1:
             raise DomainError("modulus must be positive")
         if lo > hi:
             raise DomainError("window bounds out of order")
-        window = frozenset(window)
+        runs = _merged(runs)
         low_pat = frozenset(r % modulus for r in low_pat)
         high_pat = frozenset(r % modulus for r in high_pat)
-        if any(n < lo or n >= hi for n in window):
+        if runs and (runs[0][0] < lo or runs[-1][1] > hi):
             raise DomainError("window member outside the window")
 
         d = _joint_period(modulus, low_pat, high_pat)
@@ -42,13 +48,35 @@ class MonomialLattice:
             low_pat = frozenset(r for r in low_pat if r < d)
             high_pat = frozenset(r for r in high_pat if r < d)
             modulus = d
-        window = set(window)
-        while hi > lo and ((hi - 1) in window) == ((hi - 1) % modulus in high_pat):
-            hi -= 1
-            window.discard(hi)
-        while lo < hi and (lo in window) == (lo % modulus in low_pat):
-            window.discard(lo)
-            lo += 1
+        # trim the window from the top, then from the bottom, while its
+        # membership agrees with the pattern outside; each step takes the
+        # whole stretch (a run or a gap) where the pattern is full or empty
+        while hi > lo:
+            member = bool(runs) and runs[-1][1] == hi
+            start = runs[-1][0] if member else (runs[-1][1] if runs else lo)
+            cut = _agree_from_top(start, hi, modulus, high_pat, member)
+            if cut == hi:
+                break
+            hi = cut
+            if member:
+                if cut == start:
+                    runs.pop()
+                else:
+                    runs[-1] = (start, cut)
+        first = 0
+        while lo < hi:
+            member = first < len(runs) and runs[first][0] == lo
+            stop = runs[first][1] if member else \
+                (runs[first][0] if first < len(runs) else hi)
+            cut = _agree_from_bottom(lo, stop, modulus, low_pat, member)
+            if cut == lo:
+                break
+            lo = cut
+            if member:
+                if cut == stop:
+                    first += 1
+                else:
+                    runs[first] = (cut, stop)
         if lo == hi:
             if low_pat == high_pat:
                 lo = hi = 0
@@ -61,7 +89,7 @@ class MonomialLattice:
         self.modulus = modulus
         self.lo = lo
         self.hi = hi
-        self.window = frozenset(window)
+        self.runs = tuple(runs[first:])
         self.low_pat = low_pat
         self.high_pat = high_pat
 
@@ -79,10 +107,11 @@ class MonomialLattice:
 
     @classmethod
     def finite(cls, members) -> "MonomialLattice":
-        members = frozenset(members)
+        members = sorted(set(members))
         if not members:
             return cls(1, 0, 0, (), (), ())
-        return cls(1, min(members), max(members) + 1, members, (), ())
+        return cls(1, members[0], members[-1] + 1,
+                   ((n, n + 1) for n in members), (), ())
 
     @classmethod
     def empty(cls) -> "MonomialLattice":
@@ -125,13 +154,17 @@ class MonomialLattice:
             return n % self.modulus in self.low_pat
         if n >= self.hi:
             return n % self.modulus in self.high_pat
-        return n in self.window
+        i = bisect_right(self.runs, (n, inf))
+        return i > 0 and n < self.runs[i - 1][1]
 
     def members_in(self, start: int, stop: int) -> list[int]:
         return [n for n in range(start, stop) if n in self]
 
+    def _window_members(self):
+        return [n for start, stop in self.runs for n in range(start, stop)]
+
     def is_empty(self) -> bool:
-        return (not self.window and not self.low_pat and not self.high_pat)
+        return (not self.runs and not self.low_pat and not self.high_pat)
 
     def is_finite(self) -> bool:
         return not self.low_pat and not self.high_pat
@@ -142,54 +175,57 @@ class MonomialLattice:
     def size(self) -> int:
         if not self.is_finite():
             raise DomainError("infinite lattice has no cardinality")
-        return len(self.window)
+        return sum(stop - start for start, stop in self.runs)
 
     # -- set algebra ----------------------------------------------------------
 
-    def _aligned(self, other: "MonomialLattice"):
+    def _runs_over(self, lo: int, hi: int) -> list[tuple[int, int]]:
+        """Runs of the members in [lo, hi), a range containing the window."""
+        return (_pattern_runs(self.low_pat, self.modulus, lo, self.lo)
+                + list(self.runs)
+                + _pattern_runs(self.high_pat, self.modulus, self.hi, hi))
+
+    def _combine(self, other: "MonomialLattice", keep) -> "MonomialLattice":
+        """{n : keep(n in self, n in other)}, for keep(False, False) false."""
         if not isinstance(other, MonomialLattice):
             raise DomainError(f"cannot combine lattice with {other!r}")
         d = lcm(self.modulus, other.modulus)
         lo = min(self.lo, other.lo)
         hi = max(self.hi, other.hi)
-        return d, lo, hi
-
-    def _pattern(self, which: str, modulus: int) -> frozenset:
-        pat = self.low_pat if which == "low" else self.high_pat
-        return frozenset(r for r in range(modulus) if r % self.modulus in pat)
-
-    def _combine(self, other: "MonomialLattice", setop) -> "MonomialLattice":
-        d, lo, hi = self._aligned(other)
-        low = setop(self._pattern("low", d), other._pattern("low", d))
-        high = setop(self._pattern("high", d), other._pattern("high", d))
-        mine = set(self.members_in(lo, hi))
-        theirs = set(other.members_in(lo, hi))
-        return MonomialLattice(d, lo, hi, setop(mine, theirs), low, high)
+        low = [r for r in range(d)
+               if keep(r % self.modulus in self.low_pat,
+                       r % other.modulus in other.low_pat)]
+        high = [r for r in range(d)
+                if keep(r % self.modulus in self.high_pat,
+                        r % other.modulus in other.high_pat)]
+        runs = _merge_runs(self._runs_over(lo, hi), other._runs_over(lo, hi),
+                           keep)
+        return MonomialLattice(d, lo, hi, runs, low, high)
 
     def union(self, other: "MonomialLattice") -> "MonomialLattice":
-        return self._combine(other, lambda a, b: a | b)
+        return self._combine(other, or_)
 
     def intersect(self, other: "MonomialLattice") -> "MonomialLattice":
-        return self._combine(other, lambda a, b: a & b)
+        return self._combine(other, and_)
 
     def difference(self, other: "MonomialLattice") -> "MonomialLattice":
-        return self._combine(other, lambda a, b: a - b)
+        return self._combine(other, lambda a, b: a and not b)
 
     def symmetric_difference(self, other: "MonomialLattice") -> "MonomialLattice":
-        return self._combine(other, lambda a, b: a ^ b)
+        return self._combine(other, xor)
 
     def complement(self) -> "MonomialLattice":
         full = frozenset(range(self.modulus))
+        ends = (self.lo, *(n for run in self.runs for n in run), self.hi)
         return MonomialLattice(
-            self.modulus, self.lo, self.hi,
-            frozenset(range(self.lo, self.hi)) - self.window,
+            self.modulus, self.lo, self.hi, zip(ends[::2], ends[1::2]),
             full - self.low_pat, full - self.high_pat)
 
     def shift(self, m: int) -> "MonomialLattice":
         d = self.modulus
         return MonomialLattice(
             d, self.lo + m, self.hi + m,
-            frozenset(n + m for n in self.window),
+            ((start + m, stop + m) for start, stop in self.runs),
             frozenset((r + m) % d for r in self.low_pat),
             frozenset((r + m) % d for r in self.high_pat))
 
@@ -205,10 +241,16 @@ class MonomialLattice:
         high = [s for s in range(d) if (offset + s * step) % self.modulus in self.high_pat]
         lo = -((offset - self.lo) // step) - 1
         hi = (self.hi - offset) // step + 2
-        if lo > hi:
-            lo = hi
-        window = [m for m in range(lo, hi) if (offset + m * step) in self]
-        return MonomialLattice(d, lo, hi, window, low, high)
+        # offset + m*step lies in [start, stop) exactly for m in
+        # [ceil((start - offset) / step), ceil((stop - offset) / step))
+        runs = [(-((offset - start) // step), -((offset - stop) // step))
+                for start, stop in self.runs]
+        # the few local positions outside the window's image
+        first = -((offset - self.lo) // step)
+        last = -((offset - self.hi) // step)
+        runs += [(m, m + 1) for m in (*range(lo, first), *range(last, hi))
+                 if (offset + m * step) in self]
+        return MonomialLattice(d, lo, hi, runs, low, high)
 
     def affine_image(self, offset: int, step: int) -> "MonomialLattice":
         """The set {offset + n*step : n in self}; a right inverse of
@@ -218,9 +260,14 @@ class MonomialLattice:
         d = self.modulus * step
         low = [(offset + s * step) % d for s in self.low_pat]
         high = [(offset + s * step) % d for s in self.high_pat]
-        window = [offset + n * step for n in self.window]
+        if step == 1:
+            runs = [(offset + start, offset + stop) for start, stop in self.runs]
+        else:
+            runs = [(n, n + 1) for start, stop in self.runs
+                    for n in range(offset + start * step, offset + stop * step,
+                                   step)]
         return MonomialLattice(d, offset + self.lo * step,
-                               offset + self.hi * step, window, low, high)
+                               offset + self.hi * step, runs, low, high)
 
     def commensurable(self, other: "MonomialLattice") -> tuple[bool, int | None]:
         """Whether the symmetric difference is finite, with its cardinality."""
@@ -232,16 +279,20 @@ class MonomialLattice:
     # -- plumbing -------------------------------------------------------------
 
     def _key(self):
-        return (self.modulus, self.lo, self.hi, tuple(sorted(self.window)),
+        return (self.modulus, self.lo, self.hi, tuple(self._window_members()),
                 tuple(sorted(self.low_pat)), tuple(sorted(self.high_pat)))
 
     def __eq__(self, other):
         if not isinstance(other, MonomialLattice):
             return NotImplemented
-        return self._key() == other._key()
+        return (self.modulus == other.modulus and self.lo == other.lo
+                and self.hi == other.hi and self.runs == other.runs
+                and self.low_pat == other.low_pat
+                and self.high_pat == other.high_pat)
 
     def __hash__(self):
-        return hash(self._key())
+        return hash((self.modulus, self.lo, self.hi, self.runs,
+                     self.low_pat, self.high_pat))
 
     def sort_key(self):
         return self._key()
@@ -249,14 +300,14 @@ class MonomialLattice:
     def __str__(self):
         if self.modulus == 1 and not self.low_pat and self.high_pat:
             body = f"ray:{self.hi}"
-            if self.window:
-                body += ";add:" + ",".join(str(n) for n in sorted(self.window))
+            if self.runs:
+                body += ";add:" + ",".join(map(str, self._window_members()))
             return body
         if self.is_finite():
-            return "finite:{" + ",".join(str(n) for n in sorted(self.window)) + "}"
+            return "finite:{" + ",".join(map(str, self._window_members())) + "}"
         low = ",".join(str(r) for r in sorted(self.low_pat))
         high = ",".join(str(r) for r in sorted(self.high_pat))
-        win = ",".join(str(n) for n in sorted(self.window))
+        win = ",".join(map(str, self._window_members()))
         return (f"ep:mod={self.modulus};low={{{low}}};split={self.lo}..{self.hi};"
                 f"win={{{win}}};high={{{high}}}")
 
@@ -264,22 +315,90 @@ class MonomialLattice:
         return f"MonomialLattice({self})"
 
 
-def _joint_period(modulus: int, low_pat: frozenset, high_pat: frozenset) -> int:
-    """Smallest divisor of the modulus under which both patterns repeat."""
-    for d in range(1, modulus + 1):
-        if modulus % d:
+def _merged(runs) -> list[tuple[int, int]]:
+    """Sorted, disjoint, maximal runs covering the union of the given ones."""
+    out: list[tuple[int, int]] = []
+    for start, stop in sorted(runs):
+        if start >= stop:
             continue
-        if all((r + d) % modulus in low_pat for r in low_pat) and \
-           all((r - d) % modulus in low_pat for r in low_pat) and \
-           all((r + d) % modulus in high_pat for r in high_pat) and \
-           all((r - d) % modulus in high_pat for r in high_pat):
+        if out and start <= out[-1][1]:
+            if stop > out[-1][1]:
+                out[-1] = (out[-1][0], stop)
+        else:
+            out.append((start, stop))
+    return out
+
+
+def _pattern_runs(pat: frozenset, modulus: int, start: int,
+                  stop: int) -> list[tuple[int, int]]:
+    """Runs of {n in [start, stop) : n mod modulus in pat}."""
+    if start >= stop or not pat:
+        return []
+    if len(pat) == modulus:
+        return [(start, stop)]
+    return [(n, n + 1) for n in range(start, stop) if n % modulus in pat]
+
+
+def _merge_runs(xs: list, ys: list, keep) -> list[tuple[int, int]]:
+    """Runs of {n : keep(n in xs, n in ys)} in one sweep over the endpoints."""
+    cuts = sorted({n for run in xs for n in run} | {n for run in ys for n in run})
+    out: list[tuple[int, int]] = []
+    i = j = 0
+    for start, stop in zip(cuts, cuts[1:]):
+        while i < len(xs) and xs[i][1] <= start:
+            i += 1
+        while j < len(ys) and ys[j][1] <= start:
+            j += 1
+        if keep(i < len(xs) and xs[i][0] <= start,
+                j < len(ys) and ys[j][0] <= start):
+            if out and out[-1][1] == start:
+                out[-1] = (out[-1][0], stop)
+            else:
+                out.append((start, stop))
+    return out
+
+
+def _agree_from_top(start: int, stop: int, modulus: int, pat: frozenset,
+                    member: bool) -> int:
+    """Least c >= start with (n mod modulus in pat) == member on [c, stop)."""
+    if len(pat) == modulus or not pat:
+        return start if (len(pat) == modulus) == member else stop
+    while stop > start and ((stop - 1) % modulus in pat) == member:
+        stop -= 1
+    return stop
+
+
+def _agree_from_bottom(start: int, stop: int, modulus: int, pat: frozenset,
+                       member: bool) -> int:
+    """Greatest c <= stop with (n mod modulus in pat) == member on [start, c)."""
+    if len(pat) == modulus or not pat:
+        return stop if (len(pat) == modulus) == member else start
+    while start < stop and (start % modulus in pat) == member:
+        start += 1
+    return start
+
+
+def _joint_period(modulus: int, low_pat: frozenset, high_pat: frozenset) -> int:
+    """Smallest divisor of the modulus under which both patterns repeat.
+
+    Period 1 means every pattern is empty or full.  Adding d mod the modulus
+    is a bijection, so a pattern it maps into itself it maps onto itself,
+    and -d needs no separate check.
+    """
+    if len(low_pat) in (0, modulus) and len(high_pat) in (0, modulus):
+        return 1
+    for d in range(2, modulus):
+        if modulus % d == 0 and all(
+                frozenset((r + d) % modulus for r in pat) == pat
+                for pat in (low_pat, high_pat)):
             return d
     return modulus
 
 
-# Largest |n| a lattice literal may name.  The window [lo, hi) is explicit
-# and walked one integer at a time, so a literal far from 0 would make every
-# lattice operation on it slow; +-1000 keeps each command well under a second.
+# Largest |n| a lattice literal may name.  Set operations cost about the
+# number of runs, but the commutator trace materializes matrices over a block
+# that reaches the window's ends, so a literal far from 0 would make a trace
+# on it slow; +-1000 keeps each command well under a second.
 LITERAL_BOUND = 1000
 
 

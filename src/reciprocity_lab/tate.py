@@ -65,22 +65,22 @@ def _support_bound(lattice: MonomialLattice, vf: int, vg: int) -> tuple[int, int
 
     The diagonal at j involves [j in S] - [j+i in S] for band offsets i
     between v(f) and -v(g); it vanishes outside the symmetric differences
-    S ^ (S shifted).  An infinite symmetric difference means the trace does
-    not stabilize for this lattice and these functions.
+    S ^ (S + i) for |i| up to max(|v(f)|, |v(g)|).  For k > 0,
+    S ^ (S - k) is D - k with D = S ^ (S + k), so each k needs one D.  An
+    infinite symmetric difference means the trace does not stabilize for
+    this lattice and these functions.
     """
     support = MonomialLattice.empty()
-    for i in range(min(vf, -vg, 0), max(vf, -vg, 0) + 1):
-        for direction in (i, -i):
-            diff = lattice.symmetric_difference(lattice.shift(direction))
-            if not diff.is_finite():
-                raise DomainError(
-                    "lattice is not commensurable with its shifts; "
-                    "the commutator has no finite trace here")
-            support = support.union(diff)
+    for k in range(1, max(abs(vf), abs(vg)) + 1):
+        diff = lattice.symmetric_difference(lattice.shift(k))
+        if not diff.is_finite():
+            raise DomainError(
+                "lattice is not commensurable with its shifts; "
+                "the commutator has no finite trace here")
+        support = support.union(diff).union(diff.shift(-k))
     if support.is_empty():
         return 0, 0
-    members = sorted(support.window)
-    return members[0], members[-1]
+    return support.runs[0][0], support.runs[-1][1] - 1
 
 
 def window_bound(lattice: MonomialLattice, vf: int, vg: int,

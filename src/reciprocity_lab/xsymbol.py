@@ -73,7 +73,12 @@ class _ResidueBlock:
 
 
 class ResidueSymbol:
-    """f(A) = sum of block residues of f dg against block-local lattices."""
+    """f(A) = sum of block residues of f dg against block-local lattices.
+
+    A block's traced value depends only on the block and its local lattice,
+    and the family runs meet the same local lattices again and again; each
+    distinct pair is traced once per instance.
+    """
 
     name = "residue"
 
@@ -86,6 +91,7 @@ class ResidueSymbol:
         if self.modulus < len(places):
             raise DomainError("need at least one progression per place")
         self.blocks = [_ResidueBlock(j, x, f, g) for j, x in enumerate(places)]
+        self._traced: dict = {}
 
     def evaluate(self, lattice: MonomialLattice) -> FieldScalar:
         total = self.field.zero_scalar()
@@ -93,11 +99,14 @@ class ResidueSymbol:
             local = lattice.extract_progression(block.offset, self.modulus)
             if local.is_empty():
                 continue
-            window = window_bound(local, block.vf, block.vg, block.spread)
-            raw = banded_commutator_trace(
-                block.ring, block.f_band, block.g_band,
-                block.vf, block.vg, local, window)
-            total = total + block.ring.trace(raw)
+            key = (block.offset, local)
+            if key not in self._traced:
+                window = window_bound(local, block.vf, block.vg, block.spread)
+                raw = banded_commutator_trace(
+                    block.ring, block.f_band, block.g_band,
+                    block.vf, block.vg, local, window)
+                self._traced[key] = block.ring.trace(raw)
+            total = total + self._traced[key]
         return total
 
     def identity(self) -> FieldScalar:
@@ -192,13 +201,15 @@ def xsymbol_axiom_check(sym, a: MonomialLattice, b: MonomialLattice) -> bool:
 
 
 def independence_check(lattices: list[MonomialLattice]) -> bool:
-    """Each member meets the sum of the others in a finite set."""
-    for i, lattice in enumerate(lattices):
-        rest = MonomialLattice.empty()
-        for j, other in enumerate(lattices):
-            if j != i:
-                rest = rest.union(other)
-        if not lattice.intersect(rest).is_finite():
+    """Each member meets the sum of the others in a finite set.
+
+    Intersection distributes over union, so this holds exactly when every
+    two members meet in a finite set; one pass checks each member against
+    the union of the members before it.
+    """
+    for i in range(1, len(lattices)):
+        earlier = lattices[0] if i == 1 else earlier.union(lattices[i - 1])
+        if not lattices[i].intersect(earlier).is_finite():
             return False
     return True
 
@@ -219,19 +230,22 @@ class XSymbolFamily:
 
     @classmethod
     def with_derived_b(cls, symbol, lattices, base: MonomialLattice | None = None):
-        """Build B_J = base + sum of A_i over i not in J, for every J."""
+        """Build B_J = base + sum of A_i over i not in J, for every J.
+
+        Going down from the full index set, B_J is B_{J + {i}} plus A_i for
+        the least i outside J: one union per index set.
+        """
         lattices = list(lattices)
         n = len(lattices)
         if n > 10:
             raise DomainError("derived assignments need a family of at most 10")
-        b_map = {}
-        for mask in range(1 << n):
-            J = frozenset(i for i in range(n) if mask & (1 << i))
-            acc = MonomialLattice.empty() if base is None else base
-            for i in range(n):
-                if i not in J:
-                    acc = acc.union(lattices[i])
-            b_map[J] = acc
+        full = (1 << n) - 1
+        derived = {full: MonomialLattice.empty() if base is None else base}
+        for mask in range(full - 1, -1, -1):
+            i = (~mask & (mask + 1)).bit_length() - 1
+            derived[mask] = derived[mask | (1 << i)].union(lattices[i])
+        b_map = {frozenset(i for i in range(n) if mask & (1 << i)): derived[mask]
+                 for mask in range(1 << n)}
         return cls(symbol, lattices, b_map)
 
 

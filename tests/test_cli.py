@@ -329,6 +329,16 @@ def test_tall_coefficients_are_rejected_quickly(capsys):
     assert out.strip().endswith("OK")
 
 
+def test_linear_factors_need_no_divisor_search(capsys):
+    # 7^20 has 17 digits; trial division of it ran for minutes
+    start = time.perf_counter()
+    code, out, err = run(capsys, "sumval", "--f", "7^20*t+1")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and "Traceback" not in err
+    assert "place=t+1/79792266297612001" in out
+    assert out.strip().endswith("OK")
+
+
 def test_orders_above_the_bound_are_rejected(capsys):
     code, _, err = run(capsys, "sw", "--f", "1/t", "--g", "t",
                        "--place", "t", "--order", "3000")

@@ -6,10 +6,11 @@ from reciprocity_lab.errors import DomainError, ZeroInputError
 from reciprocity_lab.funcfield import Place, RationalFunction, support_union
 from reciprocity_lab.lattices import MonomialLattice
 from reciprocity_lab.poly import Polynomial
-from reciprocity_lab.tate import (abstract_residue_trace, classical_residue,
-                                  data_spread, minimal_window, window_bound)
+from reciprocity_lab.tate import (_support_bound, abstract_residue_trace,
+                                  classical_residue, data_spread,
+                                  minimal_window, window_bound)
 
-from helpers import F3, F5, Q, rand_fn, rand_fn_q
+from helpers import F3, F5, Q, rand_fn, rand_fn_q, rand_lattice
 
 TRUNCATIONS = ("f", "g", "both")
 
@@ -165,3 +166,40 @@ def test_window_bound_grows_with_data_spread():
     t = tt(Q)
     h = (t * t + 1) / (t * t * t - t)
     assert data_spread(h) == 5
+
+
+def reference_support_bound(lattice, vf, vg):
+    """The bound from S ^ (S + i) and S ^ (S - i) for every band offset i."""
+    support = MonomialLattice.empty()
+    for i in range(min(vf, -vg, 0), max(vf, -vg, 0) + 1):
+        for direction in (i, -i):
+            diff = lattice.symmetric_difference(lattice.shift(direction))
+            if not diff.is_finite():
+                raise DomainError("not commensurable with its shifts")
+            support = support.union(diff)
+    if support.is_empty():
+        return 0, 0
+    members = support.members_in(support.lo, support.hi)
+    return members[0], members[-1]
+
+
+def test_support_bound_matches_the_loop_over_every_offset():
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except DomainError:
+            return DomainError
+
+    rng = random.Random(337)
+    lattices = [rand_lattice(rng) for _ in range(10)]
+    lattices += [MonomialLattice.progression({0}, 2),
+                 MonomialLattice.progression_ray({1, 2}, 3, -2),
+                 MonomialLattice.empty()]
+    refused = 0
+    for lattice in lattices:
+        for vf in range(-4, 5):
+            for vg in range(-4, 5):
+                want = outcome(reference_support_bound, lattice, vf, vg)
+                assert outcome(_support_bound, lattice, vf, vg) == want
+                refused += want is DomainError
+    assert refused

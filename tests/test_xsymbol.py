@@ -12,7 +12,7 @@ from reciprocity_lab.xsymbol import (IndexSymbol, ResidueSymbol, TameSymbol,
                                      general_reciprocity_run,
                                      independence_check, xsymbol_axiom_check)
 
-from helpers import F5, Q, rand_fn, rand_fn_q
+from helpers import F5, Q, rand_fn, rand_fn_q, rand_lattice
 
 
 def rand_ray_spec(rng):
@@ -276,3 +276,102 @@ def test_manual_and_derived_assignments_agree():
     for J, lattice in manual.b_map.items():
         assert derived.b_map[J] == lattice
     assert general_reciprocity_run(manual).ok
+
+
+def reference_derived_b(lattices, base=None):
+    """B_J = base + sum of A_i over i not in J, one union chain per J."""
+    n = len(lattices)
+    b_map = {}
+    for mask in range(1 << n):
+        J = frozenset(i for i in range(n) if mask & (1 << i))
+        acc = MonomialLattice.empty() if base is None else base
+        for i in range(n):
+            if i not in J:
+                acc = acc.union(lattices[i])
+        b_map[J] = acc
+    return b_map
+
+
+def test_derived_assignments_match_one_union_chain_per_set():
+    rng = random.Random(307)
+    sym = IndexSymbol(MonomialOperator(Q, 1, 1))
+    for n in range(7):
+        for _ in range(3):
+            lattices = [rand_lattice(rng) for _ in range(n)]
+            base = None if rng.random() < 0.5 else rand_lattice(rng)
+            got = XSymbolFamily.with_derived_b(sym, lattices, base).b_map
+            want = reference_derived_b(lattices, base)
+            assert list(got) == list(want)
+            assert all(got[J] == want[J] and str(got[J]) == str(want[J])
+                       for J in want)
+
+
+def reference_independence(lattices):
+    """Each member against the union of all the others, built afresh."""
+    for i, lattice in enumerate(lattices):
+        rest = MonomialLattice.empty()
+        for j, other in enumerate(lattices):
+            if j != i:
+                rest = rest.union(other)
+        if not lattice.intersect(rest).is_finite():
+            return False
+    return True
+
+
+def test_independence_matches_the_union_of_the_others():
+    rng = random.Random(311)
+    seen = set()
+    for _ in range(300):
+        size = rng.randint(0, 5)
+        if rng.random() < 0.5:
+            group = [rand_lattice(rng) for _ in range(size)]
+        else:
+            # blocks of one progression each, with finite noise
+            modulus = max(size, 1)
+            group = [MonomialLattice.progression_ray((j,), modulus,
+                                                     rng.randint(-3, 3))
+                     .symmetric_difference(MonomialLattice.finite(
+                         {rng.randint(-6, 6)}))
+                     for j in range(size)]
+            if group and rng.random() < 0.3:
+                twin = rng.randrange(size)
+                group.insert(rng.randint(0, size),
+                             group[twin].shift(modulus))
+        want = reference_independence(group)
+        assert independence_check(group) == want
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def test_memoized_residue_values_match_a_fresh_symbol():
+    rng = random.Random(331)
+    for _ in range(8):
+        f = rand_fn(rng, F5, max_deg=3)
+        g = rand_fn(rng, F5, max_deg=3)
+        family = curve_residue_family(f, g)
+        sym = family.symbol
+        places = [block.place for block in sym.blocks]
+        n = sym.modulus
+        for lattice in family.b_map.values():
+            sym.evaluate(lattice)
+        residues = {j for j in range(n) if rng.random() < 0.6}
+        n0 = rng.randint(-4, 4)
+        added = {n0 - rng.randint(1, 5) for _ in range(2)}
+        pairs = [
+            (MonomialLattice.progression_ray(residues, n, n0),
+             MonomialLattice.ray(n0).intersect(
+                 MonomialLattice.progression(residues, n))),
+            (MonomialLattice.from_ray_spec(n0, added, {n0 + 1}),
+             MonomialLattice.ray(n0 + 2).union(MonomialLattice.finite(
+                 added | {n0}))),
+            (MonomialLattice.everything().difference(
+                MonomialLattice.lower_ray(n0)),
+             MonomialLattice.ray(n0 - 3).shift(3)),
+        ]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b)
+            value = sym.evaluate(a)
+            traced = len(sym._traced)
+            assert sym.evaluate(b) == value
+            assert len(sym._traced) == traced
+            assert ResidueSymbol(f, g, places).evaluate(b) == value
