@@ -5,7 +5,9 @@ Cantor-Zassenhaus equal-degree splitting (the trace map for p = 2), so the
 result is complete and certified.  Over Q we stop at what exact elementary
 means certify: squarefree splitting, rational-root extraction, and the
 degree-2/3 irreducibility test; any surviving cofactor of degree >= 4 is
-returned flagged as not certified irreducible.
+returned flagged as not certified irreducible.  A squarefree part of degree
+1 is irreducible as it stands, so it skips the root search, whose divisor
+enumeration is trial division up to the square root of its coefficients.
 
 Over F_p the modular arithmetic runs on coefficient tuples through
 `poly.convolve` and `poly.reduce_monic`.  For each monic squarefree part f
@@ -245,7 +247,6 @@ def factor_rationals_limited(f: Polynomial) -> Factorization:
     items: list[Factor] = []
     for squarefree, mult in f.squarefree_part_decomposition():
         if squarefree.degree == 1:
-            # irreducible as it stands; its root needs no divisor search
             items.append(Factor(squarefree.monic(), mult, True))
             continue
         rest = squarefree

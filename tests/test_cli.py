@@ -330,7 +330,7 @@ def test_tall_coefficients_are_rejected_quickly(capsys):
 
 
 def test_linear_factors_need_no_divisor_search(capsys):
-    # 7^20 has 17 digits; trial division of it ran for minutes
+    # 7^20 has 17 digits: a divisor search by trial division takes minutes
     start = time.perf_counter()
     code, out, err = run(capsys, "sumval", "--f", "7^20*t+1")
     assert time.perf_counter() - start < 2.0
