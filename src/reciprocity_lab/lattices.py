@@ -54,7 +54,7 @@ class MonomialLattice:
         while hi > lo:
             member = bool(runs) and runs[-1][1] == hi
             start = runs[-1][0] if member else (runs[-1][1] if runs else lo)
-            cut = _agree_from_top(start, hi, modulus, high_pat, member)
+            cut = _agree_until(hi, start, modulus, high_pat, member)
             if cut == hi:
                 break
             hi = cut
@@ -68,7 +68,7 @@ class MonomialLattice:
             member = first < len(runs) and runs[first][0] == lo
             stop = runs[first][1] if member else \
                 (runs[first][0] if first < len(runs) else hi)
-            cut = _agree_from_bottom(lo, stop, modulus, low_pat, member)
+            cut = _agree_until(lo, stop, modulus, low_pat, member)
             if cut == lo:
                 break
             lo = cut
@@ -260,12 +260,8 @@ class MonomialLattice:
         d = self.modulus * step
         low = [(offset + s * step) % d for s in self.low_pat]
         high = [(offset + s * step) % d for s in self.high_pat]
-        if step == 1:
-            runs = [(offset + start, offset + stop) for start, stop in self.runs]
-        else:
-            runs = [(n, n + 1) for start, stop in self.runs
-                    for n in range(offset + start * step, offset + stop * step,
-                                   step)]
+        runs = [(n, n + 1) for start, stop in self.runs
+                for n in range(offset + start * step, offset + stop * step, step)]
         return MonomialLattice(d, offset + self.lo * step,
                                offset + self.hi * step, runs, low, high)
 
@@ -358,24 +354,20 @@ def _merge_runs(xs: list, ys: list, keep) -> list[tuple[int, int]]:
     return out
 
 
-def _agree_from_top(start: int, stop: int, modulus: int, pat: frozenset,
-                    member: bool) -> int:
-    """Least c >= start with (n mod modulus in pat) == member on [c, stop)."""
-    if len(pat) == modulus or not pat:
-        return start if (len(pat) == modulus) == member else stop
-    while stop > start and ((stop - 1) % modulus in pat) == member:
-        stop -= 1
-    return stop
+def _agree_until(edge: int, far: int, modulus: int, pat: frozenset,
+                 member: bool) -> int:
+    """Walk from the window edge `edge` toward `far` while each n passed has
+    (n mod modulus in pat) == member, and return where the walk stops.
 
-
-def _agree_from_bottom(start: int, stop: int, modulus: int, pat: frozenset,
-                       member: bool) -> int:
-    """Greatest c <= stop with (n mod modulus in pat) == member on [start, c)."""
+    Windows are half-open, so a step up from n passes n and a step down
+    from n passes n - 1.
+    """
     if len(pat) == modulus or not pat:
-        return stop if (len(pat) == modulus) == member else start
-    while start < stop and (start % modulus in pat) == member:
-        start += 1
-    return start
+        return far if (len(pat) == modulus) == member else edge
+    step, back = (1, 0) if far > edge else (-1, 1)
+    while edge != far and ((edge - back) % modulus in pat) == member:
+        edge += step
+    return edge
 
 
 def _joint_period(modulus: int, low_pat: frozenset, high_pat: frozenset) -> int:
