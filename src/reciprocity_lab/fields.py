@@ -26,6 +26,11 @@ from .errors import DomainError, MixedFieldError, ParseError, ZeroInputError
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
 
+# Python turns at most 4300 digits of an int into text by default, and
+# 2^14284 < 10^4300: a rational whose numerator and denominator fit in
+# this many bits always renders, a larger one is refused before str().
+_RENDER_BITS = 14284
+
 
 def _is_prime(n: int) -> bool:
     """Exact primality below `_MR_LIMIT`; larger n raise DomainError."""
@@ -152,6 +157,10 @@ class RationalField(Field):
         return (a.numerator, a.denominator)
 
     def render(self, a) -> str:
+        if max(a.numerator.bit_length(),
+               a.denominator.bit_length()) > _RENDER_BITS:
+            raise DomainError("a computed value has more than 4300 digits "
+                              "and cannot be rendered")
         return str(a)
 
     def __eq__(self, other):

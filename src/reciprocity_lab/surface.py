@@ -194,10 +194,6 @@ def _horozov_local(vc, phis, minus_one, x: Place) -> FieldScalar:
 
 
 def _parshin_local(vc, phis, x: Place) -> FieldScalar:
-    if x.degree != 1:
-        raise DomainError("the antisymmetric three-slot symbol is evaluated "
-                          "at degree-1 points only; no norm-twisted form is "
-                          "defined at higher degree")
     vb = tuple(p.valuation(x) for p in phis)
     a = vc[1] * vb[2] - vc[2] * vb[1]
     b = vc[0] * vb[2] - vc[2] * vb[0]
@@ -208,8 +204,8 @@ def _parshin_local(vc, phis, x: Place) -> FieldScalar:
     # the monomial has curve valuation 0 and x-valuation 0 identically,
     # so restriction and evaluation never leave the unit locus
     unit = (phis[0] ** a * phis[1] ** (-b) * phis[2] ** c).evaluate(x)
-    value = x.residue_field().to_base_scalar(unit.raw)
-    return -value if alpha % 2 else value
+    ring = x.residue_field()
+    return ring.norm(ring.mul(ring.sign(alpha), unit.raw))
 
 
 def _hk4_local(vc, phis, tames, minus_one, base, x: Place) -> FieldScalar:
@@ -253,11 +249,13 @@ def horozov3(f: RationalFunction, g: RationalFunction, h: RationalFunction,
 
 def parshin3(f: RationalFunction, g: RationalFunction, h: RationalFunction,
              x: Place, z: RationalFunction | None = None) -> FieldScalar:
-    """Antisymmetric three-slot local symbol at a degree-1 point x.
+    """Antisymmetric three-slot local symbol at a closed point x of C.
 
-    A signed evaluation of the monomial with the six 2 x 2 determinant
-    exponents; the parameter z drops out, and the value equals the cyclic
-    product of three-slot symbols (f,g,h)(h,f,g)(g,h,f) at the same z.
+    The signed value of the monomial with the six 2 x 2 determinant
+    exponents lies in k(x)^*; like the tame symbol, the k-valued symbol is
+    its norm down to k.  The parameter z drops out, and the value equals
+    the cyclic product of three-slot symbols (f,g,h)(h,f,g)(g,h,f) at the
+    same z, at places of any degree.
     """
     return _local_symbol("parshin", (f, g, h), z)[0](x)
 

@@ -11,6 +11,12 @@ enough that every matrix entry of the commutator's diagonal is exact; the
 block support of that diagonal is predicted set-theoretically from the
 lattice and asserted, never assumed.  Truncating f, g, or both gives the
 same answer, which the test suite exercises.
+
+`CommutatorTrace` is the one recipe: built once per (f, g, x), it keeps the
+valuations, data spread and expansion bands, and against each lattice it
+computes the predicted support once, checks the window against the bound
+derived from it, and hands the support to `banded_commutator_trace`.
+`abstract_residue_trace` and `xsymbol.ResidueSymbol` both go through it.
 """
 from __future__ import annotations
 
@@ -49,17 +55,6 @@ def _local_band(h: RationalFunction, x: Place, upto: int) -> dict[int, tuple]:
             if not ring.is_zero(series.coefficient(n))}
 
 
-def commutator_bands(f: RationalFunction, g: RationalFunction, x: Place,
-                     vf: int, vg: int) -> tuple[dict, dict]:
-    """Expansion bands of f and g at x, as far as the commutator trace reads.
-
-    vf and vg are the valuations at x.  The diagonal pairs the n-th
-    coefficient of f with the (-n)-th of g, which starts at vg, so f is read
-    through -vg and g through -vf; both bands run _MARGIN further.
-    """
-    return _local_band(f, x, -vg + _MARGIN), _local_band(g, x, -vf + _MARGIN)
-
-
 def _support_bound(lattice: MonomialLattice, vf: int, vg: int) -> tuple[int, int]:
     """Exact two-sided bound on where the commutator diagonal can live.
 
@@ -83,13 +78,18 @@ def _support_bound(lattice: MonomialLattice, vf: int, vg: int) -> tuple[int, int
     return support.runs[0][0], support.runs[-1][1] - 1
 
 
+def _radius(lattice: MonomialLattice, support: tuple[int, int], vf: int,
+            vg: int, spread_sum: int) -> int:
+    """Block radius from valuations, data spread, support and lattice ends."""
+    low, high = support
+    return max(abs(vf) + abs(vg) + spread_sum + 2, abs(low) + 2, abs(high) + 2,
+               abs(lattice.lo) + 2, abs(lattice.hi) + 2)
+
+
 def window_bound(lattice: MonomialLattice, vf: int, vg: int,
                  spread_sum: int) -> int:
     """Block radius from valuations, defining-data spread, and lattice shape."""
-    formula = abs(vf) + abs(vg) + spread_sum + 2
-    low, high = _support_bound(lattice, vf, vg)
-    return max(formula, abs(low) + 2, abs(high) + 2,
-               abs(lattice.lo) + 2, abs(lattice.hi) + 2)
+    return _radius(lattice, _support_bound(lattice, vf, vg), vf, vg, spread_sum)
 
 
 def data_spread(h: RationalFunction) -> int:
@@ -107,6 +107,43 @@ def minimal_window(f: RationalFunction, g: RationalFunction, x: Place,
                         data_spread(f) + data_spread(g))
 
 
+class CommutatorTrace:
+    """The commutator trace of one pair f, g at one place x, for any lattice.
+
+    Holds what the lattice does not change: the residue field, v_x(f),
+    v_x(g), the data spread and the expansion bands.  The diagonal pairs the
+    n-th coefficient of f with the (-n)-th of g, which starts at v_x(g), so
+    f is read through -v_x(g) and g through -v_x(f); both bands run _MARGIN
+    further.
+    """
+
+    __slots__ = ("ring", "vf", "vg", "spread", "f_band", "g_band")
+
+    def __init__(self, f: RationalFunction, g: RationalFunction, x: Place):
+        if f.is_zero() or g.is_zero():
+            raise ZeroInputError("zero input to the abstract residue")
+        self.ring = x.residue_field()
+        self.vf = f.valuation(x)
+        self.vg = g.valuation(x)
+        self.spread = data_spread(f) + data_spread(g)
+        self.f_band = _local_band(f, x, -self.vg + _MARGIN)
+        self.g_band = _local_band(g, x, -self.vf + _MARGIN)
+
+    def trace(self, lattice: MonomialLattice, window: int | None = None,
+              truncate: str = "f") -> FieldScalar:
+        """Ground-field trace of [f1, g1]; the support bounds and checks it."""
+        support = _support_bound(lattice, self.vf, self.vg)
+        bound = _radius(lattice, support, self.vf, self.vg, self.spread)
+        if window is None:
+            window = bound
+        elif window < bound:
+            raise DomainError(
+                f"window {window} is below the admissible bound {bound}")
+        raw = banded_commutator_trace(self.ring, self.f_band, self.g_band,
+                                      *support, lattice, window, truncate)
+        return self.ring.trace(raw)
+
+
 def abstract_residue_trace(f: RationalFunction, g: RationalFunction, x: Place,
                            window: int | None = None,
                            lattice: MonomialLattice | None = None,
@@ -117,32 +154,20 @@ def abstract_residue_trace(f: RationalFunction, g: RationalFunction, x: Place,
     f1 = P o M_f with g1 = M_g, "g" the symmetric choice, "both" projects
     both.  All choices agree and equal classical_residue(f, g, x).
     """
-    if f.is_zero() or g.is_zero():
-        raise ZeroInputError("zero input to the abstract residue")
     lattice = MonomialLattice.ray(0) if lattice is None else lattice
-    vf = f.valuation(x)
-    vg = g.valuation(x)
-    bound = window_bound(lattice, vf, vg, data_spread(f) + data_spread(g))
-    if window is None:
-        window = bound
-    elif window < bound:
-        raise DomainError(f"window {window} is below the admissible bound {bound}")
-
-    ring = x.residue_field()
-    f_band, g_band = commutator_bands(f, g, x, vf, vg)
-    raw = banded_commutator_trace(ring, f_band, g_band, vf, vg,
-                                  lattice, window, truncate)
-    return ring.trace(raw)
+    return CommutatorTrace(f, g, x).trace(lattice, window, truncate)
 
 
 def banded_commutator_trace(ring, f_band: dict[int, tuple],
-                            g_band: dict[int, tuple], vf: int, vg: int,
+                            g_band: dict[int, tuple], low: int, high: int,
                             lattice: MonomialLattice, window: int,
                             truncate: str = "f"):
     """Raw residue-field trace of [f1, g1] from precomputed expansion bands.
 
-    Callers that evaluate one pair of functions against many lattices can
-    reuse the bands; the matrices are still rebuilt per call.
+    [low, high] is the predicted support of the commutator diagonal; an
+    entry that is nonzero outside it raises PrecisionError.  Callers that
+    evaluate one pair of functions against many lattices can reuse the
+    bands; the matrices are still rebuilt per call.
     """
     if truncate not in ("f", "g", "both"):
         raise DomainError(f"unknown truncation choice {truncate!r}")
@@ -165,7 +190,6 @@ def banded_commutator_trace(ring, f_band: dict[int, tuple],
             if row in extended and (not project_g or row in lattice):
                 gmat[(row, col)] = coeff
 
-    low, high = _support_bound(lattice, vf, vg)
     acc = ring.zero
     for j in block:
         entry = ring.zero

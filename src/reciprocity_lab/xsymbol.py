@@ -27,8 +27,7 @@ from .lattices import (BlockShiftOperator, MonomialLattice, MonomialOperator,
                        lattice_index)
 from .report import VerificationReport
 from .symbols1d import residue_theorem_places, tame_symbol
-from .tate import (banded_commutator_trace, commutator_bands, data_spread,
-                   window_bound)
+from .tate import CommutatorTrace
 
 
 class IndexSymbol:
@@ -48,36 +47,17 @@ class IndexSymbol:
     def combine(self, a: int, b: int) -> int:
         return a + b
 
-    def eq(self, a: int, b: int) -> bool:
-        return a == b
-
     def render(self, a: int) -> str:
         return str(a)
-
-
-class _ResidueBlock:
-    """Cached local data of one place: expansion bands and valuations."""
-
-    __slots__ = ("offset", "place", "ring", "f_band", "g_band", "vf", "vg", "spread")
-
-    def __init__(self, offset: int, place: Place, f: RationalFunction,
-                 g: RationalFunction):
-        self.offset = offset
-        self.place = place
-        self.ring = place.residue_field()
-        self.vf = f.valuation(place)
-        self.vg = g.valuation(place)
-        self.spread = data_spread(f) + data_spread(g)
-        self.f_band, self.g_band = commutator_bands(f, g, place,
-                                                    self.vf, self.vg)
 
 
 class ResidueSymbol:
     """f(A) = sum of block residues of f dg against block-local lattices.
 
-    A block's traced value depends only on the block and its local lattice,
-    and the family runs meet the same local lattices again and again; each
-    distinct pair is traced once per instance.
+    Block j holds the commutator trace of f, g at places[j].  A block's
+    traced value depends only on the block and its local lattice, and the
+    family runs meet the same local lattices again and again; each distinct
+    pair is traced once per instance.
     """
 
     name = "residue"
@@ -90,22 +70,19 @@ class ResidueSymbol:
         self.modulus = len(places) if modulus is None else modulus
         if self.modulus < len(places):
             raise DomainError("need at least one progression per place")
-        self.blocks = [_ResidueBlock(j, x, f, g) for j, x in enumerate(places)]
+        self.places = list(places)
+        self._blocks = [CommutatorTrace(f, g, x) for x in places]
         self._traced: dict = {}
 
     def evaluate(self, lattice: MonomialLattice) -> FieldScalar:
         total = self.field.zero_scalar()
-        for block in self.blocks:
-            local = lattice.extract_progression(block.offset, self.modulus)
+        for offset, block in enumerate(self._blocks):
+            local = lattice.extract_progression(offset, self.modulus)
             if local.is_empty():
                 continue
-            key = (block.offset, local)
+            key = (offset, local)
             if key not in self._traced:
-                window = window_bound(local, block.vf, block.vg, block.spread)
-                raw = banded_commutator_trace(
-                    block.ring, block.f_band, block.g_band,
-                    block.vf, block.vg, local, window)
-                self._traced[key] = block.ring.trace(raw)
+                self._traced[key] = block.trace(local)
             total = total + self._traced[key]
         return total
 
@@ -114,9 +91,6 @@ class ResidueSymbol:
 
     def combine(self, a: FieldScalar, b: FieldScalar) -> FieldScalar:
         return a + b
-
-    def eq(self, a: FieldScalar, b: FieldScalar) -> bool:
-        return a == b
 
     def render(self, a: FieldScalar) -> str:
         return str(a)
@@ -160,12 +134,11 @@ class TameSymbol:
         self.modulus = len(places) if modulus is None else modulus
         if self.modulus < len(places):
             raise DomainError("need at least one progression per place")
-        self.offsets = list(range(len(places)))
         self.values = [tame_symbol(f, g, x) for x in places]
 
     def evaluate(self, lattice: MonomialLattice) -> FieldScalar:
         result = self.field.one_scalar()
-        for offset, value in zip(self.offsets, self.values):
+        for offset, value in enumerate(self.values):
             local = lattice.extract_progression(offset, self.modulus)
             upper, lower = _two_sided_class(local)
             result = result * value ** (upper - lower)
@@ -176,9 +149,6 @@ class TameSymbol:
 
     def combine(self, a: FieldScalar, b: FieldScalar) -> FieldScalar:
         return a * b
-
-    def eq(self, a: FieldScalar, b: FieldScalar) -> bool:
-        return a == b
 
     def render(self, a: FieldScalar) -> str:
         return str(a)
@@ -191,13 +161,13 @@ def xsymbol_axiom_check(sym, a: MonomialLattice, b: MonomialLattice) -> bool:
     ok = True
     for lattice, value in ((a, fa), (b, fb)):
         if lattice.is_empty() or lattice == MonomialLattice.everything():
-            ok = ok and sym.eq(value, sym.identity())
+            ok = ok and value == sym.identity()
     commensurable, _ = a.commensurable(b)
     if commensurable:
-        ok = ok and sym.eq(fa, fb)
+        ok = ok and fa == fb
     lhs = sym.combine(fa, fb)
     rhs = sym.combine(sym.evaluate(a.union(b)), sym.evaluate(a.intersect(b)))
-    return ok and sym.eq(lhs, rhs)
+    return ok and lhs == rhs
 
 
 def independence_check(lattices: list[MonomialLattice]) -> bool:
@@ -290,10 +260,9 @@ def general_reciprocity_run(family: XSymbolFamily) -> VerificationReport:
 
     values = [sym.evaluate(a) for a in lattices]
     for J in keys:
-        if all(sym.eq(values[i], sym.identity())
-               for i in range(n) if i not in J):
+        if all(values[i] == sym.identity() for i in range(n) if i not in J):
             b_value = sym.evaluate(b_map[J])
-            if not sym.eq(b_value, sym.identity()):
+            if b_value != sym.identity():
                 raise HypothesisViolation(
                     "c", f"B_{sorted(J)} has value {sym.render(b_value)} "
                          "despite trivial complement values")
@@ -313,7 +282,7 @@ def general_reciprocity_run(family: XSymbolFamily) -> VerificationReport:
         terms=terms,
         value=sym.render(lhs),
         expected=sym.render(rhs),
-        ok=sym.eq(lhs, rhs),
+        ok=lhs == rhs,
         details={"b_sets": len(b_map)},
     )
 
@@ -346,14 +315,16 @@ def curve_index_family(f: RationalFunction) -> XSymbolFamily:
     return XSymbolFamily.with_derived_b(symbol, lattices)
 
 
+def _per_place_family(symbol) -> XSymbolFamily:
+    """One member per block: the ray of the progression j mod the modulus."""
+    lattices = [MonomialLattice.progression_ray((j,), symbol.modulus)
+                for j in range(symbol.modulus)]
+    return XSymbolFamily.with_derived_b(symbol, lattices)
+
+
 def curve_residue_family(f: RationalFunction, g: RationalFunction) -> XSymbolFamily:
     """Residue theorem data: one progression per place of the joint support."""
-    places = residue_theorem_places(f, g)
-    modulus = len(places)
-    symbol = ResidueSymbol(f, g, places)
-    lattices = [MonomialLattice.progression_ray((j,), modulus)
-                for j in range(modulus)]
-    return XSymbolFamily.with_derived_b(symbol, lattices)
+    return _per_place_family(ResidueSymbol(f, g, residue_theorem_places(f, g)))
 
 
 def curve_tame_family(f: RationalFunction, g: RationalFunction) -> XSymbolFamily:
@@ -361,8 +332,4 @@ def curve_tame_family(f: RationalFunction, g: RationalFunction) -> XSymbolFamily
     places = support_union(f, g)
     if not places:
         places = [Place.at_infinity(f.field, f.var)]
-    modulus = len(places)
-    symbol = TameSymbol(f, g, places)
-    lattices = [MonomialLattice.progression_ray((j,), modulus)
-                for j in range(modulus)]
-    return XSymbolFamily.with_derived_b(symbol, lattices)
+    return _per_place_family(TameSymbol(f, g, places))

@@ -59,21 +59,25 @@ def rand_fn_for(rng, field, max_deg=5):
 
 
 def rand_surface_fn(rng, base, max_factors=3):
-    """Product of c * (s-a)^e * t^b and curve units 1 + (s-a)*t^m.
+    """Product of c * p(s)^e * t^b and curve units 1 + p(s)*t^m.
 
-    Keeps every s-support place at degree 1, which both the limited Q
-    factorizer and the antisymmetric three-slot symbol require.
+    Over F_p, p is s - a or a random monic polynomial of degree 2 or 3, so
+    s-support places of higher degree occur.  Over Q p stays s - a: the Q
+    factorizer certifies only low-degree factors.
     """
     s, t = surface_generators(base)
     f = (t ** 0) * rng.choice([1, 2, -1, 3])
     f = f * t ** rng.randint(-2, 2)
     for _ in range(rng.randint(0, max_factors)):
         kind = rng.random()
-        a = rng.randint(-3, 3)
+        p = s - rng.randint(-3, 3)
+        if base is not Q and rng.random() < 0.5:
+            p = (p * s ** rng.randint(1, 2) + rng.randint(0, 9) * s
+                 + rng.randint(0, 9))
         if kind < 0.5:
-            f = f * (s - a) ** rng.choice([1, 2, -1, -2])
+            f = f * p ** rng.choice([1, 2, -1, -2])
         else:
-            f = f * (1 + (s - a) * t ** rng.randint(1, 2))
+            f = f * (1 + p * t ** rng.randint(1, 2))
     return f
 
 

@@ -1,6 +1,8 @@
 import json
+import re
 import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -150,8 +152,9 @@ def test_domain_errors_exit_3(capsys):
                        "--m", "2", "--place", "t")
     assert code == 3
     code, _, err = run(capsys, "parshin", "--f", "t", "--g", "s",
-                       "--h", "s", "--place", "s^2+1")
+                       "--h", "s", "--z", "t^2", "--place", "s^2+1")
     assert code == 3
+    assert "first order" in err
     code, _, err = run(capsys, "residue", "--f", "0", "--g", "t",
                        "--place", "t")
     assert code == 3
@@ -275,6 +278,37 @@ def test_law_reports_keep_their_bytes(capsys):
         assert (code, out) == (0, expected), line
 
 
+def _readme_examples():
+    """(argv, shown output lines) of each README command shown with output."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S):
+        lines = block.replace("\\\n", " ").splitlines()
+        for i, line in enumerate(lines):
+            if not line.startswith("$ reciprocity-lab "):
+                continue
+            shown = []
+            for follow in lines[i + 1:]:
+                if not follow or follow.startswith("$ "):
+                    break
+                shown.append(follow)
+            if shown:
+                examples.append((shlex.split(line)[2:], shown))
+    return examples
+
+
+def test_readme_outputs_match_the_command_line(capsys):
+    examples = _readme_examples()
+    assert [argv[0] for argv, _ in examples] == ["sw", "weil"]
+    for argv, shown in examples:
+        # a shown "..." line stands for any run of lines
+        pattern = "".join(r"(?:.*\n)*?" if line.strip() == "..."
+                          else re.escape(line) + r"\n" for line in shown)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert re.fullmatch(pattern, out), (argv, out)
+
+
 def test_seed_is_not_an_option():
     # factorizations are unique, so no seed can change a report
     with pytest.raises(SystemExit) as exc:
@@ -348,6 +382,22 @@ def test_orders_above_the_bound_are_rejected(capsys):
                        "t", "--order", str(segalwilson.ORDER_BOUND))
     assert code == 0
     assert out.strip().endswith("OK")
+
+
+def test_values_too_long_to_render_exit_3(capsys):
+    cases = [
+        ["sw", "--f", "10000000000/t", "--g", "t", "--place", "t",
+         "--order", "1000"],
+        ["sw", "--f", "10000000000/t", "--g", "t", "--order", "1000"],
+        ["weil", "--f", "(7^50)^20*t", "--g", "t^50"],
+        ["tame", "--f", "(7^50)^20*t", "--g", "t^50", "--place", "t"],
+    ]
+    for argv in cases:
+        start = time.perf_counter()
+        code, _, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2.0
+        assert code == 3
+        assert "domain error" in err and "Traceback" not in err
 
 
 def test_reports_validate_against_the_schema(capsys):

@@ -68,6 +68,17 @@ def test_sign_helper():
     assert Q.sign(-1) == Fraction(-1)
 
 
+def test_rationals_past_the_text_limit_are_refused_before_str():
+    # 2^14284 - 1 has 4300 digits; 2^14285 - 1 has 4301
+    widest = 2 ** 14284 - 1
+    assert len(Q.render(Fraction(widest))) == 4300
+    assert len(Q.render(Fraction(-1, widest))) == 4303
+    for value in (Fraction(widest + 1), Fraction(-widest - 1),
+                  Fraction(1, widest + 1)):
+        with pytest.raises(DomainError):
+            Q.render(value)
+
+
 def test_descriptor_parsing():
     assert field_from_descriptor("Q") is field_from_descriptor("Q")
     assert isinstance(field_from_descriptor("Fp:11"), PrimeField)

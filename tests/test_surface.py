@@ -218,12 +218,27 @@ def test_parshin_is_z_independent():
             assert parshin3(f, g, h, x, z=z) == want
 
 
-def test_parshin_rejects_higher_degree_places():
-    s, t = gens(Q)
-    pi = Polynomial.variable(Q, "s") ** 2 + Polynomial.one(Q, "s")
-    x = Place.finite(pi)
-    with pytest.raises(DomainError):
-        parshin3(t, s, s, x)
+def test_parshin_at_a_degree_two_place_equals_the_cyclic_horozov_product():
+    rng = random.Random(359)
+    for base, c in ((Q, 1), (F5, 2)):
+        s, t = gens(base)
+        pi = s * s + c
+        x = Place.finite(Polynomial.variable(base, "s") ** 2
+                         + Polynomial.constant(base, base.from_int(c), "s"))
+        assert x.degree == 2
+        triples = [(pi * t, s + t, 1 + s * t), (t, pi, s)]
+        for _ in range(10):
+            triples.append(tuple(rand_surface_fn(rng, base) * pi ** e
+                                 for e in (rng.randint(-2, 2), 1,
+                                           rng.randint(0, 1))))
+        nontrivial = 0
+        for f, g, h in triples:
+            cyclic = horozov3(f, g, h, x) * horozov3(h, f, g, x) * \
+                horozov3(g, h, f, x)
+            value = parshin3(f, g, h, x)
+            assert value == cyclic
+            nontrivial += value != base.scalar(1)
+        assert nontrivial
 
 
 def test_unit_triples_give_one():

@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
+from reciprocity_lab import tate
 from reciprocity_lab.errors import DomainError, ZeroInputError
 from reciprocity_lab.funcfield import Place, RationalFunction, support_union
 from reciprocity_lab.lattices import MonomialLattice
@@ -9,6 +11,8 @@ from reciprocity_lab.poly import Polynomial
 from reciprocity_lab.tate import (_support_bound, abstract_residue_trace,
                                   classical_residue, data_spread,
                                   minimal_window, window_bound)
+
+from reciprocity_lab.xsymbol import curve_residue_family
 
 from helpers import F3, F5, Q, rand_fn, rand_fn_q, rand_lattice
 
@@ -145,6 +149,37 @@ def test_lattice_choice_is_immaterial():
         for tr in TRUNCATIONS:
             got = abstract_residue_trace(f, g, x, lattice=lattice, truncate=tr)
             assert got == want
+
+
+def test_each_trace_computes_its_support_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        inner = getattr(tate, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(tate, name, wrapper)
+
+    counted("_support_bound")
+    counted("banded_commutator_trace")
+    rng = random.Random(211)
+    f = rand_fn(rng, F5, max_deg=3)
+    g = rand_fn(rng, F5, max_deg=3)
+    lattices = [MonomialLattice.ray(0), MonomialLattice.lower_ray(2),
+                MonomialLattice.from_ray_spec(1, added={-2}, removed={3})]
+    for x in support_union(f, g, include_infinity=True):
+        for lattice in lattices:
+            abstract_residue_trace(f, g, x, lattice=lattice)
+    assert calls["banded_commutator_trace"] > 0
+    assert calls["_support_bound"] == calls["banded_commutator_trace"]
+    calls.clear()
+    family = curve_residue_family(f, g)
+    for lattice in family.b_map.values():
+        family.symbol.evaluate(lattice)
+    assert calls["banded_commutator_trace"] > 0
+    assert calls["_support_bound"] == calls["banded_commutator_trace"]
 
 
 def test_zero_inputs_are_rejected():
