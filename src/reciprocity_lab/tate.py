@@ -12,11 +12,9 @@ block support of that diagonal is predicted set-theoretically from the
 lattice and asserted, never assumed.  Truncating f, g, or both gives the
 same answer, which the test suite exercises.
 
-`CommutatorTrace` is the one recipe: built once per (f, g, x), it keeps the
-valuations, data spread and expansion bands, and against each lattice it
-computes the predicted support once, checks the window against the bound
-derived from it, and hands the support to `banded_commutator_trace`.
-`abstract_residue_trace` and `xsymbol.ResidueSymbol` both go through it.
+`CommutatorTrace`, built once per (f, g, x), is the one recipe: against
+each lattice it computes the predicted support once, which both bounds the
+window and checks the materialized diagonal.
 """
 from __future__ import annotations
 

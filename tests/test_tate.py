@@ -11,7 +11,6 @@ from reciprocity_lab.poly import Polynomial
 from reciprocity_lab.tate import (_support_bound, abstract_residue_trace,
                                   classical_residue, data_spread,
                                   minimal_window, window_bound)
-
 from reciprocity_lab.xsymbol import curve_residue_family
 
 from helpers import F3, F5, Q, rand_fn, rand_fn_q, rand_lattice
