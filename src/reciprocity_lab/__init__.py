@@ -18,7 +18,7 @@ from .localfield import LaurentSeries, expand
 from .lattices import (BlockShiftOperator, MonomialLattice, MonomialOperator,
                        lattice_index, parse_lattice)
 from .tate import (abstract_residue_trace, banded_commutator_trace,
-                   classical_residue, window_bound)
+                   classical_residue, minimal_window)
 from .report import VerificationReport
 from .symbols1d import (hilbert_symbol, hilbert_verify, milnor_symbol,
                         residue_theorem_places, residue_theorem_verify,
@@ -54,10 +54,11 @@ __all__ = [
     "field_from_descriptor", "general_reciprocity_run", "hilbert_symbol",
     "hilbert_verify", "hk4", "horozov3", "independence_check",
     "is_irreducible", "lambda_shift", "lattice_index", "milnor_symbol",
-    "nu_symbol", "nu_verify", "parse_field", "parse_lattice", "parse_place",
-    "parse_rational", "parse_surface", "parshin3", "phi_z",
+    "minimal_window", "nu_symbol", "nu_verify", "parse_field",
+    "parse_lattice", "parse_place", "parse_rational", "parse_surface",
+    "parshin3", "phi_z",
     "reciprocity_verify_2d", "residue_theorem_places",
     "residue_theorem_verify", "restrict_to_curve", "sum_of_valuations_verify",
     "support_union", "surface_generators", "sw_verify", "tame_symbol",
-    "vbar", "weil_verify", "window_bound", "xsymbol_axiom_check",
+    "vbar", "weil_verify", "xsymbol_axiom_check",
 ]

@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
             f=(True, expr), g=(True, expr), place=(False, expr))
     p.add_argument("--order", type=int, default=DEFAULT_ORDER,
                    help=f"truncation order in z (default {DEFAULT_ORDER}, "
-                        f"at most {ORDER_BOUND})")
+                        f"from 0 to {ORDER_BOUND})")
 
     p = cmd("index", "lattice index of multiplication by f at a place",
             f=(True, expr), place=(False, expr))
@@ -215,8 +215,8 @@ def _dispatch(args) -> VerificationReport:
                              str(place), value)
 
     if command == "sw":
-        if args.order > ORDER_BOUND:
-            raise ParseError(f"--order {args.order} is above {ORDER_BOUND}")
+        if not 0 <= args.order <= ORDER_BOUND:
+            raise ParseError(f"--order {args.order} is outside [0, {ORDER_BOUND}]")
         f = parse_rational(args.f, field)
         g = parse_rational(args.g, field)
         if args.place:

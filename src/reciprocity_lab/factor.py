@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import random
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -266,28 +265,28 @@ def factor_rationals_limited(f: Polynomial) -> Factorization:
 
 
 _factor_cache: dict = {}
-_factor_lock = threading.Lock()
 _CACHE_LIMIT = 4096
 
 
 def factor_polynomial(f: Polynomial) -> Factorization:
     """Factor over the polynomial's ground field, with a small process cache.
 
-    The cache is keyed by (field, variable, coefficients) behind a lock.
+    The cache is keyed by (field, variable, coefficients).  It needs no
+    lock: every read and store is one dict operation, a factorization is a
+    pure function of its key, and a race between threads can only factor
+    a polynomial twice or empty the cache twice.
     """
     key = (f.field.descriptor, f.var, f.coeffs)
-    with _factor_lock:
-        hit = _factor_cache.get(key)
+    hit = _factor_cache.get(key)
     if hit is not None:
         return hit
     if isinstance(f.field, PrimeField):
         result = factor_prime_field(f)
     else:
         result = factor_rationals_limited(f)
-    with _factor_lock:
-        if len(_factor_cache) >= _CACHE_LIMIT:
-            _factor_cache.clear()
-        _factor_cache[key] = result
+    if len(_factor_cache) >= _CACHE_LIMIT:
+        _factor_cache.clear()
+    _factor_cache[key] = result
     return result
 
 

@@ -11,8 +11,8 @@ descriptors is a hard error, the only implicit conversion anywhere is int
 literals into the ambient field.
 
 This module also owns the library's one square-and-multiply loop,
-`power(mul, one, x, n)`, behind `Field.pow`, `Polynomial.__pow__`,
-`TruncatedPowerSeries.__pow__` and modular powers in `factor`.
+`power(mul, one, x, n)`, behind `Field.pow`, `Polynomial.__pow__` and
+modular powers in `factor`.
 """
 from __future__ import annotations
 

@@ -101,11 +101,6 @@ class MonomialLattice:
         return cls(1, n0, n0, (), (), (0,))
 
     @classmethod
-    def lower_ray(cls, n0: int) -> "MonomialLattice":
-        """All exponents < n0."""
-        return cls(1, n0, n0, (), (0,), ())
-
-    @classmethod
     def finite(cls, members) -> "MonomialLattice":
         members = sorted(set(members))
         if not members:
@@ -157,9 +152,6 @@ class MonomialLattice:
         i = bisect_right(self.runs, (n, inf))
         return i > 0 and n < self.runs[i - 1][1]
 
-    def members_in(self, start: int, stop: int) -> list[int]:
-        return [n for n in range(start, stop) if n in self]
-
     def _window_members(self):
         return [n for start, stop in self.runs for n in range(start, stop)]
 
@@ -168,9 +160,6 @@ class MonomialLattice:
 
     def is_finite(self) -> bool:
         return not self.low_pat and not self.high_pat
-
-    def is_bounded_below(self) -> bool:
-        return not self.low_pat
 
     def size(self) -> int:
         if not self.is_finite():
@@ -252,19 +241,6 @@ class MonomialLattice:
                  if (offset + m * step) in self]
         return MonomialLattice(d, lo, hi, runs, low, high)
 
-    def affine_image(self, offset: int, step: int) -> "MonomialLattice":
-        """The set {offset + n*step : n in self}; a right inverse of
-        extract_progression at the same offset and step."""
-        if step < 1:
-            raise DomainError("step must be positive")
-        d = self.modulus * step
-        low = [(offset + s * step) % d for s in self.low_pat]
-        high = [(offset + s * step) % d for s in self.high_pat]
-        runs = [(n, n + 1) for start, stop in self.runs
-                for n in range(offset + start * step, offset + stop * step, step)]
-        return MonomialLattice(d, offset + self.lo * step,
-                               offset + self.hi * step, runs, low, high)
-
     def commensurable(self, other: "MonomialLattice") -> tuple[bool, int | None]:
         """Whether the symmetric difference is finite, with its cardinality."""
         diff = self.symmetric_difference(other)
@@ -273,10 +249,6 @@ class MonomialLattice:
         return False, None
 
     # -- plumbing -------------------------------------------------------------
-
-    def _key(self):
-        return (self.modulus, self.lo, self.hi, tuple(self._window_members()),
-                tuple(sorted(self.low_pat)), tuple(sorted(self.high_pat)))
 
     def __eq__(self, other):
         if not isinstance(other, MonomialLattice):
@@ -289,9 +261,6 @@ class MonomialLattice:
     def __hash__(self):
         return hash((self.modulus, self.lo, self.hi, self.runs,
                      self.low_pat, self.high_pat))
-
-    def sort_key(self):
-        return self._key()
 
     def __str__(self):
         if self.modulus == 1 and not self.low_pat and self.high_pat:
@@ -490,9 +459,3 @@ def lattice_index(op, lattice: MonomialLattice) -> int:
         raise DomainError("operator does not preserve the commensurability class")
     return gained.size() - lost.size()
 
-
-def index_additivity_check(op, a: MonomialLattice, b: MonomialLattice) -> bool:
-    """index(A) + index(B) == index(A union B) + index(A intersect B)."""
-    lhs = lattice_index(op, a) + lattice_index(op, b)
-    rhs = lattice_index(op, a.union(b)) + lattice_index(op, a.intersect(b))
-    return lhs == rhs

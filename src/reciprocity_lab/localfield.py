@@ -5,16 +5,17 @@ class of t in the residue field L = k[T]/(pi).  Numerator and denominator
 become polynomials over L (a `Field` like any other), are rewritten around
 T with a characteristic-safe Taylor shift and then divided as power series
 over L.  At infinity the parameter is u = 1/t and the expansion comes from
-coefficient reversal.  Coefficients are raw values of L internally and
-`FieldScalar`s over L at the API.  Every series carries its precision and
-refuses to report coefficients it does not know.
+coefficient reversal.  The API hands out raw values of L (`coefficient`,
+`coeffs`); `ring.scalar` wraps one as a `FieldScalar` where a caller needs
+one.  A series is a read-only expansion: the library never adds or
+multiplies series, it reads coefficients.  Every series carries its
+precision and refuses to report coefficients it does not know.
 """
 from __future__ import annotations
 
 from .errors import MixedFieldError, PrecisionError, ZeroInputError
-from .fields import FieldScalar
 from .funcfield import Place, RationalFunction
-from .poly import Polynomial, convolve, series_quotient
+from .poly import Polynomial, series_quotient
 from .residue_field import ResidueField
 
 
@@ -44,13 +45,6 @@ class LaurentSeries:
     def zero_to_precision(cls, ring: ResidueField, param: str, prec: int) -> "LaurentSeries":
         return cls(ring, param, prec, (), prec)
 
-    def is_known_zero(self) -> bool:
-        return not self.coeffs
-
-    def valuation(self) -> int | None:
-        """Exponent of the first known nonzero term, None if none is known."""
-        return None if self.is_known_zero() else self.vmin
-
     def coefficient(self, n: int):
         if n >= self.prec:
             raise PrecisionError(
@@ -58,64 +52,6 @@ class LaurentSeries:
         if n < self.vmin:
             return self.ring.zero
         return self.coeffs[n - self.vmin]
-
-    def elem(self, n: int) -> FieldScalar:
-        return self.ring.scalar(self.coefficient(n))
-
-    def residue_coeff(self) -> FieldScalar:
-        return self.elem(-1)
-
-    def leading(self) -> tuple[int, FieldScalar]:
-        if self.is_known_zero():
-            raise ZeroInputError("no nonzero term within the known precision")
-        return self.vmin, self.ring.scalar(self.coeffs[0])
-
-    def _compat(self, other: "LaurentSeries"):
-        if not isinstance(other, LaurentSeries):
-            raise MixedFieldError(f"cannot combine series with {other!r}")
-        if self.ring != other.ring or self.param != other.param:
-            raise MixedFieldError("series live in different local fields")
-
-    def __add__(self, other):
-        self._compat(other)
-        prec = min(self.prec, other.prec)
-        vmin = min(self.vmin, other.vmin, prec)
-        ring = self.ring
-        out = [ring.add(self.coefficient(n) if n < self.prec else ring.zero,
-                        other.coefficient(n) if n < other.prec else ring.zero)
-               for n in range(vmin, prec)]
-        return LaurentSeries(ring, self.param, vmin, out, prec)
-
-    def __neg__(self):
-        ring = self.ring
-        return LaurentSeries(ring, self.param, self.vmin,
-                             tuple(ring.neg(c) for c in self.coeffs), self.prec)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        self._compat(other)
-        ring = self.ring
-        prec = min(self.prec + other.vmin, other.prec + self.vmin)
-        vmin = self.vmin + other.vmin
-        if self.is_known_zero() or other.is_known_zero():
-            return LaurentSeries.zero_to_precision(ring, self.param, prec)
-        out = convolve(ring, self.coeffs, other.coeffs, prec - vmin)
-        return LaurentSeries(ring, self.param, vmin, out, prec)
-
-    def scale(self, raw) -> "LaurentSeries":
-        ring = self.ring
-        return LaurentSeries(ring, self.param, self.vmin,
-                             tuple(ring.mul(raw, c) for c in self.coeffs), self.prec)
-
-    def agrees_with(self, other: "LaurentSeries") -> bool:
-        """Equality of all coefficients both sides know."""
-        self._compat(other)
-        prec = min(self.prec, other.prec)
-        ring = self.ring
-        return all(ring.eq(self.coefficient(n), other.coefficient(n))
-                   for n in range(min(self.vmin, other.vmin), prec))
 
     def __str__(self):
         ring = self.ring

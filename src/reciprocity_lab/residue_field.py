@@ -158,12 +158,6 @@ class ResidueField(Field):
     def trace(self, a) -> FieldScalar:
         return FieldScalar(self.base, self.trace_raw(a))
 
-    def to_base_scalar(self, a) -> FieldScalar:
-        """The class as a ground-field scalar; only for degree-1 residue fields."""
-        if self.degree != 1:
-            raise ZeroInputError("class of a higher-degree place is not a scalar")
-        return FieldScalar(self.base, a[0])
-
     # -- plumbing --------------------------------------------------------------
 
     def to_polynomial(self, raw) -> Polynomial:

@@ -2,10 +2,17 @@
 
 Values live in k[z]/(z^(N+1)) with unit constant term, standing in for the
 Laurent-series units of the loop-group picture.  The pairing of two
-functions at a place is the even exponential of half their residue; all of
-its identities (group law, additivity over lattices, the 2-cocycle rule on
-the additive group, commensurability invariance) are exact order-by-order
-polynomial identities, so a truncation order is the whole story.
+functions at a place is the even exponential of half their residue.  Its
+identities are exact order-by-order polynomial identities, so a truncation
+order is the whole story:
+  exp_z2(a) * exp_z2(b) = exp_z2(a + b) (the group law);
+  c(f, g + h) * c(g, h) = c(f + g, h) * c(f, g) (the 2-cocycle rule on the
+  additive group of functions);
+  the product of c(f, g, x) over all places x is 1 (`sw_verify`);
+  the lattice pairing is additive over sums and intersections of lattices
+  and does not change within a commensurability class.
+Each side is a product of series compared with ==, so the series type has
+a truncated product, equality and rendering, and nothing else.
 
 Characteristic zero only: the exponential needs every n! invertible.
 """
@@ -14,10 +21,10 @@ from __future__ import annotations
 from operator import mul as _mul
 
 from .errors import DomainError, ZeroInputError
-from .fields import Field, FieldScalar, power
+from .fields import Field, FieldScalar
 from .funcfield import Place, RationalFunction
 from .lattices import MonomialLattice
-from .poly import convolve, series_quotient
+from .poly import convolve
 from .report import VerificationReport, place_law_report
 from .symbols1d import residue_theorem_places
 from .tate import abstract_residue_trace, classical_residue
@@ -51,15 +58,6 @@ class TruncatedPowerSeries:
     def one(cls, field: Field, order: int) -> "TruncatedPowerSeries":
         return cls(field, (field.one,), order)
 
-    @classmethod
-    def constant(cls, field: Field, value, order: int) -> "TruncatedPowerSeries":
-        return cls(field, (field.coerce(value),), order)
-
-    def coefficient(self, n: int) -> FieldScalar:
-        if n < 0 or n > self.order:
-            raise DomainError(f"order {n} outside the truncation range")
-        return FieldScalar(self.field, self.coeffs[n])
-
     def _check(self, other) -> "TruncatedPowerSeries":
         if not isinstance(other, TruncatedPowerSeries):
             raise DomainError("expected a truncated series")
@@ -67,51 +65,12 @@ class TruncatedPowerSeries:
             raise DomainError("series of different rings")
         return other
 
-    def __add__(self, other):
-        other = self._check(other)
-        F = self.field
-        return TruncatedPowerSeries(
-            F, [F.add(a, b) for a, b in zip(self.coeffs, other.coeffs)],
-            self.order)
-
-    def __sub__(self, other):
-        other = self._check(other)
-        F = self.field
-        return TruncatedPowerSeries(
-            F, [F.sub(a, b) for a, b in zip(self.coeffs, other.coeffs)],
-            self.order)
-
-    def __neg__(self):
-        F = self.field
-        return TruncatedPowerSeries(F, [F.neg(a) for a in self.coeffs],
-                                    self.order)
-
     def __mul__(self, other):
         other = self._check(other)
         F = self.field
         return TruncatedPowerSeries(
             F, convolve(F, self.coeffs, other.coeffs, self.order + 1),
             self.order)
-
-    def inverse(self) -> "TruncatedPowerSeries":
-        F = self.field
-        if F.is_zero(self.coeffs[0]):
-            raise ZeroInputError("series with zero constant term has no inverse")
-        return TruncatedPowerSeries(
-            F, series_quotient(F, (F.one,), self.coeffs, self.order + 1),
-            self.order)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        return power(_mul, TruncatedPowerSeries.one(self.field, self.order),
-                     self, n)
-
-    def is_one(self) -> bool:
-        F = self.field
-        if not F.eq(self.coeffs[0], F.one):
-            return False
-        return all(F.is_zero(c) for c in self.coeffs[1:])
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedPowerSeries):

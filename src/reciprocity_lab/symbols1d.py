@@ -38,12 +38,6 @@ def _tame_raw(f: RationalFunction, g: RationalFunction, x: Place):
     return ring.mul(ring.sign(vf * vg), ring.div(uf, ug))
 
 
-def tame_symbol_elem(f: RationalFunction, g: RationalFunction,
-                     x: Place) -> FieldScalar:
-    """(-1)^(v_x(f) v_x(g)) (f^v_x(g) / g^v_x(f))(x) inside the residue field."""
-    return x.residue_field().scalar(_tame_raw(f, g, x))
-
-
 def tame_symbol(f: RationalFunction, g: RationalFunction, x: Place) -> FieldScalar:
     """The k-valued tame symbol: norm of the unit part with the degree sign."""
     return x.residue_field().norm(_tame_raw(f, g, x))
@@ -53,7 +47,7 @@ def milnor_symbol(f: RationalFunction, g: RationalFunction, x: Place) -> FieldSc
     """The rational-point form of the tame symbol; only for degree-1 places."""
     if x.degree != 1:
         raise DomainError("the rational-point symbol needs a degree-1 place")
-    return x.residue_field().to_base_scalar(_tame_raw(f, g, x))
+    return FieldScalar(f.field, _tame_raw(f, g, x)[0])
 
 
 def hilbert_symbol(f: RationalFunction, g: RationalFunction, x: Place,
@@ -67,7 +61,7 @@ def hilbert_symbol(f: RationalFunction, g: RationalFunction, x: Place,
     q = field.p
     if m < 1 or (q - 1) % m:
         raise DomainError(f"m = {m} does not divide q - 1 = {q - 1}")
-    return x.residue_field().norm(_tame_raw(f, g, x)) ** ((q - 1) // m)
+    return tame_symbol(f, g, x) ** ((q - 1) // m)
 
 
 def _require_prime_field(f: RationalFunction) -> PrimeField:

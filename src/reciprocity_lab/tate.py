@@ -84,12 +84,6 @@ def _radius(lattice: MonomialLattice, support: tuple[int, int], vf: int,
                abs(lattice.lo) + 2, abs(lattice.hi) + 2)
 
 
-def window_bound(lattice: MonomialLattice, vf: int, vg: int,
-                 spread_sum: int) -> int:
-    """Block radius from valuations, defining-data spread, and lattice shape."""
-    return _radius(lattice, _support_bound(lattice, vf, vg), vf, vg, spread_sum)
-
-
 def data_spread(h: RationalFunction) -> int:
     """Exponent range of the data defining h's local expansions."""
     return (h.num.degree or 0) + (h.den.degree or 0)
@@ -101,8 +95,10 @@ def minimal_window(f: RationalFunction, g: RationalFunction, x: Place,
     if f.is_zero() or g.is_zero():
         raise ZeroInputError("zero input to the abstract residue")
     lattice = MonomialLattice.ray(0) if lattice is None else lattice
-    return window_bound(lattice, f.valuation(x), g.valuation(x),
-                        data_spread(f) + data_spread(g))
+    vf = f.valuation(x)
+    vg = g.valuation(x)
+    return _radius(lattice, _support_bound(lattice, vf, vg), vf, vg,
+                   data_spread(f) + data_spread(g))
 
 
 class CommutatorTrace:

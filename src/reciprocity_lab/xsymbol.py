@@ -63,13 +63,11 @@ class ResidueSymbol:
     name = "residue"
 
     def __init__(self, f: RationalFunction, g: RationalFunction,
-                 places: list[Place], modulus: int | None = None):
+                 places: list[Place]):
         if f.is_zero() or g.is_zero():
             raise ZeroInputError("residue symbol of a zero function")
         self.field: Field = f.field
-        self.modulus = len(places) if modulus is None else modulus
-        if self.modulus < len(places):
-            raise DomainError("need at least one progression per place")
+        self.modulus = len(places)
         self.places = list(places)
         self._blocks = [CommutatorTrace(f, g, x) for x in places]
         self._traced: dict = {}
@@ -127,13 +125,11 @@ class TameSymbol:
     name = "tame"
 
     def __init__(self, f: RationalFunction, g: RationalFunction,
-                 places: list[Place], modulus: int | None = None):
+                 places: list[Place]):
         if f.is_zero() or g.is_zero():
             raise ZeroInputError("tame symbol of a zero function")
         self.field: Field = f.field
-        self.modulus = len(places) if modulus is None else modulus
-        if self.modulus < len(places):
-            raise DomainError("need at least one progression per place")
+        self.modulus = len(places)
         self.values = [tame_symbol(f, g, x) for x in places]
 
     def evaluate(self, lattice: MonomialLattice) -> FieldScalar:
@@ -199,8 +195,8 @@ class XSymbolFamily:
         self.b_map = {frozenset(k): v for k, v in b_map.items()}
 
     @classmethod
-    def with_derived_b(cls, symbol, lattices, base: MonomialLattice | None = None):
-        """Build B_J = base + sum of A_i over i not in J, for every J.
+    def with_derived_b(cls, symbol, lattices):
+        """Build B_J = sum of A_i over i not in J, for every J.
 
         Going down from the full index set, B_J is B_{J + {i}} plus A_i for
         the least i outside J: one union per index set.
@@ -210,7 +206,7 @@ class XSymbolFamily:
         if n > 10:
             raise DomainError("derived assignments need a family of at most 10")
         full = (1 << n) - 1
-        derived = {full: MonomialLattice.empty() if base is None else base}
+        derived = {full: MonomialLattice.empty()}
         for mask in range(full - 1, -1, -1):
             i = (~mask & (mask + 1)).bit_length() - 1
             derived[mask] = derived[mask | (1 << i)].union(lattices[i])

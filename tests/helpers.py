@@ -66,7 +66,9 @@ def rand_surface_fn(rng, base, max_factors=3):
     factorizer certifies only low-degree factors.
     """
     s, t = surface_generators(base)
-    f = (t ** 0) * rng.choice([1, 2, -1, 3])
+    # only constants that are nonzero in the field, so f is never zero
+    units = [c for c in (1, 2, -1, 3) if base.char == 0 or c % base.char]
+    f = (t ** 0) * rng.choice(units)
     f = f * t ** rng.randint(-2, 2)
     for _ in range(rng.randint(0, max_factors)):
         kind = rng.random()
@@ -87,7 +89,7 @@ def rand_lattice(rng, span=12):
     if kind == 0:
         return MonomialLattice.ray(rng.randint(-span, span))
     if kind == 1:
-        return MonomialLattice.lower_ray(rng.randint(-span, span))
+        return MonomialLattice.ray(rng.randint(-span, span)).complement()
     if kind == 2:
         members = {rng.randint(-span, span) for _ in range(rng.randint(0, 5))}
         return MonomialLattice.finite(members)
@@ -116,7 +118,8 @@ def lattice_with_oracle(rng, depth=2, span=10):
             return MonomialLattice.ray(n0), (lambda n, n0=n0: n >= n0)
         if kind == 1:
             n0 = rng.randint(-span, span)
-            return MonomialLattice.lower_ray(n0), (lambda n, n0=n0: n < n0)
+            return MonomialLattice.ray(n0).complement(), \
+                (lambda n, n0=n0: n < n0)
         if kind == 2:
             members = frozenset(rng.randint(-span, span)
                                 for _ in range(rng.randint(0, 4)))

@@ -9,8 +9,7 @@ import time
 
 from reciprocity_lab.funcfield import Place, RationalFunction, support_union
 from reciprocity_lab.lattices import (BlockShiftOperator, MonomialLattice,
-                                      MonomialOperator, index_additivity_check,
-                                      lattice_index)
+                                      MonomialOperator, lattice_index)
 from reciprocity_lab.poly import Polynomial
 from reciprocity_lab.segalwilson import (DEFAULT_ORDER, cocycle_on_lattice,
                                          sw_verify)
@@ -217,7 +216,9 @@ def test_criterion_07_index_laws():
     while additive < 1000:
         shift = rng.randint(-4, 4)
         op = MonomialOperator(Q, 1, shift)
-        if not index_additivity_check(op, _ray_spec(rng), _ray_spec(rng)):
+        a, b = _ray_spec(rng), _ray_spec(rng)
+        if lattice_index(op, a) + lattice_index(op, b) != \
+                lattice_index(op, a.union(b)) + lattice_index(op, a.intersect(b)):
             _report(7, False, "index additivity failed")
         additive += 1
     invariant = 0

@@ -374,10 +374,18 @@ def test_linear_factors_need_no_divisor_search(capsys):
 
 
 def test_orders_above_the_bound_are_rejected(capsys):
-    code, _, err = run(capsys, "sw", "--f", "1/t", "--g", "t",
-                       "--place", "t", "--order", "3000")
-    assert code == 2
-    assert "parse error" in err and "Traceback" not in err
+    for order in ("3000", "-1"):
+        code, _, err = run(capsys, "sw", "--f", "1/t", "--g", "t",
+                           "--place", "t", "--order", order)
+        assert code == 2
+        assert "parse error" in err and "Traceback" not in err
+        code, _, err = run(capsys, "sw", "--f", "1/t", "--g", "t",
+                           "--order", order)
+        assert code == 2
+        assert "parse error" in err and "Traceback" not in err
+    code, out, _ = run(capsys, "sw", "--f", "1/t", "--g", "t", "--place",
+                       "t", "--order", "0")
+    assert code == 0
     code, out, _ = run(capsys, "sw", "--f", "1/t", "--g", "t", "--place",
                        "t", "--order", str(segalwilson.ORDER_BOUND))
     assert code == 0

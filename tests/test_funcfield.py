@@ -19,7 +19,8 @@ def tt(field):
 
 def base_value(value):
     """A class of a degree-1 residue field as a ground-field scalar."""
-    return value.field.to_base_scalar(value.raw)
+    (raw,) = value.raw
+    return value.field.base.scalar(raw)
 
 
 def test_canonical_form_is_coprime_with_monic_denominator():

@@ -56,3 +56,59 @@ def test_the_check_sees_a_private_import():
               "from . import _helpers\n")
     assert _private_imports(source) == [".tate import _MARGIN (line 2)",
                                         ". import _helpers (line 3)"]
+
+
+def _named_names(source: str) -> set[str]:
+    """Every name a module mentions: imported, loaded or read as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _unreached_definitions(sources: dict[str, str],
+                           exported: set[str]) -> list[str]:
+    """Public module-level functions and classes that `__all__` does not
+    export and no module of the package names: surface only tests reach."""
+    named = exported.union(*map(_named_names, sources.values()))
+    return [f"{module}.{node.name}"
+            for module, source in sorted(sources.items())
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in named]
+
+
+def _exported_names() -> set[str]:
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            return set(ast.literal_eval(node.value))
+    raise AssertionError("__init__.py defines no __all__")
+
+
+def test_every_public_definition_is_exported_or_used():
+    # __init__.py imports names only to re-export them, so it speaks
+    # through __all__ alone
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))
+               if p.name != "__init__.py"}
+    assert sources
+    assert _unreached_definitions(sources, _exported_names()) == []
+
+
+def test_the_check_sees_an_unreached_definition():
+    sources = {
+        "a": "def used():\n    return inner()\n\ndef inner():\n    pass\n\n"
+             "def exported():\n    pass\n\ndef orphan():\n    pass\n\n"
+             "class Lonely:\n    pass\n\ndef _private():\n    pass\n",
+        "b": "from .a import used\n\ndef helper():\n    return used()\n",
+        "c": "from . import b\n\nprint(b.helper())\n",
+    }
+    assert _unreached_definitions(sources, {"exported"}) == \
+        ["a.orphan", "a.Lonely"]

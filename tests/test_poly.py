@@ -7,7 +7,6 @@ from reciprocity_lab.errors import ZeroInputError
 from reciprocity_lab.funcfield import FractionField, RationalFunction
 from reciprocity_lab.poly import Polynomial
 from reciprocity_lab.residue_field import ResidueField
-from reciprocity_lab.segalwilson import TruncatedPowerSeries
 
 from helpers import F2, F5, Q, rand_poly
 
@@ -171,11 +170,9 @@ def test_powers_make_the_minimal_number_of_products(monkeypatch):
     # no squaring past the top bit, no product with one
     T = Polynomial.variable(F5, "T")
     cubic = ResidueField(T ** 3 + T + 1)
-    series = TruncatedPowerSeries(Q, [1, 2, 3], 6)
     cases = (
         (Polynomial, "__mul__", lambda n: Polynomial.variable(Q) ** n),
         (ResidueField, "mul", lambda n: cubic.pow((1, 2, 0), n)),
-        (TruncatedPowerSeries, "__mul__", lambda n: series ** n),
     )
     for cls, name, raise_to in cases:
         calls = count_calls(monkeypatch, cls, name)

@@ -96,15 +96,9 @@ def test_elem_wrapper_arithmetic():
 def test_trivial_ring_round_trip():
     ring = ResidueField.trivial(Q)
     raw = ring.scalar(5).raw
-    assert ring.to_base_scalar(raw) == 5
+    assert raw == (5,)
     assert ring.norm(raw) == 5
     assert ring.trace(raw) == 5
-
-
-def test_to_base_scalar_needs_degree_one():
-    ring = quadratic_ring(F5, 0, 2)
-    with pytest.raises(ZeroInputError):
-        ring.to_base_scalar(ring.from_coeffs([0, 1]))
 
 
 def test_classes_of_different_places_do_not_mix():

@@ -19,15 +19,14 @@ def origin():
 
 
 def test_even_exponential_frozen_values():
-    assert exp_z2(Q.scalar(0), 6).is_one()
+    assert exp_z2(Q.scalar(0), 6) == TruncatedPowerSeries.one(Q, 6)
     half = Q.scalar(Fraction(1, 2))
     assert str(exp_z2(half, 4)) == "1 + 1/2*z^2 + 1/8*z^4"
     assert str(exp_z2(Q.scalar(1), 6)) == "1 + 1*z^2 + 1/2*z^4 + 1/6*z^6"
     series = exp_z2(half)
     assert series.order == DEFAULT_ORDER
-    assert series.coefficient(0) == Q.scalar(1)
-    assert series.coefficient(1) == Q.scalar(0)
-    assert series.coefficient(4) == Q.scalar(Fraction(1, 8))
+    assert len(series.coeffs) == DEFAULT_ORDER + 1
+    assert series.coeffs[:5] == (1, 0, Fraction(1, 2), 0, Fraction(1, 8))
 
 
 def test_even_exponential_group_law():
@@ -47,42 +46,35 @@ def test_exponential_needs_characteristic_zero():
 def test_series_ring_arithmetic():
     one = TruncatedPowerSeries.one(Q, 6)
     s = TruncatedPowerSeries(Q, [1, 2, 3], 6)
-    assert s + (-s) == TruncatedPowerSeries(Q, [], 6)
-    assert s - s == TruncatedPowerSeries.constant(Q, 0, 6)
-    assert (s * one) == s
-    assert s * s.inverse() == one
-    assert (s ** 3) * (s ** -3) == one
-    assert s ** 0 == one
+    assert (s * one) == s and (one * s) == s
+    assert TruncatedPowerSeries(Q, [1, 2, 3, 0, 0], 6) == s
     rng = random.Random(359)
     for order in range(9):
-        unit = [Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))]
-        unit += [Fraction(rng.randint(-4, 4), rng.randint(1, 4))
-                 for _ in range(rng.randint(0, order + 2))]
-        u = TruncatedPowerSeries(Q, unit, order)
-        assert u * u.inverse() == TruncatedPowerSeries.one(Q, order)
+        a, b, c = (TruncatedPowerSeries(
+            Q, [Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+                for _ in range(rng.randint(0, order + 2))], order)
+            for _ in range(3))
+        assert a * b == b * a
+        assert (a * b) * c == a * (b * c)
 
 
 def test_series_truncation_is_consistent():
     s = TruncatedPowerSeries(Q, [1, 1], 3)
     cube = s * s * s
-    assert [str(cube.coefficient(i)) for i in range(4)] == \
-        ["1", "3", "3", "1"]
+    assert cube.coeffs == (1, 3, 3, 1)
     squared = (s * s) * (s * s)
-    direct = s ** 4
-    assert squared == direct
-    assert squared.coefficient(3) == Q.scalar(4)
+    assert squared == s * (s * (s * s))
+    assert squared.coeffs[3] == 4
+    # coefficients past the order are dropped on construction
+    assert TruncatedPowerSeries(Q, [1, 4, 6, 4, 1], 3) == squared
 
 
 def test_series_error_paths():
     s = TruncatedPowerSeries(Q, [0, 1], 4)
-    with pytest.raises(ZeroInputError):
-        s.inverse()
-    with pytest.raises(DomainError):
-        s.coefficient(5)
     with pytest.raises(DomainError):
         TruncatedPowerSeries(Q, [1], -1)
     with pytest.raises(DomainError):
-        s + TruncatedPowerSeries(Q, [1], 6)
+        s * TruncatedPowerSeries(Q, [1], 6)
     with pytest.raises(DomainError):
         s * TruncatedPowerSeries(F5, [1], 4)
 
@@ -98,7 +90,8 @@ def test_pairing_of_units_is_one():
     t = RationalFunction.variable(Q)
     f = (t + 1) / (t + 2)
     g = t + 3
-    assert cocycle_c(f, g, origin()).is_one()
+    assert cocycle_c(f, g, origin()) == \
+        TruncatedPowerSeries.one(Q, DEFAULT_ORDER)
 
 
 def test_pairing_rejects_positive_characteristic_and_zero():

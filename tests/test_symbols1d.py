@@ -9,8 +9,7 @@ from reciprocity_lab.symbols1d import (hilbert_symbol, hilbert_verify,
                                        milnor_symbol, residue_theorem_places,
                                        residue_theorem_verify,
                                        sum_of_valuations_verify,
-                                       tame_symbol, tame_symbol_elem,
-                                       weil_verify)
+                                       tame_symbol, weil_verify)
 
 from helpers import F3, F5, F7, F13, Q, rand_fn, rand_fn_for, rand_fn_q
 
@@ -92,9 +91,6 @@ def test_milnor_matches_tame_at_rational_places():
         g = rand_fn(rng, F5, max_deg=3)
         places = [x for x, _ in (f * g).support() if x.degree == 1]
         for x in places:
-            elem = tame_symbol_elem(f, g, x)
-            assert milnor_symbol(f, g, x) == \
-                elem.field.to_base_scalar(elem.raw)
             assert milnor_symbol(f, g, x) == tame_symbol(f, g, x)
 
 
@@ -111,8 +107,12 @@ def test_tame_at_higher_degree_place_is_a_norm():
     x = Place.finite(pi)
     t = tt(F3)
     f = RationalFunction.from_polynomial(pi)
-    elem = tame_symbol_elem(f, t, x)
-    assert tame_symbol(f, t, x) == elem.field.norm(elem.raw)
+    ring = x.residue_field()
+    T = ring.from_coeffs([0, 1])
+    # v_x(f) = 1 and v_x(t) = 0: the residue-field values are 1/T and T + 1
+    assert tame_symbol(f, t, x) == ring.norm(ring.inv(T))
+    assert tame_symbol(t + 1, f, x) == ring.norm(ring.add(T, ring.one))
+    assert tame_symbol(t + 1, f, x) == F3.scalar(2)
 
 
 def test_weil_reciprocity_steinberg_pair():

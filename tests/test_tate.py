@@ -10,7 +10,7 @@ from reciprocity_lab.lattices import MonomialLattice
 from reciprocity_lab.poly import Polynomial
 from reciprocity_lab.tate import (_support_bound, abstract_residue_trace,
                                   classical_residue, data_spread,
-                                  minimal_window, window_bound)
+                                  minimal_window)
 from reciprocity_lab.xsymbol import curve_residue_family
 
 from helpers import F3, F5, Q, rand_fn, rand_fn_q, rand_lattice
@@ -166,7 +166,7 @@ def test_each_trace_computes_its_support_once(monkeypatch):
     rng = random.Random(211)
     f = rand_fn(rng, F5, max_deg=3)
     g = rand_fn(rng, F5, max_deg=3)
-    lattices = [MonomialLattice.ray(0), MonomialLattice.lower_ray(2),
+    lattices = [MonomialLattice.ray(0), MonomialLattice.ray(2).complement(),
                 MonomialLattice.from_ray_spec(1, added={-2}, removed={3})]
     for x in support_union(f, g, include_infinity=True):
         for lattice in lattices:
@@ -194,12 +194,14 @@ def test_zero_inputs_are_rejected():
 
 
 def test_window_bound_grows_with_data_spread():
-    lattice = MonomialLattice.ray(0)
-    assert window_bound(lattice, -1, -1, 0) >= 4
-    assert window_bound(lattice, -2, -3, 4) >= 11
     t = tt(Q)
+    x = at(Polynomial.variable(Q))
     h = (t * t + 1) / (t * t * t - t)
     assert data_spread(h) == 5
+    # v_x = -1 on both sides; the radius covers |v(f)| + |v(g)| + spread + 2
+    narrow = minimal_window(1 / t, 1 / t, x)
+    assert narrow >= 1 + 1 + 2 + 2
+    assert minimal_window(h, 1 / t, x) >= 1 + 1 + 6 + 2 > narrow
 
 
 def reference_support_bound(lattice, vf, vg):
@@ -213,7 +215,7 @@ def reference_support_bound(lattice, vf, vg):
             support = support.union(diff)
     if support.is_empty():
         return 0, 0
-    members = support.members_in(support.lo, support.hi)
+    members = [n for n in range(support.lo, support.hi) if n in support]
     return members[0], members[-1]
 
 
