@@ -34,22 +34,19 @@ class Place:
         self._residue_field = None
 
     @classmethod
-    def finite(cls, pi: Polynomial, check: bool = True) -> "Place":
+    def finite(cls, pi: Polynomial) -> "Place":
         if pi.is_zero() or pi.is_constant():
             raise DomainError("a finite place needs a nonconstant polynomial")
         if not pi.is_monic():
             raise DomainError("a finite place needs a monic polynomial")
-        if check:
-            # a genuine splitting is a caller mistake; an unsettled
-            # certificate over Q is a different failure class
-            factors = factor_polynomial(pi).factors
-            if len(factors) != 1 or factors[0].multiplicity != 1:
-                raise DomainError(
-                    f"{pi} is reducible over {pi.field.descriptor}")
-            if not factors[0].certified:
-                raise UncertifiedFactorError(
-                    f"{pi} is not certified irreducible "
-                    f"over {pi.field.descriptor}")
+        # a genuine splitting is a caller mistake; an unsettled
+        # certificate over Q is a different failure class
+        factors = factor_polynomial(pi).factors
+        if len(factors) != 1 or factors[0].multiplicity != 1:
+            raise DomainError(f"{pi} is reducible over {pi.field.descriptor}")
+        if not factors[0].certified:
+            raise UncertifiedFactorError(
+                f"{pi} is not certified irreducible over {pi.field.descriptor}")
         return cls(pi.field, pi.var, pi)
 
     @classmethod
@@ -294,7 +291,7 @@ class RationalFunction:
                 if not item.certified:
                     raise UncertifiedFactorError(
                         f"uncertified irreducible factor {item.base} of {poly}")
-                entries.append((Place.finite(item.base, check=False),
+                entries.append((Place(self.field, self.var, item.base),
                                 sign * item.multiplicity))
         v_inf = self.den.degree - self.num.degree
         if v_inf != 0:

@@ -13,7 +13,7 @@ precision and refuses to report coefficients it does not know.
 """
 from __future__ import annotations
 
-from .errors import MixedFieldError, PrecisionError, ZeroInputError
+from .errors import MixedFieldError, PrecisionError
 from .funcfield import Place, RationalFunction
 from .poly import Polynomial, series_quotient
 from .residue_field import ResidueField
@@ -31,7 +31,7 @@ class LaurentSeries:
     def __init__(self, ring: ResidueField, param: str, vmin: int, coeffs, prec: int):
         coeffs = tuple(coeffs)
         if len(coeffs) != prec - vmin:
-            raise ZeroInputError("series length does not match its precision window")
+            raise PrecisionError("series length does not match its precision window")
         while coeffs and ring.is_zero(coeffs[0]):
             coeffs = coeffs[1:]
             vmin += 1

@@ -49,7 +49,7 @@ class TruncatedPowerSeries:
             raise DomainError("truncation order must be nonnegative")
         self.field = field
         self.order = order
-        raws = [field.coerce(c) if isinstance(c, int) else c for c in coeffs]
+        raws = [field.coerce(c) for c in coeffs]
         raws = raws[:order + 1]
         raws += [field.zero] * (order + 1 - len(raws))
         self.coeffs = tuple(raws)

@@ -65,7 +65,7 @@ def _nonzero(*functions: RationalFunction) -> None:
 def curve_place(f: RationalFunction) -> Place:
     """The place t = 0 of k(s)(t) cutting out the curve."""
     coeff = _coefficient_field(f)
-    return Place.finite(Polynomial.variable(coeff, f.var), check=False)
+    return Place(coeff, f.var, Polynomial.variable(coeff, f.var))
 
 
 def _t_adic(f: RationalFunction) -> tuple[int, RationalFunction]:

@@ -14,9 +14,14 @@ provided:
 
 Each satisfies the symbol axioms (trivial values, commensurability
 invariance, additivity over sum and intersection), which the axiom checker
-verifies on concrete pairs.  The reciprocity runner mechanically checks the
-hypotheses of the general law on a supplied finite family and compares the
-value on B_empty with the product over the family.
+verifies on concrete pairs.  The reciprocity runner needs B_J for each of
+the 2^n sets J in range(n), checks the law's hypotheses by their generators
+and compares the value on B_empty with the product over the family:
+(a) B_J = B_full + sum of A_k, k outside J; unions compose these into every
+    B_J' = B_J + sum of A_i over J - J', with A_i inside B_J;
+(b) A_j meets B_{j} finitely; under (a), B_{j} holds every A_k (k != j)
+    and B_J (j in J), so each pair among the A_j of J and B_J does too;
+(c) B_J has the identity value when every A_k outside J has.
 """
 from __future__ import annotations
 
@@ -180,6 +185,21 @@ def independence_check(lattices: list[MonomialLattice]) -> bool:
     return True
 
 
+def _descend(lattices, top: MonomialLattice) -> dict:
+    """B_J for each J in range(n), in bitmask order, from B_{range(n)} = top.
+
+    B_J is B_{J + {i}} plus A_i for the least i outside J: one union per set.
+    """
+    n = len(lattices)
+    full = (1 << n) - 1
+    derived = {full: top}
+    for mask in range(full - 1, -1, -1):
+        i = (~mask & (mask + 1)).bit_length() - 1
+        derived[mask] = derived[mask | (1 << i)].union(lattices[i])
+    return {frozenset(i for i in range(n) if mask >> i & 1): derived[mask]
+            for mask in range(full + 1)}
+
+
 class XSymbolFamily:
     """A symbol map, a finite lattice family {A_i}, and an assignment J -> B_J.
 
@@ -196,27 +216,20 @@ class XSymbolFamily:
 
     @classmethod
     def with_derived_b(cls, symbol, lattices):
-        """Build B_J = sum of A_i over i not in J, for every J.
-
-        Going down from the full index set, B_J is B_{J + {i}} plus A_i for
-        the least i outside J: one union per index set.
-        """
+        """Build B_J = sum of A_i over i not in J, for every J."""
         lattices = list(lattices)
-        n = len(lattices)
-        if n > 10:
+        if len(lattices) > 10:
             raise DomainError("derived assignments need a family of at most 10")
-        full = (1 << n) - 1
-        derived = {full: MonomialLattice.empty()}
-        for mask in range(full - 1, -1, -1):
-            i = (~mask & (mask + 1)).bit_length() - 1
-            derived[mask] = derived[mask | (1 << i)].union(lattices[i])
-        b_map = {frozenset(i for i in range(n) if mask & (1 << i)): derived[mask]
-                 for mask in range(1 << n)}
-        return cls(symbol, lattices, b_map)
+        return cls(symbol, lattices, _descend(lattices, MonomialLattice.empty()))
 
 
 def general_reciprocity_run(family: XSymbolFamily) -> VerificationReport:
     """Check hypotheses of the reciprocity law, then compare both sides.
+
+    b_map must hold exactly the 2^n subsets of range(n).  By the generators
+    of the module docstring, (a) compares the map derived from B_full key
+    by key, and (b) meets each A_j with B_{j}: the least failing {j} is
+    the first set a check of every J would flag.
 
     Raises HypothesisViolation naming the clause (a), (b) or (c) and the
     offending index set when the supplied data does not qualify.
@@ -225,37 +238,26 @@ def general_reciprocity_run(family: XSymbolFamily) -> VerificationReport:
     lattices = family.lattices
     b_map = family.b_map
     n = len(lattices)
-    if frozenset() not in b_map:
-        raise HypothesisViolation("a", "no lattice assigned to the empty set")
-
-    for J, b_lattice in b_map.items():
-        if any(i < 0 or i >= n for i in J):
-            raise HypothesisViolation("a", f"index set {sorted(J)} out of range")
-        for i in range(n):
-            if i not in J and not lattices[i].difference(b_lattice).is_empty():
-                raise HypothesisViolation(
-                    "a", f"A_{i} is not contained in B_{sorted(J)}")
-    keys = sorted(b_map, key=lambda J: (len(J), sorted(J)))
-    for J in keys:
-        for Jp in keys:
-            if not Jp < J:
-                continue
-            expected = b_map[J]
-            for i in J - Jp:
-                expected = expected.union(lattices[i])
-            if expected != b_map[Jp]:
-                raise HypothesisViolation(
-                    "a", f"B_{sorted(Jp)} differs from B_{sorted(J)} plus "
-                         f"the family members of {sorted(J - Jp)}")
-    for J in keys:
-        group = [lattices[i] for i in sorted(J)] + [b_map[J]]
-        if not independence_check(group):
+    full = frozenset(range(n))
+    derived = _descend(lattices, b_map.get(full, MonomialLattice.empty()))
+    odd = sorted(b_map.keys() ^ derived.keys(), key=sorted)
+    if odd:
+        where = "has no lattice" if odd[0] in derived else "is out of range"
+        raise HypothesisViolation("a", f"index set {sorted(odd[0])} {where}")
+    # top down, so B_{J + {i}} is known to match when B_J is compared
+    for J, expected in reversed(derived.items()):
+        if expected != b_map[J]:
+            i = min(full - J)
             raise HypothesisViolation(
-                "b", f"family members of {sorted(J)} and B_{sorted(J)} are "
+                "a", f"B_{sorted(J)} differs from B_{sorted(J | {i})} plus A_{i}")
+    for j in range(n):
+        if not independence_check([lattices[j], b_map[frozenset({j})]]):
+            raise HypothesisViolation(
+                "b", f"family members of {[j]} and B_{[j]} are "
                      "not independent for commensurability")
 
     values = [sym.evaluate(a) for a in lattices]
-    for J in keys:
+    for J in sorted(b_map, key=lambda J: (len(J), sorted(J))):
         if all(values[i] == sym.identity() for i in range(n) if i not in J):
             b_value = sym.evaluate(b_map[J])
             if b_value != sym.identity():

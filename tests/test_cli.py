@@ -113,6 +113,16 @@ def test_index_value_and_verify(capsys):
     assert data["ok"] is True
 
 
+def test_ten_place_index_family_verifies_quickly(capsys):
+    f = "t*(t-1)*(t-2)*(t-3)*(t-4)*(t-5)*(t-6)*(t-7)/((t-8)^4*(t-9)^4)"
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "index", "--field", "Fp:13", "--f", f,
+                       "--verify")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert "family_size = 10" in out and out.strip().endswith("OK")
+
+
 def test_xsymbol_axioms_and_reciprocity(capsys):
     code, out, _ = run(capsys, "xsymbol", "--instance", "index",
                        "--f", "t^2", "--check", "axioms",

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from reciprocity_lab.errors import DomainError, ZeroInputError
+from reciprocity_lab.errors import DomainError, MixedFieldError, ZeroInputError
 from reciprocity_lab.funcfield import Place, RationalFunction
 from reciprocity_lab.lattices import MonomialLattice
 from reciprocity_lab.poly import Polynomial
@@ -77,6 +77,8 @@ def test_series_error_paths():
         s * TruncatedPowerSeries(Q, [1], 6)
     with pytest.raises(DomainError):
         s * TruncatedPowerSeries(F5, [1], 4)
+    with pytest.raises(MixedFieldError):
+        TruncatedPowerSeries(F5, [Fraction(1, 2), 7], 3)
 
 
 def test_pairing_frozen_example():

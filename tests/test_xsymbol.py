@@ -373,3 +373,147 @@ def test_memoized_residue_values_match_a_fresh_symbol():
             assert sym.evaluate(b) == value
             assert len(sym._traced) == traced
             assert ResidueSymbol(f, g, places).evaluate(b) == value
+
+
+def test_partial_assignment_is_refused_under_clause_a():
+    sym = IndexSymbol(MonomialOperator(Q, 1, 1))
+    a0 = MonomialLattice.progression_ray((0,), 2)
+    a1 = MonomialLattice.progression_ray((1,), 2)
+    family = XSymbolFamily(sym, [a0, a1], {
+        frozenset(): a0.union(a1),
+        frozenset({0, 1}): MonomialLattice.empty(),
+    })
+    with pytest.raises(HypothesisViolation) as err:
+        general_reciprocity_run(family)
+    assert err.value.clause == "a"
+    assert "[0] has no lattice" in err.value.detail
+
+
+def test_mismatch_names_the_generator_that_fails():
+    sym = IndexSymbol(MonomialOperator(Q, 1, 1))
+    a0 = MonomialLattice.progression_ray((0,), 2)
+    a1 = MonomialLattice.progression_ray((1,), 2)
+    b_map = XSymbolFamily.with_derived_b(sym, [a0, a1]).b_map
+    b_map[frozenset({0})] = MonomialLattice.everything()
+    with pytest.raises(HypothesisViolation) as err:
+        general_reciprocity_run(XSymbolFamily(sym, [a0, a1], b_map))
+    assert err.value.clause == "a"
+    assert err.value.detail == "B_[0] differs from B_[0, 1] plus A_1"
+
+
+def reference_reciprocity_run(family):
+    """The closed-form hypothesis checks: every pair J' < J of index sets,
+    and independence of the members of J with B_J for every J."""
+    sym = family.symbol
+    lattices = family.lattices
+    b_map = family.b_map
+    n = len(lattices)
+    if frozenset() not in b_map:
+        raise HypothesisViolation("a", "no lattice assigned to the empty set")
+    for J, b_lattice in b_map.items():
+        if any(i < 0 or i >= n for i in J):
+            raise HypothesisViolation("a", f"index set {sorted(J)} out of range")
+        for i in range(n):
+            if i not in J and not lattices[i].difference(b_lattice).is_empty():
+                raise HypothesisViolation(
+                    "a", f"A_{i} is not contained in B_{sorted(J)}")
+    keys = sorted(b_map, key=lambda J: (len(J), sorted(J)))
+    for J in keys:
+        for Jp in keys:
+            if not Jp < J:
+                continue
+            expected = b_map[J]
+            for i in J - Jp:
+                expected = expected.union(lattices[i])
+            if expected != b_map[Jp]:
+                raise HypothesisViolation(
+                    "a", f"B_{sorted(Jp)} differs from B_{sorted(J)} plus "
+                         f"the family members of {sorted(J - Jp)}")
+    for J in keys:
+        group = [lattices[i] for i in sorted(J)] + [b_map[J]]
+        if not independence_check(group):
+            raise HypothesisViolation(
+                "b", f"family members of {sorted(J)} and B_{sorted(J)} are "
+                     "not independent for commensurability")
+    values = [sym.evaluate(a) for a in lattices]
+    for J in keys:
+        if all(values[i] == sym.identity() for i in range(n) if i not in J):
+            b_value = sym.evaluate(b_map[J])
+            if b_value != sym.identity():
+                raise HypothesisViolation(
+                    "c", f"B_{sorted(J)} has value {sym.render(b_value)} "
+                         "despite trivial complement values")
+    # the comparison of both sides is shared code, so the run builds it
+    return general_reciprocity_run(family)
+
+
+def rand_member(rng, modulus, j):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rand_ray_spec(rng)
+    if kind == 1:
+        return rand_ray_spec(rng).complement()
+    if kind == 2:
+        return MonomialLattice.finite({rng.randint(-8, 8)
+                                       for _ in range(rng.randint(0, 3))})
+    # one progression per member, as the curve families build them
+    noise = MonomialLattice.finite({rng.randint(-6, 6)
+                                    for _ in range(rng.randint(0, 2))})
+    ray = MonomialLattice.progression_ray((j % modulus,), modulus,
+                                          rng.randint(-4, 4))
+    return ray.symmetric_difference(noise) if kind == 3 else ray
+
+
+def rand_complete_family(rng):
+    """A complete assignment from a random top, perturbed one of four ways."""
+    n = rng.randint(0, 5)
+    modulus = n + rng.randint(0, 2) or 1
+    lattices = [rand_member(rng, modulus, j) for j in range(n)]
+    if n and rng.random() < 0.15:
+        # a dependent member: a shifted copy of another one
+        twin = rng.choice(lattices).shift(modulus * rng.randint(-1, 1))
+        lattices[rng.randrange(n)] = twin
+    top = MonomialLattice.empty() if rng.random() < 0.6 else \
+        MonomialLattice.finite({rng.randint(-8, 8)})
+    b_map = {J: top.union(lattice)
+             for J, lattice in reference_derived_b(lattices).items()}
+    keys = list(b_map)
+    kind = rng.randrange(4)
+    J = rng.choice(keys)
+    if kind == 1:
+        b_map[J] = b_map[J].union(MonomialLattice.finite(
+            {rng.randint(-10, 10)}))
+    elif kind == 2:
+        b_map[J] = rand_two_sided(rng)
+    elif kind == 3:
+        wide = rand_two_sided(rng)
+        b_map = {K: lattice.union(wide) for K, lattice in b_map.items()}
+    rng.shuffle(keys)
+    b_map = {K: b_map[K] for K in keys}
+    if rng.random() < 0.5:
+        op = MonomialOperator(Q, 1, rng.randint(-3, 3))
+    else:
+        op = BlockShiftOperator(modulus, {r: rng.randint(-2, 2) * modulus
+                                          for r in range(modulus)})
+    return XSymbolFamily(IndexSymbol(op), lattices, b_map)
+
+
+def outcome(run, family):
+    try:
+        return "pass", run(family).to_json()
+    except HypothesisViolation as err:
+        # clause (a) details name different sets: the checks differ there
+        return err.clause, None if err.clause == "a" else err.detail
+    except DomainError:
+        return "domain", None
+
+
+def test_generator_checks_match_the_closed_form_checks():
+    rng = random.Random(347)
+    seen = set()
+    for _ in range(2000):
+        family = rand_complete_family(rng)
+        want = outcome(reference_reciprocity_run, family)
+        assert outcome(general_reciprocity_run, family) == want
+        seen.add(want[0])
+    assert seen == {"pass", "a", "b", "c", "domain"}
