@@ -196,8 +196,8 @@ def _descend(lattices, top: MonomialLattice) -> dict:
     for mask in range(full - 1, -1, -1):
         i = (~mask & (mask + 1)).bit_length() - 1
         derived[mask] = derived[mask | (1 << i)].union(lattices[i])
-    return {frozenset(i for i in range(n) if mask >> i & 1): derived[mask]
-            for mask in range(full + 1)}
+    return {frozenset(i for i in range(n) if mask & (1 << i)): derived[mask]
+            for mask in range(1 << n)}
 
 
 class XSymbolFamily:
