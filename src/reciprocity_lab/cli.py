@@ -47,7 +47,7 @@ def _value_report(law: str, field: Field, inputs: dict, place: str,
         value=str(value), expected=None, ok=True, details={})
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field", default="Q",
                         help='ground field: "Q" or "Fp:<prime>"')
@@ -263,7 +263,7 @@ def _dispatch(args) -> VerificationReport:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         report = _dispatch(args)

@@ -5,9 +5,9 @@ Cantor-Zassenhaus equal-degree splitting (the trace map for p = 2), so the
 result is complete and certified.  Over Q we stop at what exact elementary
 means certify: squarefree splitting, rational-root extraction, and the
 degree-2/3 irreducibility test; any surviving cofactor of degree >= 4 is
-returned flagged as not certified irreducible.  A squarefree part of degree
-1 is irreducible as it stands, so it skips the root search, whose divisor
-enumeration is trial division up to the square root of its coefficients.
+returned flagged as not certified irreducible.  Rational roots are lifted
+from the simple roots mod a small prime by Newton's iteration, so the work
+grows with the length of the coefficients, not with their size.
 
 Over F_p the modular arithmetic runs on coefficient tuples through
 `poly.convolve` and `poly.reduce_monic`.  For each monic squarefree part f
@@ -167,7 +167,7 @@ def _split_equal_degree(f: Polynomial, d: int, rows: list[tuple],
                                           rng))
 
 
-def factor_prime_field(f: Polynomial, seed: int | None = None) -> Factorization:
+def _factor_prime_field(f: Polynomial, seed: int | None = None) -> Factorization:
     """Complete factorization over F_p into monic irreducibles.
 
     The seed (default DEFAULT_SEED) drives the random splittings; the
@@ -190,46 +190,53 @@ def factor_prime_field(f: Polynomial, seed: int | None = None) -> Factorization:
 
 
 def _rational_roots(f: Polynomial) -> list[Fraction]:
-    """All rational roots of a squarefree f over Q, via the integer root bound."""
-    if f.is_constant():
-        return []
+    """All rational roots of a squarefree f over Q, lifted from roots mod p.
+
+    Cleared to integers, with t split off once, f has lead and const != 0.
+    A root a/b in lowest terms has b | lead and a | const, so y = lead*a/b
+    has |y| <= |lead*const|.  At the least prime p not dividing lead where
+    every root of f mod p is simple, a/b reduces to one of them, which has
+    exactly one lift r mod p^k (Hensel); once p^k > 2|lead*const|, y is the
+    symmetric residue of lead*r.  Candidates are checked exactly, so a wrong
+    bound could only miss a root.  (von zur Gathen & Gerhard, sec. 15.4.)
+    """
     lcm = math.lcm(*(c.denominator for c in f.coeffs))
     ints = [int(c * lcm) for c in f.coeffs]
     roots = []
     if ints[0] == 0:
         roots.append(Fraction(0))
-        while ints and ints[0] == 0:
-            ints = ints[1:]
-    if len(ints) <= 1:
-        return roots
+        ints = ints[1:]
     lead, const = ints[-1], ints[0]
-    seen = set(roots)
-    for num in _divisors(abs(const)):
-        for den in _divisors(abs(lead)):
-            for sign in (1, -1):
-                cand = Fraction(sign * num, den)
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                if f.evaluate(cand) == 0:
-                    roots.append(cand)
+    deriv = [k * c for k, c in enumerate(ints)][1:]
+
+    def at(coeffs, x, m):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * x + c) % m
+        return acc
+
+    p, used = 1, lead  # lead times the primes tried so far
+    while True:
+        p += 1
+        if math.gcd(p, used) == 1:  # p is a prime that does not divide lead
+            used *= p
+            residues = [r for r in range(p) if at(ints, r, p) == 0]
+            if all(at(deriv, r, p) for r in residues):
+                break
+    bound = 2 * abs(lead * const)
+    for r in residues:
+        m = p
+        while m <= bound:
+            m *= m
+            r = (r - at(ints, r, m) * pow(at(deriv, r, m), -1, m)) % m
+        y = lead * r % m
+        cand = Fraction(y - m if 2 * y > m else y, lead)
+        if f.evaluate(cand) == 0:
+            roots.append(cand)
     return roots
 
 
-def _divisors(n: int) -> list[int]:
-    if n == 0:
-        return []
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
-
-
-def factor_rationals_limited(f: Polynomial) -> Factorization:
+def _factor_rationals_limited(f: Polynomial) -> Factorization:
     """Factor over Q as far as elementary certified tests reach.
 
     Splits off the squarefree-coprime parts, extracts every rational root,
@@ -245,22 +252,14 @@ def factor_rationals_limited(f: Polynomial) -> Factorization:
     unit = FieldScalar(field, f.leading_coefficient())
     items: list[Factor] = []
     for squarefree, mult in f.squarefree_part_decomposition():
-        if squarefree.degree == 1:
-            items.append(Factor(squarefree.monic(), mult, True))
-            continue
         rest = squarefree
         for root in sorted(_rational_roots(squarefree)):
             linear = Polynomial(field, [-root, Fraction(1)], f.var)
             rest = rest.exact_div(linear)
             items.append(Factor(linear, mult, True))
-        if rest.is_constant():
-            continue
-        if rest.degree <= 3:
-            # degree 1 would have been a root; 2 and 3 with no rational root
-            # are irreducible over Q
-            items.append(Factor(rest.monic(), mult, True))
-        else:
-            items.append(Factor(rest.monic(), mult, False))
+        if not rest.is_constant():
+            # degree 2 and 3 with no rational root are irreducible over Q
+            items.append(Factor(rest.monic(), mult, rest.degree <= 3))
     return Factorization(unit, _sorted_factors(items))
 
 
@@ -281,9 +280,9 @@ def factor_polynomial(f: Polynomial) -> Factorization:
     if hit is not None:
         return hit
     if isinstance(f.field, PrimeField):
-        result = factor_prime_field(f)
+        result = _factor_prime_field(f)
     else:
-        result = factor_rationals_limited(f)
+        result = _factor_rationals_limited(f)
     if len(_factor_cache) >= _CACHE_LIMIT:
         _factor_cache.clear()
     _factor_cache[key] = result

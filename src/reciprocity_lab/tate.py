@@ -84,7 +84,7 @@ def _radius(lattice: MonomialLattice, support: tuple[int, int], vf: int,
                abs(lattice.lo) + 2, abs(lattice.hi) + 2)
 
 
-def data_spread(h: RationalFunction) -> int:
+def _data_spread(h: RationalFunction) -> int:
     """Exponent range of the data defining h's local expansions."""
     return (h.num.degree or 0) + (h.den.degree or 0)
 
@@ -98,7 +98,7 @@ def minimal_window(f: RationalFunction, g: RationalFunction, x: Place,
     vf = f.valuation(x)
     vg = g.valuation(x)
     return _radius(lattice, _support_bound(lattice, vf, vg), vf, vg,
-                   data_spread(f) + data_spread(g))
+                   _data_spread(f) + _data_spread(g))
 
 
 class CommutatorTrace:
@@ -119,7 +119,7 @@ class CommutatorTrace:
         self.ring = x.residue_field()
         self.vf = f.valuation(x)
         self.vg = g.valuation(x)
-        self.spread = data_spread(f) + data_spread(g)
+        self.spread = _data_spread(f) + _data_spread(g)
         self.f_band = _local_band(f, x, -self.vg + _MARGIN)
         self.g_band = _local_band(g, x, -self.vf + _MARGIN)
 

@@ -5,6 +5,7 @@ test functions are built from linear factors (and occasionally one fixed
 quadratic); over F_p any dense polynomial factors fine.
 """
 import random
+from fractions import Fraction
 
 from reciprocity_lab.fields import field_from_descriptor
 from reciprocity_lab.funcfield import RationalFunction
@@ -46,8 +47,9 @@ def rand_fn_q(rng, max_deg=6, var="t", quadratic=True):
         budget -= 2
     while budget > 0:
         e = rng.randint(1, min(2, budget))
-        root = rng.randint(-4, 4)
-        f = f * (t - root) ** (e * rng.choice([1, -1]))
+        root = Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 40))
+        f = f * (t - RationalFunction.constant(Q, root, var)) ** (
+            e * rng.choice([1, -1]))
         budget -= e
     return f
 

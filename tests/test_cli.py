@@ -374,13 +374,33 @@ def test_tall_coefficients_are_rejected_quickly(capsys):
 
 
 def test_linear_factors_need_no_divisor_search(capsys):
-    # 7^20 has 17 digits: a divisor search by trial division takes minutes
+    # 7^20 has 17 digits: the root search must not grow with its size
     start = time.perf_counter()
     code, out, err = run(capsys, "sumval", "--f", "7^20*t+1")
     assert time.perf_counter() - start < 2.0
     assert code == 0 and "Traceback" not in err
     assert "place=t+1/79792266297612001" in out
     assert out.strip().endswith("OK")
+
+
+def test_large_coefficients_leave_the_root_search_bounded(capsys):
+    # a 25-digit constant and a product of forty linear factors: a divisor
+    # search over the constant term would not finish
+    big = "1000000000000000000000007"
+    product = "*".join(f"(t-{i})" for i in range(1, 41))
+    cases = ((("sumval", "--f", f"t^2+{big}"), 0),
+             (("sumval", "--f", f"t^3+t+{big}"), 0),
+             (("weil", "--f", f"t^4+t+{big}", "--g", "t-1"), 3),
+             (("sumval", "--f", product), 0))
+    for argv, expected in cases:
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2.0, argv
+        assert code == expected and "Traceback" not in err, argv
+        if expected == 0:
+            assert out.strip().endswith("OK")
+        else:
+            assert "uncertified irreducible factor" in err
 
 
 def test_orders_above_the_bound_are_rejected(capsys):

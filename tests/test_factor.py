@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from reciprocity_lab.errors import DomainError, ZeroInputError
-from reciprocity_lab.factor import (_frobenius, _frobenius_rows,
-                                    factor_polynomial, factor_prime_field,
-                                    factor_rationals_limited, is_irreducible)
+from reciprocity_lab.factor import (_factor_prime_field as factor_prime_field,
+                                    _factor_rationals_limited
+                                    as factor_rationals_limited,
+                                    _frobenius, _frobenius_rows,
+                                    factor_polynomial, is_irreducible)
 from reciprocity_lab.fields import field_from_descriptor, power
 from reciprocity_lab.poly import Polynomial
 
@@ -202,3 +204,70 @@ def test_prime_field_factorization_agrees_with_sympy():
         got = sorted((item.base.coeffs, item.multiplicity)
                      for item in fac.factors)
         assert (fac.unit.raw, got) == _sympy_factorization(f), str(f)
+
+
+def _rational_oracle_input(rng):
+    """A product over Q of a rational unit, linear factors a/b with |a| up
+    to 10^30 and b up to 10^6, sometimes t, and at most one random
+    quadratic, cubic or quartic cofactor, each to a power of 1 or 2."""
+    t = Polynomial.variable(Q)
+    f = Polynomial.constant(Q, Fraction(rng.choice([1, -1, 6, -35, 210])
+                                        * rng.randint(1, 10 ** 6),
+                                        rng.randint(1, 10 ** 4)))
+    for _ in range(rng.randint(1, 4)):
+        a = rng.randint(-10 ** rng.choice([1, 6, 30]),
+                        10 ** rng.choice([1, 6, 30]))
+        b = rng.randint(1, rng.choice([1, 40, 10 ** 6]))
+        # b*t - a, times an integer: non-primitive, and monic only for b = 1
+        linear = (b * t - a) * rng.choice([1, 2, 15])
+        f = f * linear ** rng.choice([1, 1, 2])
+    if rng.random() < 0.3:
+        f = f * t ** rng.choice([1, 2])
+    if rng.random() < 0.6:
+        deg = rng.choice([2, 3, 4])
+        coeffs = [rng.randint(-10 ** 12, 10 ** 12) for _ in range(deg)]
+        cofactor = Polynomial(Q, coeffs + [rng.randint(1, 50)])
+        if not cofactor.coeffs[0]:
+            cofactor = cofactor + 1
+        f = f * cofactor ** rng.choice([1, 1, 2])
+    return f
+
+
+def _sympy_rational_factors(f: Polynomial) -> list:
+    """sorted [(monic coefficient tuple, multiplicity)] from sympy.factor_list
+    over Q."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** k
+               for k, c in enumerate(f.coeffs))
+    _, items = sympy.factor_list(expr, x)
+    out = []
+    for g, mult in items:
+        coeffs = [Fraction(int(c.p), int(c.q))
+                  for c in reversed(sympy.Poly(g, x).all_coeffs())]
+        out.append((tuple(c / coeffs[-1] for c in coeffs), int(mult)))
+    return sorted(out)
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def test_rational_factorization_agrees_with_sympy():
+    pytest.importorskip("sympy")
+    rng = random.Random(47)
+    t = Polynomial.variable(Q)
+    # 1, 31, 61 and 91 collide mod 2, 3 and 5, and 7 divides the leading
+    # coefficient, so the roots are lifted from residues mod 11
+    spread = 210 * (t - 1) * (t - 31) * (t - 61) * (t - 91)
+    cases = [spread, spread * (t * t + 1),
+             spread * t ** 2 * Polynomial.constant(Q, Fraction(1, 7))]
+    cases += [_rational_oracle_input(rng) for _ in range(240)]
+    for f in cases:
+        fac = factor_polynomial(f)
+        assert fac.product() == f
+        expected = _sympy_rational_factors(f)
+        got = sorted((item.base.coeffs, item.multiplicity)
+                     for item in fac.factors if item.base.degree == 1)
+        assert got == [item for item in expected if len(item[0]) == 2], str(f)
+        for item in fac.factors:
+            if item.base.degree <= 3:
+                assert item.certified, str(f)
+                assert (item.base.coeffs, item.multiplicity) in expected

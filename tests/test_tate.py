@@ -8,9 +8,9 @@ from reciprocity_lab.errors import DomainError, ZeroInputError
 from reciprocity_lab.funcfield import Place, RationalFunction, support_union
 from reciprocity_lab.lattices import MonomialLattice
 from reciprocity_lab.poly import Polynomial
-from reciprocity_lab.tate import (_support_bound, abstract_residue_trace,
-                                  classical_residue, data_spread,
-                                  minimal_window)
+from reciprocity_lab.tate import (_data_spread as data_spread,
+                                  _support_bound, abstract_residue_trace,
+                                  classical_residue, minimal_window)
 from reciprocity_lab.xsymbol import curve_residue_family
 
 from helpers import F3, F5, Q, rand_fn, rand_fn_q, rand_lattice
