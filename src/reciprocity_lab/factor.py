@@ -6,8 +6,8 @@ result is complete and certified.  Over Q we stop at what exact elementary
 means certify: squarefree splitting, rational-root extraction, and the
 degree-2/3 irreducibility test; any surviving cofactor of degree >= 4 is
 returned flagged as not certified irreducible.  Rational roots are lifted
-from the simple roots mod a small prime by Newton's iteration, so the work
-grows with the length of the coefficients, not with their size.
+by Newton's iteration from the simple roots mod the least suitable prime p;
+p grows with the degree and the digits of f, not with its coefficients.
 
 Over F_p the modular arithmetic runs on coefficient tuples through
 `poly.convolve` and `poly.reduce_monic`.  For each monic squarefree part f
@@ -195,10 +195,11 @@ def _rational_roots(f: Polynomial) -> list[Fraction]:
     Cleared to integers, with t split off once, f has lead and const != 0.
     A root a/b in lowest terms has b | lead and a | const, so y = lead*a/b
     has |y| <= |lead*const|.  At the least prime p not dividing lead where
-    every root of f mod p is simple, a/b reduces to one of them, which has
-    exactly one lift r mod p^k (Hensel); once p^k > 2|lead*const|, y is the
-    symmetric residue of lead*r.  Candidates are checked exactly, so a wrong
-    bound could only miss a root.  (von zur Gathen & Gerhard, sec. 15.4.)
+    every root mod p is simple, a/b reduces to one, whose lift r mod p^k is
+    unique (Hensel; von zur Gathen & Gerhard, sec. 15.4).  Once p^k >
+    2|lead*const|, y is the symmetric residue of lead*r; each candidate is
+    checked exactly.  Primes q < p not dividing lead divide disc(f) != 0, so
+    p grows at most with deg f times the digits of f; q costs q evaluations.
     """
     lcm = math.lcm(*(c.denominator for c in f.coeffs))
     ints = [int(c * lcm) for c in f.coeffs]
@@ -258,7 +259,6 @@ def _factor_rationals_limited(f: Polynomial) -> Factorization:
             rest = rest.exact_div(linear)
             items.append(Factor(linear, mult, True))
         if not rest.is_constant():
-            # degree 2 and 3 with no rational root are irreducible over Q
             items.append(Factor(rest.monic(), mult, rest.degree <= 3))
     return Factorization(unit, _sorted_factors(items))
 

@@ -47,7 +47,12 @@ def rand_fn_q(rng, max_deg=6, var="t", quadratic=True):
         budget -= 2
     while budget > 0:
         e = rng.randint(1, min(2, budget))
-        root = Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 40))
+        # mostly small roots, so 0, shared places and cancellations occur;
+        # a quarter wide, so the root search meets large numerators
+        if rng.random() < 0.75:
+            root = rng.randint(-4, 4)
+        else:
+            root = Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 40))
         f = f * (t - RationalFunction.constant(Q, root, var)) ** (
             e * rng.choice([1, -1]))
         budget -= e

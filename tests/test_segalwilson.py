@@ -10,6 +10,7 @@ from reciprocity_lab.poly import Polynomial
 from reciprocity_lab.segalwilson import (DEFAULT_ORDER, TruncatedPowerSeries,
                                          cocycle_c, cocycle_on_lattice,
                                          exp_z2, sw_verify)
+from reciprocity_lab.tate import classical_residue
 
 from helpers import F5, Q, rand_fn_q
 
@@ -133,17 +134,24 @@ def test_lattice_pairing_matches_and_is_additive():
 def test_additive_two_cocycle_identity():
     rng = random.Random(359)
     x = origin()
-    done = 0
+    t = RationalFunction.variable(Q)
+    done = nontrivial = 0
     while done < 10:
-        f = rand_fn_q(rng, max_deg=3)
-        g = rand_fn_q(rng, max_deg=3)
-        h = rand_fn_q(rng, max_deg=3)
+        # a power of t in each puts x = (t) in the support
+        f = rand_fn_q(rng, max_deg=3) * t ** rng.randint(-2, 2)
+        g = rand_fn_q(rng, max_deg=3) * t ** rng.randint(-2, 2)
+        h = rand_fn_q(rng, max_deg=3) * t ** rng.randint(-2, 2)
         if (g + h).is_zero() or (f + g).is_zero():
             continue
         lhs = cocycle_c(f, g + h, x, 8) * cocycle_c(g, h, x, 8)
         rhs = cocycle_c(f + g, h, x, 8) * cocycle_c(f, g, x, 8)
         assert lhs == rhs
+        pairs = ((f, g + h), (g, h), (f + g, h), (f, g))
+        nontrivial += any(not classical_residue(a, b, x).is_zero()
+                          for a, b in pairs)
         done += 1
+    # a case whose residues at x all vanish checks only 1 == 1
+    assert nontrivial >= 5
 
 
 def test_product_formula_frozen_example():
