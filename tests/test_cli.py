@@ -288,6 +288,104 @@ def test_law_reports_keep_their_bytes(capsys):
         assert (code, out) == (0, expected), line
 
 
+# The local-value form of each command (--place, --check axioms) with
+# --json, and the stderr of the errors the command handlers raise
+# themselves, as captured before the subcommands shared one table.
+_PINNED_VALUES = (
+    ('tame --field Fp:7 --f "t^2+3" --g "(t+1)/t^3" --place "t"',
+     '{"details":{},"expected":null,"field":"Fp:7",'
+     '"inputs":{"f":"t^2+3","g":"(t+1)/(t^3)"},"law":"tame-symbol",'
+     '"ok":true,"terms":[{"place":"t","value":"6"}],"value":"6"}\n'),
+    ('residue --f "(t+2)/(t^2-t)" --g "t^2" --place "t-1"',
+     '{"details":{},"expected":null,"field":"Q",'
+     '"inputs":{"f":"(t+2)/(t^2-t)","g":"t^2"},"law":"residue",'
+     '"ok":true,"terms":[{"place":"t-1","value":"6"}],"value":"6"}\n'),
+    ('sw --f "1/t" --g "t" --place "t" --order 4',
+     '{"details":{},"expected":null,"field":"Q",'
+     '"inputs":{"f":"(1)/(t)","g":"t","order":"4"},'
+     '"law":"segal-wilson","ok":true,"terms":[{"place":"t",'
+     '"value":"1 + 1/2*z^2 + 1/8*z^4"}],'
+     '"value":"1 + 1/2*z^2 + 1/8*z^4"}\n'),
+    ('hilbert --field Fp:5 --f "t" --g "t" --m 4 --place "t"',
+     '{"details":{},"expected":null,"field":"Fp:5",'
+     '"inputs":{"f":"t","g":"t","m":"4"},"law":"hilbert-symbol",'
+     '"ok":true,"terms":[{"place":"t","value":"4"}],"value":"4"}\n'),
+    ('nu --f "s*t^2" --g "s+t" --place "s"',
+     '{"details":{},"expected":null,"field":"Q",'
+     '"inputs":{"f":"s*t^2","g":"t+s"},"law":"nu-symbol","ok":true,'
+     '"terms":[{"place":"s","value":"-2"}],"value":"-2"}\n'),
+    ('nu --f "s^2*t" --g "(s+t)*t^3" --place "s" --z "t*(1+s)"',
+     '{"details":{},"expected":null,"field":"Q",'
+     '"inputs":{"f":"s^2*t","g":"t^4+s*t^3"},"law":"nu-symbol",'
+     '"ok":true,"terms":[{"place":"s","value":"5"}],"value":"5"}\n'),
+    ('horozov --field Fp:7 --f "s*t" --g "t*(s+3)" --h "(2+s)*t^2" '
+     '--place "s"',
+     '{"details":{},"expected":null,"field":"Fp:7",'
+     '"inputs":{"f":"s*t","g":"(s+3)*t","h":"(s+2)*t^2"},'
+     '"law":"horozov-symbol","ok":true,"terms":[{"place":"s",'
+     '"value":"4"}],"value":"4"}\n'),
+    ('horozov --f "s*t" --g "t*(s+1)" --h "(1+s)*t^2" --place "s+1" '
+     '--z "t*(1+t)"',
+     '{"details":{},"expected":null,"field":"Q","inputs":{"f":"s*t",'
+     '"g":"(s+1)*t","h":"(s+1)*t^2"},"law":"horozov-symbol",'
+     '"ok":true,"terms":[{"place":"s+1","value":"-1"}],'
+     '"value":"-1"}\n'),
+    ('parshin --field Fp:5 --f "t" --g "s" --h "s+2" --place "s"',
+     '{"details":{},"expected":null,"field":"Fp:5",'
+     '"inputs":{"f":"t","g":"s","h":"s+2"},"law":"parshin-symbol",'
+     '"ok":true,"terms":[{"place":"s","value":"2"}],"value":"2"}\n'),
+    ('hk4 --field Fp:7 --f "(s+1)*t" --g "s*t" --h "s*t^2" --w "(s+2)*t" '
+     '--place "s"',
+     '{"details":{},"expected":null,"field":"Fp:7",'
+     '"inputs":{"f":"(s+1)*t","g":"s*t","h":"s*t^2","w":"(s+2)*t"},'
+     '"law":"hk4-symbol","ok":true,"terms":[{"place":"s",'
+     '"value":"5"}],"value":"5"}\n'),
+    ('index --f "t^2" --lattice "ray:0;add:-3;del:2" --place "t"',
+     '{"details":{},"expected":null,"field":"Q","inputs":{"f":"t^2",'
+     '"lattice":"ray:3;add:-3,0,1"},"law":"index","ok":true,'
+     '"terms":[{"place":"t","value":"2"}],"value":"2"}\n'),
+    ('index --field Fp:3 --f "(t^2+1)^3/t" --place "t^2+1" '
+     '--lattice "ray:1;del:2"',
+     '{"details":{},"expected":null,"field":"Fp:3",'
+     '"inputs":{"f":"(t^6+1)/(t)","lattice":"ray:3;add:1"},'
+     '"law":"index","ok":true,"terms":[{"place":"t^2+1",'
+     '"value":"6"}],"value":"6"}\n'),
+    ('xsymbol --instance index --f "t^2" --check axioms --a "ray:0" '
+     '--b "ray:2"',
+     '{"details":{},"expected":"pass","field":"Q",'
+     '"inputs":{"a":"ray:0","b":"ray:2","f":"t^2","g":"",'
+     '"instance":"index"},"law":"xsymbol-axioms","ok":true,'
+     '"terms":[{"lattice":"ray:0","value":"0"},{"lattice":"ray:2",'
+     '"value":"0"}],"value":"pass"}\n'),
+    ('xsymbol --instance tame --field Fp:5 --f "2*t^2" --g "3*t" '
+     '--check axioms --a "ray:-3" --b "ray:2;del:3"',
+     '{"details":{},"expected":"pass","field":"Fp:5",'
+     '"inputs":{"a":"ray:-3","b":"ray:4;add:2","f":"2*t^2",'
+     '"g":"3*t","instance":"tame"},"law":"xsymbol-axioms","ok":true,'
+     '"terms":[{"lattice":"ray:-3","value":"1"},'
+     '{"lattice":"ray:4;add:2","value":"1"}],"value":"pass"}\n'),
+)
+_PINNED_ERRORS = (
+    ('index --f "t^2"', 2,
+     'parse error: index needs --place (or --verify)\n'),
+    ('xsymbol --instance tame --f "t^2" --check reciprocity', 2,
+     'parse error: the tame instance needs --g\n'),
+    ('xsymbol --instance residue --f "1/t" --g "t" --check axioms '
+     '--a "ray:0"', 2,
+     'parse error: --check axioms needs --a and --b\n'),
+    ('sw --f "1/t" --g "t" --order 1001', 2,
+     'parse error: --order 1001 is outside [0, 1000]\n'),
+)
+
+
+def test_value_reports_and_errors_keep_their_bytes(capsys):
+    for line, expected in _PINNED_VALUES:
+        code, out, err = run(capsys, *shlex.split(line), "--json")
+        assert (code, out, err) == (0, expected, ""), line
+    for line, code, message in _PINNED_ERRORS:
+        assert run(capsys, *shlex.split(line)) == (code, "", message), line
+
+
 def _readme_examples():
     """(argv, shown output lines) of each README command shown with output."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
