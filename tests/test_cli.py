@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import shlex
@@ -384,6 +385,41 @@ def test_value_reports_and_errors_keep_their_bytes(capsys):
         assert (code, out, err) == (0, expected, ""), line
     for line, code, message in _PINNED_ERRORS:
         assert run(capsys, *shlex.split(line)) == (code, "", message), line
+
+
+# Every subcommand's options, in order, as taken before the subcommands
+# shared one table: "!" marks a required option and "=" its default, after
+# --field='Q' --json=False, which every subcommand has.
+_OPTIONS = (
+    ("tame", "--f! --g! --place!"),
+    ("weil", "--f! --g!"),
+    ("sumval", "--f!"),
+    ("residue", "--f! --g! --place!"),
+    ("restheorem", "--f! --g! --oracle=False"),
+    ("hilbert", "--f! --g! --m! --place"),
+    ("nu", "--f! --g! --place --verify=False --z"),
+    ("horozov", "--f! --g! --h! --place --verify=False --z"),
+    ("parshin", "--f! --g! --h! --place --verify=False --z"),
+    ("hk4", "--f! --g! --h! --w! --place --verify=False --z"),
+    ("sw", "--f! --g! --place --order=12"),
+    ("index", "--f! --place --lattice='ray:0' --verify=False"),
+    ("xsymbol", "--instance! --f! --g --check! --a --b"),
+)
+
+
+def test_command_line_options_stay_fixed():
+    parser = cli._build_parser()
+    sub, = (action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction))
+    shown = tuple(
+        (name, " ".join(
+            action.option_strings[-1] + "!" * action.required
+            + ("" if action.default is None else f"={action.default!r}")
+            for action in command._actions
+            if action.option_strings[-1] != "--help"))
+        for name, command in sub.choices.items())
+    assert shown == tuple((name, "--field='Q' --json=False " + options)
+                          for name, options in _OPTIONS)
 
 
 def _readme_examples():
