@@ -1,12 +1,14 @@
 """Command-line front end.
 
-One subcommand per symbol.  Commands that take --place evaluate the local
-symbol there; verification commands (weil, sumval, restheorem, and the
---verify form of the surface and series commands) run the product or sum
-over every place of the joint support and exit 0 exactly when the law
-holds.  Exit codes: 0 verified or computed, 1 a verification failed, 2
-input could not be parsed, 3 the inputs are outside a symbol's domain, 4 a
-reciprocity hypothesis was violated.
+One subcommand per symbol or law, each declared once in `_COMMANDS` with
+its flags and its library calls.  A command given --place evaluates the
+local symbol there.  Without --place, or with --verify on the surface
+commands and index, it runs the product or sum over every place of the
+joint support and exits 0 exactly when the law holds; weil, sumval and
+restheorem take no --place, and tame and residue need one.  Exit codes: 0
+verified or computed, 1 a verification failed, 2 input could not be
+parsed, 3 the inputs are outside a symbol's domain, 4 a reciprocity
+hypothesis was violated.
 
 Reports print as aligned text, or as canonical JSON with --json: keys are
 sorted and separators fixed, so identical inputs are byte-identical.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable, NamedTuple
 
 from .errors import (DomainError, HypothesisViolation, MixedFieldError,
                      NotAUnitError, ParseError, PrecisionError,
@@ -38,13 +41,176 @@ from .xsymbol import (curve_index_family, curve_residue_family,
 _DOMAIN_ERRORS = (DomainError, ZeroInputError, NotAUnitError,
                   UncertifiedFactorError, MixedFieldError, PrecisionError)
 
+_REQUIRED = {"required": True, "type": str}
+_OPTIONAL = {"type": str}
+_SURFACE = {"place": {"type": str,
+                      "help": "a place of the curve, in the variable s"},
+            "verify": {"action": "store_true",
+                       "help": "run the product (or sum) over the curve"},
+            "z": {"type": str, "default": None,
+                  "help": "local parameter along the curve (default t)"}}
 
-def _value_report(law: str, field: Field, inputs: dict, place: str,
+
+class _Command(NamedTuple):
+    """A subcommand: its function flags (in k(s, t) if `surface`, else in
+    k(t)), then `flags`, each with its argparse keywords.  `params(args)`
+    renders the other report inputs, checked before any function is
+    parsed; `value(args, functions, x, z)` is the symbol at the place x,
+    reported as `label`; `law(args, functions, z)` is the report over all
+    places.  `run(args)` replaces these where a command's rules differ."""
+    help: str
+    functions: tuple = ()
+    flags: dict = {}
+    surface: bool = False
+    params: Callable = lambda args: {}
+    label: str | None = None
+    value: Callable | None = None
+    law: Callable | None = None
+    run: Callable | None = None
+
+
+def _value_report(law: str, field: Field, inputs: dict, x,
                   value) -> VerificationReport:
     return VerificationReport(
         law=law, field_descriptor=field.descriptor, inputs=inputs,
-        terms=[{"place": place, "value": str(value)}],
+        terms=[{"place": str(x), "value": str(value)}],
         value=str(value), expected=None, ok=True, details={})
+
+
+def _order(args) -> dict:
+    if not 0 <= args.order <= ORDER_BOUND:
+        raise ParseError(f"--order {args.order} is outside [0, {ORDER_BOUND}]")
+    return {"order": str(args.order)}
+
+
+def _index(args) -> VerificationReport:
+    field = parse_field(args.field)
+    f = parse_rational(args.f, field)
+    if args.verify:
+        return general_reciprocity_run(curve_index_family(f))
+    if args.place is None:
+        raise ParseError("index needs --place (or --verify)")
+    x = parse_place(args.place, field)
+    lattice = parse_lattice(args.lattice)
+    op = MonomialOperator(field, field.one, f.valuation(x))
+    return _value_report("index", field,
+                         {"f": str(f), "lattice": str(lattice)}, x,
+                         x.degree * lattice_index(op, lattice))
+
+
+def _xsymbol(args) -> VerificationReport:
+    field = parse_field(args.field)
+    f = parse_rational(args.f, field)
+    if args.instance == "index":
+        family = curve_index_family(f)
+    elif args.g is None:
+        raise ParseError(f"the {args.instance} instance needs --g")
+    elif args.instance == "residue":
+        family = curve_residue_family(f, parse_rational(args.g, field))
+    else:
+        family = curve_tame_family(f, parse_rational(args.g, field))
+    if args.check == "reciprocity":
+        return general_reciprocity_run(family)
+    if args.a is None or args.b is None:
+        raise ParseError("--check axioms needs --a and --b")
+    a = parse_lattice(args.a)
+    b = parse_lattice(args.b)
+    sym = family.symbol
+    ok = xsymbol_axiom_check(sym, a, b)
+    return VerificationReport(
+        law="xsymbol-axioms", field_descriptor=field.descriptor,
+        inputs={"instance": args.instance, "f": args.f,
+                "g": args.g or "", "a": str(a), "b": str(b)},
+        terms=[{"lattice": str(a), "value": sym.render(sym.evaluate(a))},
+               {"lattice": str(b), "value": sym.render(sym.evaluate(b))}],
+        value="pass" if ok else "fail", expected="pass", ok=ok,
+        details={})
+
+
+# Library functions are looked up when a command runs, not here, so that a
+# name patched on this module is the one called.
+_COMMANDS = {
+    "tame": _Command(
+        "tame symbol of (f, g) at a place", ("f", "g"),
+        {"place": _REQUIRED}, label="tame-symbol",
+        value=lambda args, fs, x, z: tame_symbol(*fs, x)),
+    "weil": _Command(
+        "product of tame symbols over the joint support", ("f", "g"),
+        law=lambda args, fs, z: weil_verify(*fs)),
+    "sumval": _Command(
+        "degree-weighted sum of valuations of f", ("f",),
+        law=lambda args, fs, z: sum_of_valuations_verify(*fs)),
+    "residue": _Command(
+        "residue of f dg at a place, traced to the ground field", ("f", "g"),
+        {"place": _REQUIRED}, label="residue",
+        value=lambda args, fs, x, z: classical_residue(*fs, x)),
+    "restheorem": _Command(
+        "sum of residues of f dg over all places", ("f", "g"),
+        {"oracle": {"action": "store_true", "help": "cross-check each term "
+                    "against the commutator trace"}},
+        law=lambda args, fs, z: residue_theorem_verify(*fs,
+                                                       oracle=args.oracle)),
+    "hilbert": _Command(
+        "norm residue symbol of order m (value with --place, "
+        "reciprocity product without)", ("f", "g"),
+        {"m": {"required": True, "type": int}, "place": _OPTIONAL},
+        params=lambda args: {"m": str(args.m)}, label="hilbert-symbol",
+        value=lambda args, fs, x, z: hilbert_symbol(*fs, x, args.m),
+        law=lambda args, fs, z: hilbert_verify(*fs, args.m)),
+    "nu": _Command(
+        "intersection pairing against the curve t = 0", ("f", "g"),
+        _SURFACE, surface=True, label="nu-symbol",
+        value=lambda args, fs, x, z: nu_symbol(*fs, x, z),
+        law=lambda args, fs, z: nu_verify(*fs)),
+    "horozov": _Command(
+        "three-slot local symbol on the surface", ("f", "g", "h"),
+        _SURFACE, surface=True, label="horozov-symbol",
+        value=lambda args, fs, x, z: horozov3(*fs, x, z=z),
+        law=lambda args, fs, z: reciprocity_verify_2d("horozov", fs, z)),
+    "parshin": _Command(
+        "antisymmetric three-slot symbol on the surface", ("f", "g", "h"),
+        _SURFACE, surface=True, label="parshin-symbol",
+        value=lambda args, fs, x, z: parshin3(*fs, x, z=z),
+        law=lambda args, fs, z: reciprocity_verify_2d("parshin", fs, z)),
+    "hk4": _Command(
+        "four-slot local symbol on the surface", ("f", "g", "h", "w"),
+        _SURFACE, surface=True, label="hk4-symbol",
+        value=lambda args, fs, x, z: hk4(*fs, x, z=z),
+        law=lambda args, fs, z: reciprocity_verify_2d("hk4", fs, z)),
+    "sw": _Command(
+        "exponential residue pairing (value with --place, product without)",
+        ("f", "g"),
+        {"place": _OPTIONAL,
+         "order": {"type": int, "default": DEFAULT_ORDER,
+                   "help": f"truncation order in z (default {DEFAULT_ORDER}, "
+                           f"from 0 to {ORDER_BOUND})"}},
+        params=_order, label="segal-wilson",
+        value=lambda args, fs, x, z: cocycle_c(*fs, x, args.order),
+        law=lambda args, fs, z: sw_verify(*fs, args.order)),
+    "index": _Command(
+        "lattice index of multiplication by f at a place",
+        flags={"f": _REQUIRED, "place": _OPTIONAL,
+               "lattice": {"type": str, "default": "ray:0",
+                           "help": 'lattice literal "ray:<n0>;add:..;del:.." '
+                                   '(default ray:0)'},
+               "verify": {"action": "store_true", "help": "run the full "
+                          "sum-of-valuations family instead"}},
+        run=_index),
+    "xsymbol": _Command(
+        "symbol maps on monomial lattices",
+        flags={"instance": {"required": True,
+                            "choices": ("index", "residue", "tame")},
+               "f": _REQUIRED,
+               "g": {"type": str, "default": None,
+                     "help": "second function (required except for index)"},
+               "check": {"required": True,
+                         "choices": ("axioms", "reciprocity")},
+               "a": {"type": str, "default": None,
+                     "help": "first lattice literal for --check axioms"},
+               "b": {"type": str, "default": None,
+                     "help": "second lattice literal for --check axioms"}},
+        run=_xsymbol),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,207 +225,37 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact symbol computations and reciprocity checks "
                     "on rational function fields")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name, help_text, **flags):
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        for flag, (required, extra) in flags.items():
-            p.add_argument(f"--{flag}", required=required, **extra)
-        return p
-
-    expr = {"type": str}
-    cmd("tame", "tame symbol of (f, g) at a place",
-        f=(True, expr), g=(True, expr), place=(True, expr))
-    cmd("weil", "product of tame symbols over the joint support",
-        f=(True, expr), g=(True, expr))
-    cmd("sumval", "degree-weighted sum of valuations of f",
-        f=(True, expr))
-    cmd("residue", "residue of f dg at a place, traced to the ground field",
-        f=(True, expr), g=(True, expr), place=(True, expr))
-    p = cmd("restheorem", "sum of residues of f dg over all places",
-            f=(True, expr), g=(True, expr))
-    p.add_argument("--oracle", action="store_true",
-                   help="cross-check each term against the commutator trace")
-    cmd("hilbert", "norm residue symbol of order m (value with --place, "
-        "reciprocity product without)",
-        f=(True, expr), g=(True, expr), m=(True, {"type": int}),
-        place=(False, expr))
-
-    def surface_cmd(name, help_text, names):
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        for flag in names:
-            p.add_argument(f"--{flag}", required=True, type=str)
-        p.add_argument("--place", type=str,
-                       help="a place of the curve, in the variable s")
-        p.add_argument("--verify", action="store_true",
-                       help="run the product (or sum) over the curve")
-        p.add_argument("--z", type=str, default=None,
-                       help="local parameter along the curve (default t)")
-        return p
-
-    surface_cmd("nu", "intersection pairing against the curve t = 0",
-                ("f", "g"))
-    surface_cmd("horozov", "three-slot local symbol on the surface",
-                ("f", "g", "h"))
-    surface_cmd("parshin", "antisymmetric three-slot symbol on the surface",
-                ("f", "g", "h"))
-    surface_cmd("hk4", "four-slot local symbol on the surface",
-                ("f", "g", "h", "w"))
-
-    p = cmd("sw", "exponential residue pairing (value with --place, "
-            "product without)",
-            f=(True, expr), g=(True, expr), place=(False, expr))
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER,
-                   help=f"truncation order in z (default {DEFAULT_ORDER}, "
-                        f"from 0 to {ORDER_BOUND})")
-
-    p = cmd("index", "lattice index of multiplication by f at a place",
-            f=(True, expr), place=(False, expr))
-    p.add_argument("--lattice", type=str, default="ray:0",
-                   help='lattice literal "ray:<n0>;add:..;del:.." '
-                        '(default ray:0)')
-    p.add_argument("--verify", action="store_true",
-                   help="run the full sum-of-valuations family instead")
-
-    p = sub.add_parser("xsymbol", parents=[common],
-                       help="symbol maps on monomial lattices")
-    p.add_argument("--instance", required=True,
-                   choices=("index", "residue", "tame"))
-    p.add_argument("--f", required=True, type=str)
-    p.add_argument("--g", type=str, default=None,
-                   help="second function (required except for index)")
-    p.add_argument("--check", required=True,
-                   choices=("axioms", "reciprocity"))
-    p.add_argument("--a", type=str, default=None,
-                   help="first lattice literal for --check axioms")
-    p.add_argument("--b", type=str, default=None,
-                   help="second lattice literal for --check axioms")
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=command.help)
+        for flag in command.functions:
+            p.add_argument(f"--{flag}", **_REQUIRED)
+        for flag, keywords in command.flags.items():
+            p.add_argument(f"--{flag}", **keywords)
     return parser
 
 
-def _surface_inputs(args, names):
+def _symbol_or_law(command: _Command, args) -> VerificationReport:
+    """Parse --field, the functions, --z and --place, in that order; the
+    law when --place is absent or --verify is set, else the value there."""
     field = parse_field(args.field)
-    functions = [parse_surface(getattr(args, name), field) for name in names]
-    z = parse_surface(args.z, field) if args.z else None
-    place = parse_place(args.place, field, "s") if args.place else None
-    return field, functions, z, place
-
-
-def _xsymbol_family(args, field):
-    f = parse_rational(args.f, field)
-    if args.instance == "index":
-        return curve_index_family(f)
-    if args.g is None:
-        raise ParseError(f"the {args.instance} instance needs --g")
-    g = parse_rational(args.g, field)
-    if args.instance == "residue":
-        return curve_residue_family(f, g)
-    return curve_tame_family(f, g)
+    params = command.params(args)
+    parse = parse_surface if command.surface else parse_rational
+    functions = [parse(getattr(args, name), field)
+                 for name in command.functions]
+    z = parse(args.z, field) if getattr(args, "z", None) else None
+    place = getattr(args, "place", None)
+    x = (parse_place(place, field, "s" if command.surface else "t")
+         if place or command.law is None else None)
+    if x is None or getattr(args, "verify", False):
+        return command.law(args, functions, z)
+    inputs = {name: str(fn) for name, fn in zip(command.functions, functions)}
+    return _value_report(command.label, field, {**inputs, **params}, x,
+                         command.value(args, functions, x, z))
 
 
 def _dispatch(args) -> VerificationReport:
-    command = args.command
-
-    if command in ("tame", "weil", "sumval", "residue", "restheorem",
-                   "hilbert", "sw", "index", "xsymbol"):
-        field = parse_field(args.field)
-
-    if command == "tame":
-        f = parse_rational(args.f, field)
-        g = parse_rational(args.g, field)
-        x = parse_place(args.place, field)
-        return _value_report("tame-symbol", field,
-                             {"f": str(f), "g": str(g)}, str(x),
-                             tame_symbol(f, g, x))
-    if command == "weil":
-        return weil_verify(parse_rational(args.f, field),
-                           parse_rational(args.g, field))
-    if command == "sumval":
-        return sum_of_valuations_verify(parse_rational(args.f, field))
-    if command == "residue":
-        f = parse_rational(args.f, field)
-        g = parse_rational(args.g, field)
-        x = parse_place(args.place, field)
-        return _value_report("residue", field,
-                             {"f": str(f), "g": str(g)}, str(x),
-                             classical_residue(f, g, x))
-    if command == "restheorem":
-        return residue_theorem_verify(parse_rational(args.f, field),
-                                      parse_rational(args.g, field),
-                                      oracle=args.oracle)
-    if command == "hilbert":
-        f = parse_rational(args.f, field)
-        g = parse_rational(args.g, field)
-        if args.place:
-            x = parse_place(args.place, field)
-            return _value_report("hilbert-symbol", field,
-                                 {"f": str(f), "g": str(g), "m": str(args.m)},
-                                 str(x), hilbert_symbol(f, g, x, args.m))
-        return hilbert_verify(f, g, args.m)
-
-    if command == "nu":
-        field, (f, g), z, place = _surface_inputs(args, ("f", "g"))
-        if args.verify or place is None:
-            return nu_verify(f, g)
-        return _value_report("nu-symbol", field, {"f": str(f), "g": str(g)},
-                             str(place), nu_symbol(f, g, place, z))
-    if command in ("horozov", "parshin", "hk4"):
-        names = ("f", "g", "h", "w") if command == "hk4" else ("f", "g", "h")
-        field, functions, z, place = _surface_inputs(args, names)
-        if args.verify or place is None:
-            return reciprocity_verify_2d(command, functions, z)
-        local = {"horozov": horozov3, "parshin": parshin3, "hk4": hk4}[command]
-        value = local(*functions, place, z=z)
-        return _value_report(f"{command}-symbol", field,
-                             {name: str(fn) for name, fn
-                              in zip(names, functions)},
-                             str(place), value)
-
-    if command == "sw":
-        if not 0 <= args.order <= ORDER_BOUND:
-            raise ParseError(f"--order {args.order} is outside [0, {ORDER_BOUND}]")
-        f = parse_rational(args.f, field)
-        g = parse_rational(args.g, field)
-        if args.place:
-            x = parse_place(args.place, field)
-            return _value_report("segal-wilson", field,
-                                 {"f": str(f), "g": str(g),
-                                  "order": str(args.order)},
-                                 str(x), cocycle_c(f, g, x, args.order))
-        return sw_verify(f, g, args.order)
-
-    if command == "index":
-        f = parse_rational(args.f, field)
-        if args.verify:
-            return general_reciprocity_run(curve_index_family(f))
-        if args.place is None:
-            raise ParseError("index needs --place (or --verify)")
-        x = parse_place(args.place, field)
-        lattice = parse_lattice(args.lattice)
-        op = MonomialOperator(field, field.one, f.valuation(x))
-        value = x.degree * lattice_index(op, lattice)
-        return _value_report("index", field,
-                             {"f": str(f), "lattice": str(lattice)},
-                             str(x), value)
-
-    if command == "xsymbol":
-        family = _xsymbol_family(args, field)
-        if args.check == "reciprocity":
-            return general_reciprocity_run(family)
-        if args.a is None or args.b is None:
-            raise ParseError("--check axioms needs --a and --b")
-        a = parse_lattice(args.a)
-        b = parse_lattice(args.b)
-        sym = family.symbol
-        ok = xsymbol_axiom_check(sym, a, b)
-        return VerificationReport(
-            law="xsymbol-axioms", field_descriptor=field.descriptor,
-            inputs={"instance": args.instance, "f": args.f,
-                    "g": args.g or "", "a": str(a), "b": str(b)},
-            terms=[{"lattice": str(a), "value": sym.render(sym.evaluate(a))},
-                   {"lattice": str(b), "value": sym.render(sym.evaluate(b))}],
-            value="pass" if ok else "fail", expected="pass", ok=ok,
-            details={})
-    raise ParseError(f"unknown command {command!r}")
+    command = _COMMANDS[args.command]
+    return command.run(args) if command.run else _symbol_or_law(command, args)
 
 
 def main(argv=None) -> int:

@@ -312,9 +312,6 @@ class FieldScalar:
     def is_zero(self) -> bool:
         return self.field.is_zero(self.raw)
 
-    def is_one(self) -> bool:
-        return self.field.eq(self.raw, self.field.one)
-
     def __eq__(self, other):
         if isinstance(other, int):
             return self.field.eq(self.raw, self.field.from_int(other))
