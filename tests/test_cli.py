@@ -387,6 +387,192 @@ def test_value_reports_and_errors_keep_their_bytes(capsys):
         assert run(capsys, *shlex.split(line)) == (code, "", message), line
 
 
+# Residues at poles of order 2 to 4 on places of degree 2 and 3 (and one at
+# infinity), where a local expansion reads more than one coefficient of each
+# shifted numerator and denominator; every README residue command has only
+# simple poles at degree-1 places.  Captured before expansions were
+# truncated to the coefficients a residue reads.
+_PINNED_RESIDUES = (
+    ('restheorem --field Fp:5 --f "(t+1)/(t^2+2)^2" --g "t^3+2*t"',
+     '{"details":{"places":5,"suppressed_trivial":3},'
+     '"expected":"0","field":"Fp:5",'
+     '"inputs":{"f":"(t+1)/(t^4+4*t^2+4)","g":"t^3+2*t"},'
+     '"law":"residue-theorem","ok":true,"terms":[{"deg":1,'
+     '"place":"t","value":"0"},{"deg":1,"place":"t+1",'
+     '"value":"0"},{"deg":1,"place":"t+4","value":"0"},{"deg":2,'
+     '"place":"t^2+2","value":"3"},{"deg":1,"place":"inf",'
+     '"value":"2"}],"value":"0"}\n'),
+    ('restheorem --field Fp:5 --f "(t+4)/((t^3+t+1)^4*t)" --g "t^3+3*t"',
+     '{"details":{"places":7,"suppressed_trivial":5},'
+     '"expected":"0","field":"Fp:5",'
+     '"inputs":{"f":"(t+4)/(t^13+4*t^11+4*t^10+t^9+2*t^8+2*t^6+'
+     '3*t^5+3*t^4+t^3+4*t^2+t)","g":"t^3+3*t"},'
+     '"law":"residue-theorem","ok":true,"terms":[{"deg":1,'
+     '"place":"t","value":"2"},{"deg":1,"place":"t+2",'
+     '"value":"0"},{"deg":1,"place":"t+3","value":"0"},{"deg":1,'
+     '"place":"t+4","value":"0"},{"deg":2,"place":"t^2+3",'
+     '"value":"0"},{"deg":3,"place":"t^3+t+1","value":"3"},'
+     '{"deg":1,"place":"inf","value":"0"}],"value":"0"}\n'),
+    ('restheorem --field Fp:13 --f "(2*t+3)/((t^3+2)^2*(t+1))" --g "t^4+t"',
+     '{"details":{"places":8,"suppressed_trivial":6},'
+     '"expected":"0","field":"Fp:13",'
+     '"inputs":{"f":"(2*t+3)/(t^7+t^6+4*t^4+4*t^3+4*t+4)",'
+     '"g":"t^4+t"},"law":"residue-theorem","ok":true,'
+     '"terms":[{"deg":1,"place":"t","value":"0"},{"deg":1,'
+     '"place":"t+1","value":"10"},{"deg":1,"place":"t+3",'
+     '"value":"0"},{"deg":1,"place":"t+8","value":"0"},{"deg":1,'
+     '"place":"t+9","value":"0"},{"deg":3,"place":"t^3+2",'
+     '"value":"3"},{"deg":3,"place":"t^3+10","value":"0"},'
+     '{"deg":1,"place":"inf","value":"0"}],"value":"0"}\n'),
+    ('restheorem --field Fp:13 --f "(t^5+5*t+1)/(t^2+2)^3" --g "t^3+4*t"',
+     '{"details":{"places":9,"suppressed_trivial":7},'
+     '"expected":"0","field":"Fp:13",'
+     '"inputs":{"f":"(t^5+5*t+1)/(t^6+6*t^4+12*t^2+8)",'
+     '"g":"t^3+4*t"},"law":"residue-theorem","ok":true,'
+     '"terms":[{"deg":1,"place":"t","value":"0"},{"deg":1,'
+     '"place":"t+3","value":"0"},{"deg":1,"place":"t+4",'
+     '"value":"0"},{"deg":1,"place":"t+9","value":"0"},{"deg":1,'
+     '"place":"t+10","value":"0"},{"deg":2,"place":"t^2+2",'
+     '"value":"12"},{"deg":2,"place":"t^2+7*t+11","value":"0"},'
+     '{"deg":3,"place":"t^3+6*t^2+12*t+6","value":"0"},{"deg":1,'
+     '"place":"inf","value":"1"}],"value":"0"}\n'),
+    ('restheorem --field Fp:13 --f "(t^2+3*t)/((t^3+2)^4*(t-1))" '
+     '--g "t^2+t" --oracle',
+     '{"details":{"oracle_agreements":7,"places":7,'
+     '"suppressed_trivial":5},"expected":"0","field":"Fp:13",'
+     '"inputs":{"f":"(t^2+3*t)/(t^13+12*t^12+8*t^10+5*t^9+11*t^7+'
+     '2*t^6+6*t^4+7*t^3+3*t+10)","g":"t^2+t"},'
+     '"law":"residue-theorem","ok":true,"terms":[{"deg":1,'
+     '"oracle":"0","place":"t","value":"0"},{"deg":1,"oracle":"0",'
+     '"place":"t+1","value":"0"},{"deg":1,"oracle":"0",'
+     '"place":"t+3","value":"0"},{"deg":1,"oracle":"0",'
+     '"place":"t+7","value":"0"},{"deg":1,"oracle":"4",'
+     '"place":"t+12","value":"4"},{"deg":3,"oracle":"9",'
+     '"place":"t^3+2","value":"9"},{"deg":1,"oracle":"0",'
+     '"place":"inf","value":"0"}],"value":"0"}\n'),
+    ('restheorem --field Q --f "(t^2+3*t+1)/((t^3-2)^3*(t+1))" --g "t^2+t"',
+     '{"details":{"places":6,"suppressed_trivial":4},'
+     '"expected":"0","field":"Q",'
+     '"inputs":{"f":"(t^2+3*t+1)/(t^10+t^9-6*t^7-6*t^6+12*t^4+'
+     '12*t^3-8*t-8)","g":"t^2+t"},"law":"residue-theorem",'
+     '"ok":true,"terms":[{"deg":1,"place":"t","value":"0"},'
+     '{"deg":1,"place":"t+1","value":"-1/27"},{"deg":1,'
+     '"place":"t+1/2","value":"0"},{"deg":2,"place":"t^2+3*t+1",'
+     '"value":"0"},{"deg":3,"place":"t^3-2","value":"1/27"},'
+     '{"deg":1,"place":"inf","value":"0"}],"value":"0"}\n'),
+    ('restheorem --field Q --f "(2*t-1)/((t^2+1)^4*t)" --g "t^2+3*t"',
+     '{"details":{"places":6,"suppressed_trivial":4},'
+     '"expected":"0","field":"Q",'
+     '"inputs":{"f":"(2*t-1)/(t^9+4*t^7+6*t^5+4*t^3+t)",'
+     '"g":"t^2+3*t"},"law":"residue-theorem","ok":true,'
+     '"terms":[{"deg":1,"place":"t-1/2","value":"0"},{"deg":1,'
+     '"place":"t","value":"-3"},{"deg":1,"place":"t+3",'
+     '"value":"0"},{"deg":1,"place":"t+3/2","value":"0"},{"deg":2,'
+     '"place":"t^2+1","value":"3"},{"deg":1,"place":"inf",'
+     '"value":"0"}],"value":"0"}\n'),
+    ('sw --field Q --f "(t+2)/(t^2+1)^2" --g "t^3+3*t"',
+     '{"details":{"places":5,"suppressed_trivial":3},'
+     '"expected":"1","field":"Q",'
+     '"inputs":{"f":"(t+2)/(t^4+2*t^2+1)","g":"t^3+3*t",'
+     '"order":"12"},"law":"segal-wilson-product","ok":true,'
+     '"terms":[{"deg":1,"place":"t","residue":"0","value":"1"},'
+     '{"deg":1,"place":"t+2","residue":"0","value":"1"},{"deg":2,'
+     '"place":"t^2+1","residue":"3",'
+     '"value":"1 + 3/2*z^2 + 9/8*z^4 + 9/16*z^6 + 27/128*z^8 +'
+     ' 81/1280*z^10 + 81/5120*z^12"},{"deg":2,"place":"t^2+3",'
+     '"residue":"0","value":"1"},{"deg":1,"place":"inf",'
+     '"residue":"-3",'
+     '"value":"1 + -3/2*z^2 + 9/8*z^4 + -9/16*z^6 + 27/128*z^8 +'
+     ' -81/1280*z^10 + 81/5120*z^12"}],"value":"1"}\n'),
+    ('sw --field Q --f "(t^2+3*t+1)/((t^3-2)^3*(t+1))" --g "t^2+t" --order 6',
+     '{"details":{"places":6,"suppressed_trivial":4},'
+     '"expected":"1","field":"Q",'
+     '"inputs":{"f":"(t^2+3*t+1)/(t^10+t^9-6*t^7-6*t^6+12*t^4+'
+     '12*t^3-8*t-8)","g":"t^2+t","order":"6"},'
+     '"law":"segal-wilson-product","ok":true,"terms":[{"deg":1,'
+     '"place":"t","residue":"0","value":"1"},{"deg":1,'
+     '"place":"t+1","residue":"-1/27",'
+     '"value":"1 + -1/54*z^2 + 1/5832*z^4 + -1/944784*z^6"},'
+     '{"deg":1,"place":"t+1/2","residue":"0","value":"1"},'
+     '{"deg":2,"place":"t^2+3*t+1","residue":"0","value":"1"},'
+     '{"deg":3,"place":"t^3-2","residue":"1/27",'
+     '"value":"1 + 1/54*z^2 + 1/5832*z^4 + 1/944784*z^6"},'
+     '{"deg":1,"place":"inf","residue":"0","value":"1"}],'
+     '"value":"1"}\n'),
+    ('sw --field Q --f "(2*t-1)/((t^2+1)^4*t)" --g "t^2+3*t" --order 4',
+     '{"details":{"places":6,"suppressed_trivial":4},'
+     '"expected":"1","field":"Q",'
+     '"inputs":{"f":"(2*t-1)/(t^9+4*t^7+6*t^5+4*t^3+t)",'
+     '"g":"t^2+3*t","order":"4"},"law":"segal-wilson-product",'
+     '"ok":true,"terms":[{"deg":1,"place":"t-1/2","residue":"0",'
+     '"value":"1"},{"deg":1,"place":"t","residue":"-3",'
+     '"value":"1 + -3/2*z^2 + 9/8*z^4"},{"deg":1,"place":"t+3",'
+     '"residue":"0","value":"1"},{"deg":1,"place":"t+3/2",'
+     '"residue":"0","value":"1"},{"deg":2,"place":"t^2+1",'
+     '"residue":"3","value":"1 + 3/2*z^2 + 9/8*z^4"},{"deg":1,'
+     '"place":"inf","residue":"0","value":"1"}],"value":"1"}\n'),
+    ('sw --field Q --f "t^6+t" --g "1/(t^2+1)^3" --place "t^2+1" --order 4',
+     '{"details":{},"expected":null,"field":"Q",'
+     '"inputs":{"f":"t^6+t","g":"(1)/(t^6+3*t^4+3*t^2+1)",'
+     '"order":"4"},"law":"segal-wilson","ok":true,'
+     '"terms":[{"place":"t^2+1","value":"1 + -3*z^2 + 9/2*z^4"}],'
+     '"value":"1 + -3*z^2 + 9/2*z^4"}\n'),
+    ('residue --field Fp:5 --f "(t^2+3*t+1)/((t^2+2)^3*(t+1))" '
+     '--g "t^2+t" --place "t^2+2"',
+     '{"details":{},"expected":null,"field":"Fp:5",'
+     '"inputs":{"f":"(t^2+3*t+1)/(t^7+t^6+t^5+t^4+2*t^3+2*t^2+3*t+'
+     '3)","g":"t^2+t"},"law":"residue","ok":true,'
+     '"terms":[{"place":"t^2+2","value":"2"}],"value":"2"}\n'),
+    ('residue --field Fp:5 --f "(t+4)/((t^3+t+1)^4*t)" --g "t^3+3*t" '
+     '--place "t^3+t+1"',
+     '{"details":{},"expected":null,"field":"Fp:5",'
+     '"inputs":{"f":"(t+4)/(t^13+4*t^11+4*t^10+t^9+2*t^8+2*t^6+'
+     '3*t^5+3*t^4+t^3+4*t^2+t)","g":"t^3+3*t"},"law":"residue",'
+     '"ok":true,"terms":[{"place":"t^3+t+1","value":"3"}],'
+     '"value":"3"}\n'),
+    ('residue --field Fp:13 --f "(2*t+3)/((t^3+2)^2*(t+1))" --g "t^4+t" '
+     '--place "t^3+2"',
+     '{"details":{},"expected":null,"field":"Fp:13",'
+     '"inputs":{"f":"(2*t+3)/(t^7+t^6+4*t^4+4*t^3+4*t+4)",'
+     '"g":"t^4+t"},"law":"residue","ok":true,'
+     '"terms":[{"place":"t^3+2","value":"3"}],"value":"3"}\n'),
+    ('residue --field Fp:13 --f "(t^5+5*t+1)/(t^2+2)^3" --g "t^3+4*t" '
+     '--place "t^2+2"',
+     '{"details":{},"expected":null,"field":"Fp:13",'
+     '"inputs":{"f":"(t^5+5*t+1)/(t^6+6*t^4+12*t^2+8)",'
+     '"g":"t^3+4*t"},"law":"residue","ok":true,'
+     '"terms":[{"place":"t^2+2","value":"12"}],"value":"12"}\n'),
+    ('residue --field Fp:13 --f "t^6+t^2" --g "1/(t^3+2)" --place "inf"',
+     '{"details":{},"expected":null,"field":"Fp:13",'
+     '"inputs":{"f":"t^6+t^2","g":"(1)/(t^3+2)"},"law":"residue",'
+     '"ok":true,"terms":[{"place":"inf","value":"1"}],'
+     '"value":"1"}\n'),
+    ('residue --field Q --f "(t^2+3*t+1)/((t^3-2)^3*(t+1))" --g "t^2+t" '
+     '--place "t^3-2"',
+     '{"details":{},"expected":null,"field":"Q",'
+     '"inputs":{"f":"(t^2+3*t+1)/(t^10+t^9-6*t^7-6*t^6+12*t^4+'
+     '12*t^3-8*t-8)","g":"t^2+t"},"law":"residue","ok":true,'
+     '"terms":[{"place":"t^3-2","value":"1/27"}],"value":"1/27"}\n'),
+    ('residue --field Q --f "(2*t-1)/((t^2+1)^4*t)" --g "t^2+3*t" '
+     '--place "t^2+1"',
+     '{"details":{},"expected":null,"field":"Q",'
+     '"inputs":{"f":"(2*t-1)/(t^9+4*t^7+6*t^5+4*t^3+t)",'
+     '"g":"t^2+3*t"},"law":"residue","ok":true,'
+     '"terms":[{"place":"t^2+1","value":"3"}],"value":"3"}\n'),
+    ('residue --field Q --f "t^6+t" --g "1/(t^2+1)^3" --place "t^2+1"',
+     '{"details":{},"expected":null,"field":"Q",'
+     '"inputs":{"f":"t^6+t","g":"(1)/(t^6+3*t^4+3*t^2+1)"},'
+     '"law":"residue","ok":true,"terms":[{"place":"t^2+1",'
+     '"value":"-6"}],"value":"-6"}\n'),
+)
+
+
+def test_residue_reports_at_higher_poles_keep_their_bytes(capsys):
+    for line, expected in _PINNED_RESIDUES:
+        code, out, err = run(capsys, *shlex.split(line), "--json")
+        assert (code, out, err) == (0, expected, ""), line
+
+
 # Every subcommand's options, in order, as taken before the subcommands
 # shared one table: "!" marks a required option and "=" its default, after
 # --field='Q' --json=False, which every subcommand has.
