@@ -18,10 +18,10 @@ from .localfield import LaurentSeries, expand
 from .lattices import (BlockShiftOperator, MonomialLattice, MonomialOperator,
                        lattice_index, parse_lattice)
 from .tate import (abstract_residue_trace, banded_commutator_trace,
-                   classical_residue, minimal_window)
+                   classical_residue, differential_residue, minimal_window)
 from .report import VerificationReport
 from .symbols1d import (hilbert_symbol, hilbert_verify, milnor_symbol,
-                        residue_theorem_places, residue_theorem_verify,
+                        residue_differential, residue_theorem_verify,
                         sum_of_valuations_verify, tame_symbol, weil_verify)
 from .xsymbol import (IndexSymbol, ResidueSymbol, TameSymbol, XSymbolFamily,
                       curve_index_family, curve_residue_family,
@@ -50,14 +50,15 @@ __all__ = [
     "banded_commutator_trace", "classical_residue", "cocycle_c",
     "cocycle_on_lattice", "curve_index_family", "curve_place",
     "curve_residue_family", "curve_tame", "curve_tame_family",
-    "curve_valuation", "exp_z2", "expand", "factor_polynomial",
+    "curve_valuation", "differential_residue", "exp_z2", "expand",
+    "factor_polynomial",
     "field_from_descriptor", "general_reciprocity_run", "hilbert_symbol",
     "hilbert_verify", "hk4", "horozov3", "independence_check",
     "is_irreducible", "lambda_shift", "lattice_index", "milnor_symbol",
     "minimal_window", "nu_symbol", "nu_verify", "parse_field",
     "parse_lattice", "parse_place", "parse_rational", "parse_surface",
     "parshin3", "phi_z",
-    "reciprocity_verify_2d", "residue_theorem_places",
+    "reciprocity_verify_2d", "residue_differential",
     "residue_theorem_verify", "restrict_to_curve", "sum_of_valuations_verify",
     "support_union", "surface_generators", "sw_verify", "tame_symbol",
     "vbar", "weil_verify", "xsymbol_axiom_check",

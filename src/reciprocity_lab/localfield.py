@@ -4,7 +4,12 @@ At a finite place x = (pi) the local parameter is w = t - T, where T is the
 class of t in the residue field L = k[T]/(pi).  Numerator and denominator
 become polynomials over L (a `Field` like any other), are rewritten around
 T with a characteristic-safe Taylor shift and then divided as power series
-over L.  At infinity the parameter is u = 1/t and the expansion comes from
+over L.  The shift produces only the coefficients the requested precision
+reads: v = v_x(f) comes from base-field divisions by pi, w^max(v, 0)
+divides the shifted numerator and w^max(-v, 0) the shifted denominator,
+and the quotient reads the next prec - v coefficients of each, so a
+residue at a simple pole costs a few synthetic divisions, not deg^2
+residue-field products.  At infinity the parameter is u = 1/t and the expansion comes from
 coefficient reversal.  The API hands out raw values of L (`coefficient`,
 `coeffs`); `ring.scalar` wraps one as a `FieldScalar` where a caller needs
 one.  A series is a read-only expansion: the library never adds or
@@ -86,26 +91,21 @@ def expand(f: RationalFunction, place: Place, upto: int) -> LaurentSeries:
     prec = upto + 1
     if f.is_zero():
         return LaurentSeries.zero_to_precision(ring, param, prec)
+    v = f.valuation(place)
+    terms = prec - v
+    if terms <= 0:
+        return LaurentSeries.zero_to_precision(ring, param, prec)
     if place.is_infinity:
         num = [ring.from_base(c) for c in f.num.reverse().coeffs]
         den = [ring.from_base(c) for c in f.den.reverse().coeffs]
-        a = 0
-        b = 0
-        v_extra = f.den.degree - f.num.degree
     else:
+        # num and den are coprime, so w^a divides num(T + w) and w^b
+        # divides den(T + w) with one of a, b zero; the quotient reads
+        # `terms` coefficients of each past that power
         tau = ring.from_coeffs((ring.base.zero, ring.base.one))
-        num_poly = Polynomial(ring, [ring.from_base(c) for c in f.num.coeffs],
-                              f.var).taylor_shift(tau)
-        den_poly = Polynomial(ring, [ring.from_base(c) for c in f.den.coeffs],
-                              f.var).taylor_shift(tau)
-        num = list(num_poly.coeffs)
-        den = list(den_poly.coeffs)
-        a = next(i for i, c in enumerate(num) if not ring.is_zero(c))
-        b = next(i for i, c in enumerate(den) if not ring.is_zero(c))
-        v_extra = 0
-    vmin = a - b + v_extra
-    terms = prec - vmin
-    if terms <= 0:
-        return LaurentSeries.zero_to_precision(ring, param, prec)
-    out = series_quotient(ring, num[a:], den[b:], terms)
-    return LaurentSeries(ring, param, vmin, out, prec)
+        num, den = (
+            Polynomial(ring, [ring.from_base(c) for c in p.coeffs], f.var)
+            .taylor_shift(tau, skip + terms).coeffs[skip:]
+            for p, skip in ((f.num, max(v, 0)), (f.den, max(-v, 0))))
+    out = series_quotient(ring, num, den, terms)
+    return LaurentSeries(ring, param, v, out, prec)

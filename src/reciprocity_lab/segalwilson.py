@@ -26,8 +26,9 @@ from .funcfield import Place, RationalFunction
 from .lattices import MonomialLattice
 from .poly import convolve
 from .report import VerificationReport, place_law_report
-from .symbols1d import residue_theorem_places
-from .tate import abstract_residue_trace, classical_residue
+from .symbols1d import residue_differential
+from .tate import (abstract_residue_trace, classical_residue,
+                   differential_residue)
 
 DEFAULT_ORDER = 12
 
@@ -158,13 +159,14 @@ def sw_verify(f: RationalFunction, g: RationalFunction,
         raise ZeroInputError("the pairing is defined on nonzero functions")
     field = f.field
     half = _half(field)
+    h, places = residue_differential(f, g)
 
     def local(x):
-        residue = classical_residue(f, g, x)
+        residue = differential_residue(h, x)
         value = exp_z2(residue * half, order)
         return value, {"residue": str(residue), "value": str(value)}
 
     return place_law_report("segal-wilson-product", field.descriptor,
                             {"f": str(f), "g": str(g), "order": str(order)},
-                            residue_theorem_places(f, g), local,
+                            places, local,
                             TruncatedPowerSeries.one(field, order), _mul)

@@ -10,7 +10,9 @@ residue theorem, and the Hilbert norm residue symbol over prime fields.
 The Weil, Hilbert and residue-theorem verifiers hand a local symbol, its
 places and its group to `report.place_law_report`, which combines the terms
 and builds the report; only the sum of valuations, whose details carry no
-count of trivial terms, keeps its own loop.
+count of trivial terms, keeps its own loop.  The residue theorem builds
+f dg = h dt once (`residue_differential`) and reads each place's residue
+off h.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from .errors import DomainError, ZeroInputError
 from .fields import FieldScalar, PrimeField
 from .funcfield import Place, RationalFunction, support_union
 from .report import VerificationReport, place_law_report
-from .tate import abstract_residue_trace, classical_residue
+from .tate import abstract_residue_trace, differential_residue
 
 
 def _tame_raw(f: RationalFunction, g: RationalFunction, x: Place):
@@ -120,12 +122,14 @@ def hilbert_verify(f: RationalFunction, g: RationalFunction,
                             mul)
 
 
-def residue_theorem_places(f: RationalFunction,
-                           g: RationalFunction) -> list[Place]:
-    """Joint support of f, g, and f*g', plus infinity: residues vanish elsewhere."""
+def residue_differential(
+        f: RationalFunction,
+        g: RationalFunction) -> tuple[RationalFunction, list[Place]]:
+    """f dg as h dt with h = f*g', and the places where its residue can be
+    nonzero: the joint support of f, g and h, plus infinity."""
     h = f * g.derivative()
     funcs = [f, g] + ([h] if not h.is_zero() else [])
-    return support_union(*funcs, include_infinity=True)
+    return h, support_union(*funcs, include_infinity=True)
 
 
 def residue_theorem_verify(f: RationalFunction, g: RationalFunction,
@@ -137,10 +141,10 @@ def residue_theorem_verify(f: RationalFunction, g: RationalFunction,
     """
     if f.is_zero() or g.is_zero():
         raise ZeroInputError("residue theorem needs nonzero functions")
-    places = residue_theorem_places(f, g)
+    h, places = residue_differential(f, g)
 
     def local(x):
-        val = classical_residue(f, g, x)
+        val = differential_residue(h, x)
         term = {"value": str(val)}
         if oracle:
             other = abstract_residue_trace(f, g, x)

@@ -1,7 +1,9 @@
 """Residues of f dg at places: classical coefficient and commutator trace.
 
-The classical residue reads the coefficient of the (-1) power off a local
-Laurent expansion of f * g' and traces it down to the ground field.
+The classical residue of f dg is `differential_residue` of h = f * g': it
+reads the coefficient of the (-1) power off a local Laurent expansion of h
+and traces it down to the ground field.  A caller that needs the residues
+of one f dg at many places builds h once and passes it to every place.
 
 The abstract residue realizes the same number as the trace of a commutator
 [f1, g1] on the local Laurent model: f1 projects onto a monomial lattice
@@ -27,21 +29,25 @@ from .localfield import expand
 _MARGIN = 3
 
 
-def classical_residue(f: RationalFunction, g: RationalFunction,
-                      x: Place) -> FieldScalar:
-    """tr_{k(x)/k} of the local residue of f dg; an exact ground field value."""
-    if f.is_zero() or g.is_zero():
-        raise ZeroInputError("residue of a zero differential input")
-    h = f * g.derivative()
+def differential_residue(h: RationalFunction, x: Place) -> FieldScalar:
+    """tr_{k(x)/k} of the local residue of h dt; an exact ground field value."""
     ring = x.residue_field()
     if h.is_zero():
         raw = ring.zero
     elif x.is_infinity:
-        # t = 1/u turns f dg into -(f g')(u) u^-2 du
+        # t = 1/u turns h dt into -h u^-2 du
         raw = ring.neg(expand(h, x, 1).coefficient(1))
     else:
         raw = expand(h, x, -1).coefficient(-1)
     return ring.trace(raw)
+
+
+def classical_residue(f: RationalFunction, g: RationalFunction,
+                      x: Place) -> FieldScalar:
+    """tr_{k(x)/k} of the local residue of f dg = f g' dt."""
+    if f.is_zero() or g.is_zero():
+        raise ZeroInputError("residue of a zero differential input")
+    return differential_residue(f * g.derivative(), x)
 
 
 def _local_band(h: RationalFunction, x: Place, upto: int) -> dict[int, tuple]:

@@ -31,7 +31,7 @@ from .funcfield import Place, RationalFunction, support_union
 from .lattices import (BlockShiftOperator, MonomialLattice, MonomialOperator,
                        lattice_index)
 from .report import VerificationReport
-from .symbols1d import residue_theorem_places, tame_symbol
+from .symbols1d import residue_differential, tame_symbol
 from .tate import CommutatorTrace
 
 
@@ -322,7 +322,8 @@ def _per_place_family(symbol) -> XSymbolFamily:
 
 def curve_residue_family(f: RationalFunction, g: RationalFunction) -> XSymbolFamily:
     """Residue theorem data: one progression per place of the joint support."""
-    return _per_place_family(ResidueSymbol(f, g, residue_theorem_places(f, g)))
+    _, places = residue_differential(f, g)
+    return _per_place_family(ResidueSymbol(f, g, places))
 
 
 def curve_tame_family(f: RationalFunction, g: RationalFunction) -> XSymbolFamily:

@@ -5,10 +5,11 @@ import pytest
 from reciprocity_lab.errors import PrecisionError
 from reciprocity_lab.funcfield import Place, RationalFunction
 from reciprocity_lab.localfield import LaurentSeries, expand
-from reciprocity_lab.poly import Polynomial, convolve
+from reciprocity_lab.parsing import parse_rational
+from reciprocity_lab.poly import Polynomial, convolve, series_quotient
 from reciprocity_lab.residue_field import ResidueField
 
-from helpers import F3, F5, Q, rand_fn
+from helpers import F3, F5, F13, Q, rand_fn
 
 
 def test_geometric_series():
@@ -138,3 +139,58 @@ def test_rendering_mentions_the_uniformizer_and_precision():
     text = str(s)
     assert f"{s.param}^-1" in text
     assert f"O({s.param}^2)" in text
+
+
+def _reference_expand(f, place, upto):
+    """The expansion from the full Taylor shift of num and den, with each
+    one's order at the place read off as its first nonzero coefficient."""
+    ring = place.residue_field()
+    param = "u" if place.is_infinity else "w"
+    if place.is_infinity:
+        num = [ring.from_base(c) for c in f.num.reverse().coeffs]
+        den = [ring.from_base(c) for c in f.den.reverse().coeffs]
+        offset = f.den.degree - f.num.degree
+    else:
+        tau = ring.from_coeffs((ring.base.zero, ring.base.one))
+        num, den = (
+            list(Polynomial(ring, [ring.from_base(c) for c in p.coeffs])
+                 .taylor_shift(tau).coeffs)
+            for p in (f.num, f.den))
+        offset = 0
+    a = next(i for i, c in enumerate(num) if not ring.is_zero(c))
+    b = next(i for i, c in enumerate(den) if not ring.is_zero(c))
+    vmin = a - b + offset
+    terms = upto + 1 - vmin
+    if terms <= 0:
+        return LaurentSeries.zero_to_precision(ring, param, upto + 1)
+    return LaurentSeries(ring, param, vmin,
+                         series_quotient(ring, num[a:], den[b:], terms),
+                         upto + 1)
+
+
+def test_expansion_matches_the_full_shift_reference():
+    rng = random.Random(83)
+    cases = []
+    for field, moduli in ((F5, ("t+2", "t^2+2", "t^3+t+1")),
+                          (F13, ("t+5", "t^3+2")),
+                          (Q, ("t+3", "t^2+1", "t^3-2"))):
+        t = RationalFunction.variable(field)
+        for text in moduli:
+            pi = parse_rational(text, field)
+            cases.append((field, Place.finite(pi.num), pi))
+        cases.append((field, Place.at_infinity(field), 1 / t))
+    for field, x, uniformizer in cases:
+        for v in range(-4, 5):
+            for _ in range(3):
+                unit = rand_fn(rng, field, 3)
+                f = unit * uniformizer ** (v - unit.valuation(x))
+                assert f.valuation(x) == v
+                for upto in (v - 3, v - 1, v, v + 1, v + 4):
+                    got = expand(f, x, upto)
+                    want = _reference_expand(f, x, upto)
+                    assert (got.param, got.vmin, got.prec, len(got.coeffs)) \
+                        == (want.param, want.vmin, want.prec,
+                            len(want.coeffs)), (f, x, upto)
+                    ring = got.ring
+                    assert all(ring.eq(c, d)
+                               for c, d in zip(got.coeffs, want.coeffs))

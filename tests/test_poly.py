@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from reciprocity_lab.errors import ZeroInputError
+from reciprocity_lab.fields import field_from_descriptor
 from reciprocity_lab.funcfield import FractionField, RationalFunction
 from reciprocity_lab.poly import Polynomial
 from reciprocity_lab.residue_field import ResidueField
 
-from helpers import F2, F5, Q, rand_poly
+from helpers import F2, F5, F13, Q, rand_poly
 
 
 def test_degree_and_leading_coefficient():
@@ -84,6 +85,46 @@ def test_taylor_shift_matches_evaluation():
         shifted = p.taylor_shift(c)
         for point in (Fraction(0), Fraction(1), Fraction(-2, 3)):
             assert shifted.evaluate(point) == p.evaluate(point + c)
+
+
+def _shift_cases(rng):
+    """(polynomial, center) pairs over prime fields, Q and residue fields."""
+    F1000003 = field_from_descriptor("Fp:1000003")
+    for field in (F2, F13, F1000003, Q):
+        for _ in range(8):
+            center = (Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                      if field == Q else field.from_int(rng.randint(0, 99)))
+            yield rand_poly(rng, field, 7), center
+    T5, T2, TQ = (Polynomial.variable(field, "T") for field in (F5, F2, Q))
+    for modulus in (T5 ** 2 + 2, T5 ** 3 + T5 + 1, T2 ** 3 + T2 + 1,
+                    TQ ** 2 + 1):
+        ring = ResidueField(modulus)
+        base = modulus.field
+
+        def draw():
+            return ring.from_coeffs([base.from_int(rng.randint(-9, 9))
+                                     for _ in range(modulus.degree)])
+
+        for _ in range(6):
+            coeffs = [draw() for _ in range(rng.randint(0, 7))]
+            # the class T of the variable, as a local expansion shifts by,
+            # or any other element
+            center = (ring.from_coeffs((base.zero, base.one))
+                      if rng.random() < 0.5 else draw())
+            yield Polynomial(ring, coeffs), center
+
+
+def test_truncated_taylor_shift_is_a_prefix_of_the_full_shift():
+    rng = random.Random(29)
+    cases = 0
+    for p, center in _shift_cases(rng):
+        full = p.taylor_shift(center)
+        assert len(full.coeffs) == len(p.coeffs)
+        for k in range(len(p.coeffs) + 2):
+            assert p.taylor_shift(center, terms=k) == \
+                Polynomial(p.field, full.coeffs[:k], p.var), (p, center, k)
+        cases += 1
+    assert cases == 56
 
 
 def test_resultant_detects_common_roots():
