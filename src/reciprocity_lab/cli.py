@@ -244,8 +244,8 @@ def _symbol_or_law(command: _Command, args) -> VerificationReport:
                  for name in command.functions]
     z = parse(args.z, field) if getattr(args, "z", None) else None
     place = getattr(args, "place", None)
-    x = (parse_place(place, field, "s" if command.surface else "t")
-         if place or command.law is None else None)
+    x = (None if place is None
+         else parse_place(place, field, "s" if command.surface else "t"))
     if x is None or getattr(args, "verify", False):
         return command.law(args, functions, z)
     inputs = {name: str(fn) for name, fn in zip(command.functions, functions)}

@@ -573,6 +573,23 @@ def test_residue_reports_at_higher_poles_keep_their_bytes(capsys):
         assert (code, out, err) == (0, expected, ""), line
 
 
+@pytest.mark.parametrize("line", [
+    'tame --f "t" --g "t+1"',
+    'residue --f "1/t" --g "t"',
+    'index --f "t^2"',
+    'hilbert --field Fp:5 --f "t" --g "t+1" --m 2',
+    'sw --f "1/t" --g "t"',
+    'nu --f "s" --g "t" --verify',
+    'horozov --f "s" --g "t" --h "s+t"',
+    'parshin --f "s" --g "t" --h "s+t"',
+    'hk4 --f "s" --g "t" --h "s+t" --w "s-t"',
+], ids=lambda line: line.split()[0])
+def test_an_empty_place_is_a_parse_error(capsys, line):
+    # an empty --place is parsed like any other, never read as no --place
+    assert run(capsys, *shlex.split(line), "--place", "") == \
+        (2, "", "parse error: unexpected end of expression\n")
+
+
 # Every subcommand's options, in order, as taken before the subcommands
 # shared one table: "!" marks a required option and "=" its default, after
 # --field='Q' --json=False, which every subcommand has.
