@@ -9,12 +9,13 @@ reads: v = v_x(f) comes from base-field divisions by pi, w^max(v, 0)
 divides the shifted numerator and w^max(-v, 0) the shifted denominator,
 and the quotient reads the next prec - v coefficients of each, so a
 residue at a simple pole costs a few synthetic divisions, not deg^2
-residue-field products.  At infinity the parameter is u = 1/t and the expansion comes from
-coefficient reversal.  The API hands out raw values of L (`coefficient`,
-`coeffs`); `ring.scalar` wraps one as a `FieldScalar` where a caller needs
-one.  A series is a read-only expansion: the library never adds or
-multiplies series, it reads coefficients.  Every series carries its
-precision and refuses to report coefficients it does not know.
+residue-field products.  At infinity the parameter is u = 1/t and the
+expansion comes from coefficient reversal.  The API hands out raw values
+of L (`coefficient`, `coeffs`); `ring.scalar` wraps one as a `FieldScalar`
+where a caller needs one.  A series is a read-only expansion: the library
+never adds or multiplies series, it reads coefficients.  Every series
+carries its precision and refuses to report coefficients it does not
+know.
 """
 from __future__ import annotations
 
