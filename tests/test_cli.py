@@ -573,6 +573,67 @@ def test_residue_reports_at_higher_poles_keep_their_bytes(capsys):
         assert (code, out, err) == (0, expected, ""), line
 
 
+# Surface reports at places of degree 2 on the curve, where the symbols
+# take norms from a quadratic residue field, with and without a parameter z.
+_PINNED_SURFACE = (
+    ('parshin --field Fp:5 --f "(s^2+2)*t" --g "s*t^2" '
+     '--h "(s+1)^2/(s^2+2)^3" --place "s^2+2" --z "s*t"',
+     '{"details":{},"expected":null,"field":"Fp:5",'
+     '"inputs":{"f":"(s^2+2)*t","g":"s*t^2",'
+     '"h":"(s^2+2*s+1)/(s^6+s^4+2*s^2+3)"},"law":"parshin-symbol",'
+     '"ok":true,"terms":[{"place":"s^2+2","value":"3"}],"value":"3"}\n'),
+    ('parshin --field Fp:5 --f "(s^2+2)*t" --g "s*t^2" '
+     '--h "(s+1)^2/(s^2+2)^3" --verify',
+     '{"details":{"places":4,"suppressed_trivial":2},"expected":"1",'
+     '"field":"Fp:5","inputs":{"f1":"(s^2+2)*t","f2":"s*t^2",'
+     '"f3":"(s^2+2*s+1)/(s^6+s^4+2*s^2+3)"},"law":"parshin-product",'
+     '"ok":true,"terms":[{"deg":1,"place":"s","value":"2"},'
+     '{"deg":1,"place":"s+1","value":"1"},'
+     '{"deg":2,"place":"s^2+2","value":"3"},'
+     '{"deg":1,"place":"inf","value":"1"}],"value":"1"}\n'),
+    ('horozov --f "(s^2+1)*t" --g "(s^2+1)^2*t^3" --h "(s-1)/(s^2+1)" '
+     '--place "s^2+1"',
+     '{"details":{},"expected":null,"field":"Q",'
+     '"inputs":{"f":"(s^2+1)*t","g":"(s^4+2*s^2+1)*t^3",'
+     '"h":"(s-1)/(s^2+1)"},"law":"horozov-symbol","ok":true,'
+     '"terms":[{"place":"s^2+1","value":"1/8"}],"value":"1/8"}\n'),
+    ('hk4 --field Fp:7 --f "(s^2+1)*t" --g "s*t^2" --h "(s^2+1)^2*t" '
+     '--w "(s+3)*t^3" --place "s^2+1" --z "t*(1+s*t)"',
+     '{"details":{},"expected":null,"field":"Fp:7",'
+     '"inputs":{"f":"(s^2+1)*t","g":"s*t^2","h":"(s^4+2*s^2+1)*t",'
+     '"w":"(s+3)*t^3"},"law":"hk4-symbol","ok":true,'
+     '"terms":[{"place":"s^2+1","value":"2"}],"value":"2"}\n'),
+    ('hk4 --field Fp:7 --f "(s^2+1)*t" --g "s*t^2" --h "(s^2+1)^2*t" '
+     '--w "(s+3)*t^3" --verify',
+     '{"details":{"places":4,"suppressed_trivial":0},"expected":"1",'
+     '"field":"Fp:7","inputs":{"f1":"(s^2+1)*t","f2":"s*t^2",'
+     '"f3":"(s^4+2*s^2+1)*t","f4":"(s+3)*t^3"},"law":"hk4-product",'
+     '"ok":true,"terms":[{"deg":1,"place":"s","value":"5"},'
+     '{"deg":1,"place":"s+3","value":"2"},'
+     '{"deg":2,"place":"s^2+1","value":"2"},'
+     '{"deg":1,"place":"inf","value":"6"}],"value":"1"}\n'),
+    ('nu --field Fp:5 --f "(s^2+2)^2*t" --g "(s+1)*t^3/(s^2+2)" '
+     '--place "s^2+2" --z "t*(1+t)"',
+     '{"details":{},"expected":null,"field":"Fp:5",'
+     '"inputs":{"f":"(s^4+4*s^2+4)*t","g":"(s+1)/(s^2+2)*t^3"},'
+     '"law":"nu-symbol","ok":true,'
+     '"terms":[{"place":"s^2+2","value":"7"}],"value":"7"}\n'),
+    ('nu --field Fp:5 --f "(s^2+2)^2*t" --g "(s+1)*t^3/(s^2+2)" --verify',
+     '{"details":{"places":3,"suppressed_trivial":0},"expected":"0",'
+     '"field":"Fp:5","inputs":{"f":"(s^4+4*s^2+4)*t",'
+     '"g":"(s+1)/(s^2+2)*t^3"},"law":"nu-sum","ok":true,'
+     '"terms":[{"deg":1,"nu":-1,"place":"s+1","term":-1},'
+     '{"deg":2,"nu":7,"place":"s^2+2","term":14},'
+     '{"deg":1,"nu":-13,"place":"inf","term":-13}],"value":"0"}\n'),
+)
+
+
+def test_surface_reports_at_degree_two_places_keep_their_bytes(capsys):
+    for line, expected in _PINNED_SURFACE:
+        code, out, err = run(capsys, *shlex.split(line), "--json")
+        assert (code, out, err) == (0, expected, ""), line
+
+
 @pytest.mark.parametrize("line", [
     'tame --f "t" --g "t+1"',
     'residue --f "1/t" --g "t"',

@@ -343,3 +343,44 @@ def test_t_adic_restriction_matches_the_kst_route():
                 want = -want
             got = curve_tame(f, g)
             assert (got.num, got.den) == (want.num, want.den)
+
+
+def _parshin_via_kst(f, g, h, x, z):
+    """The Parshin symbol the long way: build the determinant monomial in
+    k(s), evaluate it at x, and take the norm of the signed value; also
+    the exponents (a, -b, c) it used."""
+    vc = [curve_valuation(w) for w in (f, g, h)]
+    phis = [phi_z(w, z) for w in (f, g, h)]
+    vb = [p.valuation(x) for p in phis]
+    a = vc[1] * vb[2] - vc[2] * vb[1]
+    b = vc[0] * vb[2] - vc[2] * vb[0]
+    c = vc[0] * vb[1] - vc[1] * vb[0]
+    alpha = (vc[0] * vc[1] * vb[2] + vc[0] * vc[2] * vb[1]
+             + vc[1] * vc[2] * vb[0] + vc[0] * vb[1] * vb[2]
+             + vc[1] * vb[0] * vb[2] + vc[2] * vb[0] * vb[1])
+    unit = (phis[0] ** a * phis[1] ** (-b) * phis[2] ** c).evaluate(x)
+    ring = x.residue_field()
+    value = ring.norm(ring.mul(ring.sign(alpha), unit.raw))
+    return value, (a, -b, c)
+
+
+def test_parshin_matches_the_evaluated_monomial():
+    rng = random.Random(367)
+    signs = set()
+    for base, c in ((F5, 2), (Q, 1)):
+        s, t = gens(base)
+        pi = s * s + c
+        quadratic = Place.finite(Polynomial.variable(base, "s") ** 2
+                                 + Polynomial.constant(base, base.from_int(c),
+                                                       "s"))
+        for x, carrier in ((place_s(base), s), (place_s(base, 1), s - 1),
+                           (quadratic, pi)):
+            for _ in range(6):
+                triple = [rand_surface_fn(rng, base)
+                          * carrier ** rng.randint(-2, 2) for _ in range(3)]
+                for z in (None, t * (1 + t), s * t):
+                    want, exponents = _parshin_via_kst(*triple, x, z)
+                    assert parshin3(*triple, x, z=z) == want
+                    signs.update((i, (e > 0) - (e < 0))
+                                 for i, e in enumerate(exponents))
+    assert signs == {(i, e) for i in range(3) for e in (-1, 0, 1)}
