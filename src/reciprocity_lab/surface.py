@@ -23,13 +23,18 @@ a_i and b_j nonzero in k(s):
 
 so no element of k(s)(t) is built, and no gcd over k(s) runs, to restrict.
 
-`_local_symbol` builds the Horozov, Parshin or four-slot symbol as a function
-of the place x: `horozov3`, `parshin3` and `hk4` evaluate it at one place,
-and `reciprocity_verify_2d` multiplies it over C in `place_law_report`.
+Each call reads this data once per input, and once for z, in `_curve_data`,
+which also defaults and checks z.  `_local_symbol` builds the intersection
+pairing or the Horozov, Parshin or four-slot symbol from it as a function of
+the place x: `nu_symbol`, `horozov3`, `parshin3` and `hk4` evaluate it at one
+place, and `nu_verify` and `reciprocity_verify_2d` sum or multiply it over C
+in `place_law_report`.  Parshin's monomial is evaluated from the unit values
+of the phi_z at x, as the tame symbol is, so nothing is built in k(s) there.
 """
 from __future__ import annotations
 
 from functools import partial
+from math import prod
 from operator import add, mul
 
 from .errors import DomainError, MixedFieldError, NotAUnitError, ZeroInputError
@@ -56,12 +61,6 @@ def _coefficient_field(f: RationalFunction) -> FractionField:
     return f.field
 
 
-def _nonzero(*functions: RationalFunction) -> None:
-    for f in functions:
-        if f.is_zero():
-            raise ZeroInputError("surface symbols are defined on nonzero functions")
-
-
 def curve_place(f: RationalFunction) -> Place:
     """The place t = 0 of k(s)(t) cutting out the curve."""
     coeff = _coefficient_field(f)
@@ -70,7 +69,8 @@ def curve_place(f: RationalFunction) -> Place:
 
 def _t_adic(f: RationalFunction) -> tuple[int, RationalFunction]:
     """(v_C(f), phi_t(f)) read off the lowest t-coefficients of num and den."""
-    _nonzero(f)
+    if f.is_zero():
+        raise ZeroInputError("surface symbols are defined on nonzero functions")
     _coefficient_field(f)
     i = f.num.lowest_index()
     j = f.den.lowest_index()
@@ -96,14 +96,24 @@ def restrict_to_curve(f: RationalFunction) -> RationalFunction:
     return phi
 
 
-def _parameter(f: RationalFunction, z: RationalFunction | None) -> RationalFunction:
+def _curve_data(functions, z: RationalFunction | None):
+    """(v_C, phi_z) of each function, reading each t-adic expansion once.
+
+    z defaults to t, where phi_z is phi_t; a given z must vanish to first
+    order along C.  Every function must share the model of z (of the first
+    function when z is absent).
+    """
+    data = [_t_adic(f) for f in functions]
+    if z is not None:
+        vz, pz = _t_adic(z)
+        if vz != 1:
+            raise DomainError("the parameter must vanish to first order "
+                              "along the curve")
+    for f in functions:
+        _same_model(f, functions[0] if z is None else z)
     if z is None:
-        return RationalFunction.variable(f.field, f.var)
-    if curve_valuation(z) != 1:
-        raise DomainError("the parameter must vanish to first order "
-                          "along the curve")
-    _same_model(f, z)
-    return z
+        return data
+    return [(v, phi / pz ** v if v else phi) for v, phi in data]
 
 
 def phi_z(f: RationalFunction,
@@ -112,10 +122,7 @@ def phi_z(f: RationalFunction,
 
     Multiplicative in f; the value changes with z when v_C(f) != 0.
     """
-    _nonzero(f)
-    z = _parameter(f, z)
-    v, phi = _t_adic(f)
-    return phi / _t_adic(z)[1] ** v if v else phi
+    return _curve_data((f,), z)[0][1]
 
 
 def vbar(f: RationalFunction, x: Place,
@@ -152,39 +159,34 @@ def nu_symbol(f: RationalFunction, g: RationalFunction, x: Place,
     The determinant of the 2 x 2 array of restricted and curve valuations;
     antisymmetric, and the z-dependence of the top row cancels.
     """
-    _nonzero(f, g)
-    z = _parameter(f, z)
-    return (vbar(f, x, z) * curve_valuation(g)
-            - vbar(g, x, z) * curve_valuation(f))
+    return _local_symbol("nu", (f, g), z)[0](x)
 
 
 def nu_verify(f: RationalFunction, g: RationalFunction) -> VerificationReport:
     """Degree-weighted sum of the intersection pairing over the curve is 0."""
-    _nonzero(f, g)
-    base = _coefficient_field(f).base
-    vcf = curve_valuation(f)
-    vcg = curve_valuation(g)
-    pf = phi_z(f)
-    pg = phi_z(g)
+    symbol, carriers = _local_symbol("nu", (f, g), None)
 
     def local(x):
-        det = pf.valuation(x) * vcg - pg.valuation(x) * vcf
+        det = symbol(x)
         return x.degree * det, {"nu": det, "term": x.degree * det}
 
-    return place_law_report("nu-sum", base.descriptor,
+    return place_law_report("nu-sum", f.field.base.descriptor,
                             {"f": str(f), "g": str(g)},
-                            support_union(pf, pg, include_infinity=True),
+                            support_union(*carriers, include_infinity=True),
                             local, 0, add)
 
 
 def curve_tame(f: RationalFunction, g: RationalFunction) -> RationalFunction:
     """The curve-level tame symbol, a function on C rather than a scalar."""
-    _nonzero(f, g)
     vf, uf = _t_adic(f)
     vg, ug = _t_adic(g)
     _same_model(f, g)
     unit = uf ** vg / ug ** vf
     return -unit if (vf * vg) % 2 else unit
+
+
+def _nu_local(vc, phis, x: Place) -> int:
+    return phis[0].valuation(x) * vc[1] - phis[1].valuation(x) * vc[0]
 
 
 def _horozov_local(vc, phis, minus_one, x: Place) -> FieldScalar:
@@ -201,20 +203,19 @@ def _parshin_local(vc, phis, x: Place) -> FieldScalar:
     alpha = (vc[0] * vc[1] * vb[2] + vc[0] * vc[2] * vb[1]
              + vc[1] * vc[2] * vb[0] + vc[0] * vb[1] * vb[2]
              + vc[1] * vb[0] * vb[2] + vc[2] * vb[0] * vb[1])
-    # the monomial has curve valuation 0 and x-valuation 0 identically,
-    # so restriction and evaluation never leave the unit locus
-    unit = (phis[0] ** a * phis[1] ** (-b) * phis[2] ** c).evaluate(x)
+    # the monomial phi0^a phi1^-b phi2^c has x-valuation 0 identically and
+    # unit parts multiply, so its value at x is read off the unit values
     ring = x.residue_field()
-    return ring.norm(ring.mul(ring.sign(alpha), unit.raw))
+    unit = ring.sign(alpha)
+    for p, e in zip(phis, (a, -b, c)):
+        unit = ring.mul(unit, ring.pow(p.unit_value(x), e))
+    return ring.norm(unit)
 
 
 def _hk4_local(vc, phis, tames, minus_one, base, x: Place) -> FieldScalar:
     value = base.one_scalar()
     for i, p in enumerate(phis):
-        exponent = 1
-        for j in range(4):
-            if j != i:
-                exponent *= vc[j]
+        exponent = prod(vc[:i] + vc[i + 1:])
         value = value * tame_symbol(p, minus_one, x) ** exponent
     return value * tame_symbol(*tames, x)
 
@@ -222,13 +223,12 @@ def _hk4_local(vc, phis, tames, minus_one, base, x: Place) -> FieldScalar:
 def _local_symbol(kind: str, functions, z):
     """The local symbol of `kind` at the parameter z, as a function of x,
     and the functions whose supports on C carry its nontrivial values."""
-    _nonzero(*functions)
-    base = _coefficient_field(functions[0]).base
-    z = _parameter(functions[0], z)
-    vc = tuple(curve_valuation(w) for w in functions)
-    phis = tuple(phi_z(w, z) for w in functions)
+    vc, phis = zip(*_curve_data(functions, z))
+    if kind == "nu":
+        return partial(_nu_local, vc, phis), phis
     if kind == "parshin":
         return partial(_parshin_local, vc, phis), phis
+    base = functions[0].field.base
     minus_one = RationalFunction.constant(base, -1, functions[0].field.var)
     if kind == "horozov":
         return partial(_horozov_local, vc, phis, minus_one), phis

@@ -26,7 +26,7 @@ from .tate import abstract_residue_trace, differential_residue
 
 
 def _tame_raw(f: RationalFunction, g: RationalFunction, x: Place):
-    """Raw residue-field value of (-1)^(v_x(f) v_x(g)) (f^v_x(g) / g^v_x(f))(x)."""
+    """(raw (-1)^(v_x(f) v_x(g)) (f^v_x(g) / g^v_x(f))(x), v_x(f), v_x(g))."""
     if f.is_zero() or g.is_zero():
         raise ZeroInputError("tame symbol of the zero function")
     vf = f.valuation(x)
@@ -37,19 +37,19 @@ def _tame_raw(f: RationalFunction, g: RationalFunction, x: Place):
     # polynomial degrees.
     uf = ring.pow(f.unit_value(x), vg)
     ug = ring.pow(g.unit_value(x), vf)
-    return ring.mul(ring.sign(vf * vg), ring.div(uf, ug))
+    return ring.mul(ring.sign(vf * vg), ring.div(uf, ug)), vf, vg
 
 
 def tame_symbol(f: RationalFunction, g: RationalFunction, x: Place) -> FieldScalar:
     """The k-valued tame symbol: norm of the unit part with the degree sign."""
-    return x.residue_field().norm(_tame_raw(f, g, x))
+    return x.residue_field().norm(_tame_raw(f, g, x)[0])
 
 
 def milnor_symbol(f: RationalFunction, g: RationalFunction, x: Place) -> FieldScalar:
     """The rational-point form of the tame symbol; only for degree-1 places."""
     if x.degree != 1:
         raise DomainError("the rational-point symbol needs a degree-1 place")
-    return FieldScalar(f.field, _tame_raw(f, g, x)[0])
+    return FieldScalar(f.field, _tame_raw(f, g, x)[0][0])
 
 
 def hilbert_symbol(f: RationalFunction, g: RationalFunction, x: Place,
@@ -98,9 +98,9 @@ def sum_of_valuations_verify(f: RationalFunction) -> VerificationReport:
 def weil_verify(f: RationalFunction, g: RationalFunction) -> VerificationReport:
     """Check the product of tame symbols over the joint support equals 1."""
     def local(x):
-        val = tame_symbol(f, g, x)
-        return val, {"v_f": f.valuation(x), "v_g": g.valuation(x),
-                     "value": str(val)}
+        raw, vf, vg = _tame_raw(f, g, x)
+        val = x.residue_field().norm(raw)
+        return val, {"v_f": vf, "v_g": vg, "value": str(val)}
 
     return place_law_report("weil", f.field.descriptor,
                             {"f": str(f), "g": str(g)}, support_union(f, g),
