@@ -242,7 +242,7 @@ def _symbol_or_law(command: _Command, args) -> VerificationReport:
     parse = parse_surface if command.surface else parse_rational
     functions = [parse(getattr(args, name), field)
                  for name in command.functions]
-    z = parse(args.z, field) if getattr(args, "z", None) else None
+    z = None if getattr(args, "z", None) is None else parse(args.z, field)
     place = getattr(args, "place", None)
     x = (None if place is None
          else parse_place(place, field, "s" if command.surface else "t"))

@@ -651,6 +651,20 @@ def test_an_empty_place_is_a_parse_error(capsys, line):
         (2, "", "parse error: unexpected end of expression\n")
 
 
+@pytest.mark.parametrize("mode", ["--place s", "--verify"])
+@pytest.mark.parametrize("line", [
+    'nu --f "s" --g "t"',
+    'horozov --f "s" --g "t" --h "s+t"',
+    'parshin --f "s" --g "t" --h "s+t"',
+    'hk4 --f "s" --g "t" --h "s+t" --w "s-t"',
+], ids=lambda line: line.split()[0])
+def test_an_empty_parameter_is_a_parse_error(capsys, line, mode):
+    # an empty --z is parsed like any other, never read as no --z
+    argv = shlex.split(f"{line} {mode}")
+    assert run(capsys, *argv, "--z", "") == \
+        (2, "", "parse error: unexpected end of expression\n")
+
+
 # Every subcommand's options, in order, as taken before the subcommands
 # shared one table: "!" marks a required option and "=" its default, after
 # --field='Q' --json=False, which every subcommand has.
