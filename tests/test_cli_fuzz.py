@@ -3,10 +3,10 @@
 Each example draws a subcommand and, from that subcommand's own argparse
 options, a value for every required option and for some optional ones:
 fields valid and invalid, grammar expressions in t (in s and t for the
-surface commands), places, lattice literals and small integers.  Every law
-holds, so a run exits 0, 2 or 3 (or 4 on a violated hypothesis); an exit 1
-or an escaping exception is a bug, and so is a call that runs past its
-time bound.
+surface commands), parameters z along t = 0, places, lattice literals and
+small integers.  Every law holds, so a run exits 0, 2 or 3 (or 4 on a
+violated hypothesis); an exit 1 or an escaping exception is a bug, and so
+is a call that runs past its time bound.
 """
 import argparse
 import contextlib
@@ -48,6 +48,12 @@ def _places(v):
                                       "inf")), _expressions((v,)))
 
 
+# parameters along t = 0: arbitrary texts rarely vanish to first order, so
+# also t times a function of s, t times a curve unit, and the empty text
+_PARAMETERS = st.one_of(
+    _expressions(("s", "t")), _expressions(("s",)).map("t*({})".format),
+    _expressions(("s", "t")).map("t*(1+({})*t)".format), st.just(""))
+
 # values by flag, for the curve commands and for the surface commands
 _VALUES = {surface: {"--field": st.sampled_from(_FIELDS),
                      "--m": st.integers(-1, 14).map(str),
@@ -55,6 +61,7 @@ _VALUES = {surface: {"--field": st.sampled_from(_FIELDS),
                      "--lattice": _LATTICES, "--a": _LATTICES,
                      "--b": _LATTICES,
                      "--place": _places("s" if surface else "t"),
+                     "--z": _PARAMETERS,
                      "function": _expressions(("s", "t") if surface
                                               else ("t",))}
            for surface in (False, True)}
