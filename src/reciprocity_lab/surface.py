@@ -178,9 +178,7 @@ def nu_verify(f: RationalFunction, g: RationalFunction) -> VerificationReport:
 
 def curve_tame(f: RationalFunction, g: RationalFunction) -> RationalFunction:
     """The curve-level tame symbol, a function on C rather than a scalar."""
-    vf, uf = _t_adic(f)
-    vg, ug = _t_adic(g)
-    _same_model(f, g)
+    (vf, uf), (vg, ug) = _curve_data((f, g), None)
     unit = uf ** vg / ug ** vf
     return -unit if (vf * vg) % 2 else unit
 
