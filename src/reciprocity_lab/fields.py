@@ -12,11 +12,16 @@ literals into the ambient field.
 
 This module also owns the library's one square-and-multiply loop,
 `power(mul, one, x, n)`, behind `Field.pow`, `Polynomial.__pow__` and
-modular powers in `factor`.
+modular powers in `factor`, and its one signed-monomial builder,
+`Field.monomial`: every multiplicative local symbol (the tame symbol in
+k(x), the curve-level tame symbol in k(s), and the Horozov, Parshin and
+four-slot symbols on a surface) is the norm of one such monomial in unit
+values.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 
 from .errors import DomainError, MixedFieldError, ParseError, ZeroInputError
 
@@ -102,6 +107,22 @@ class Field:
         if n < 0:
             return self.pow(self.inv(a), -n)
         return power(self.mul, self.one, a, n)
+
+    def monomial(self, sign: int, factors):
+        """Raw (-1)**sign * prod(a**e) over a sequence of pairs (a, e).
+
+        Positive and negative powers are multiplied apart, so this inverts
+        at most once, and never when no exponent is negative; a zero
+        exponent contributes nothing.
+        """
+        ups = [self.pow(a, e) for a, e in factors if e > 0]
+        downs = [self.pow(a, -e) for a, e in factors if e < 0]
+        if downs:
+            ups.append(self.inv(reduce(self.mul, downs)))
+        if not ups:
+            return self.sign(sign)
+        value = reduce(self.mul, ups)
+        return self.neg(value) if sign % 2 else value
 
     def __repr__(self):
         return self.descriptor

@@ -28,8 +28,30 @@ which also defaults and checks z.  `_local_symbol` builds the intersection
 pairing or the Horozov, Parshin or four-slot symbol from it as a function of
 the place x: `nu_symbol`, `horozov3`, `parshin3` and `hk4` evaluate it at one
 place, and `nu_verify` and `reciprocity_verify_2d` sum or multiply it over C
-in `place_law_report`.  Parshin's monomial is evaluated from the unit values
-of the phi_z at x, as the tame symbol is, so nothing is built in k(s) there.
+in `place_law_report`.
+
+The three multiplicative symbols are, like the tame symbol, the norm down
+to k of one signed monomial (-1)^alpha * prod u_i^e_i in the unit values u_i
+of the phi_z(f_i) at x, built by the residue field's `Field.monomial`; no
+tame symbol is evaluated and nothing is built in k(s).  With c_i = v_C(f_i)
+and b_i = v_x(phi_z(f_i)):
+
+    horozov  alpha = c1 b0 b2 + c0 c2 b1
+             e     = (c1 b2, 0, -c1 b0)
+    parshin  alpha = c0 c1 b2 + c0 c2 b1 + c1 c2 b0
+                     + c0 b1 b2 + c1 b0 b2 + c2 b0 b1
+             e     = (c1 b2 - c2 b1, c2 b0 - c0 b2, c0 b1 - c1 b0)
+    hk4      w1 = c1 b0 - c0 b1,  w2 = c3 b2 - c2 b3
+             alpha = sum_i b_i prod_{j != i} c_j
+                     + w1 w2 + c0 c1 w2 + c2 c3 w1
+             e     = (c1 w2, -c0 w2, -c3 w1, c2 w1)
+
+Horozov's table multiplies out tame(phi0, phi2)^c1 * tame(phi1, -1)^(c0 c2).
+The four-slot table multiplies out prod_i tame(phi_i, -1)^(prod_{j != i} c_j)
+times tame(curve_tame(f1, f2), curve_tame(f3, f4)), so hk4 builds neither
+curve-level tame symbol.  Every kind's places are the joint support of its
+phi_z plus infinity: supp curve_tame(f, g) lies in
+supp phi(f) + supp phi(g) + {inf}.
 """
 from __future__ import annotations
 
@@ -42,7 +64,6 @@ from .fields import Field, FieldScalar, ensure_same_field
 from .funcfield import FractionField, Place, RationalFunction, support_union
 from .poly import Polynomial
 from .report import VerificationReport, place_law_report
-from .symbols1d import tame_symbol
 
 
 def surface_generators(base: Field, s_var: str = "s",
@@ -96,19 +117,25 @@ def restrict_to_curve(f: RationalFunction) -> RationalFunction:
     return phi
 
 
+def _parameter_phi(z: RationalFunction) -> RationalFunction:
+    """phi_t(z) of a parameter z, which must vanish to first order along C."""
+    vz, pz = _t_adic(z)
+    if vz != 1:
+        raise DomainError("the parameter must vanish to first order "
+                          "along the curve")
+    return pz
+
+
 def _curve_data(functions, z: RationalFunction | None):
     """(v_C, phi_z) of each function, reading each t-adic expansion once.
 
-    z defaults to t, where phi_z is phi_t; a given z must vanish to first
-    order along C.  Every function must share the model of z (of the first
-    function when z is absent).
+    z defaults to t, where phi_z is phi_t; a given z is checked by
+    `_parameter_phi`.  Every function must share the model of z (of the
+    first function when z is absent).
     """
     data = [_t_adic(f) for f in functions]
     if z is not None:
-        vz, pz = _t_adic(z)
-        if vz != 1:
-            raise DomainError("the parameter must vanish to first order "
-                              "along the curve")
+        pz = _parameter_phi(z)
     for f in functions:
         _same_model(f, functions[0] if z is None else z)
     if z is None:
@@ -142,14 +169,11 @@ def lambda_shift(z_new: RationalFunction, z_old: RationalFunction,
         vbar(f, x, z_new) = vbar(f, x, z_old) + lambda_shift(z_new, z_old, x) * v_C(f)
 
     The inverted ratio is forced by the definition of the restricted unit
-    part: the new parameter enters with exponent -v_C(f).
+    part: the new parameter enters with exponent -v_C(f).  Both parameters
+    must vanish to first order along C, as every z of this module must.
     """
     _same_model(z_new, z_old)
-    v_old, phi_old = _t_adic(z_old)
-    v_new, phi_new = _t_adic(z_new)
-    if v_old != v_new:
-        raise NotAUnitError(f"function has a zero or pole at {z_old.var}")
-    return (phi_old / phi_new).valuation(x)
+    return (_parameter_phi(z_old) / _parameter_phi(z_new)).valuation(x)
 
 
 def nu_symbol(f: RationalFunction, g: RationalFunction, x: Place,
@@ -179,60 +203,53 @@ def nu_verify(f: RationalFunction, g: RationalFunction) -> VerificationReport:
 def curve_tame(f: RationalFunction, g: RationalFunction) -> RationalFunction:
     """The curve-level tame symbol, a function on C rather than a scalar."""
     (vf, uf), (vg, ug) = _curve_data((f, g), None)
-    unit = uf ** vg / ug ** vf
-    return -unit if (vf * vg) % 2 else unit
+    return f.field.monomial(vf * vg, ((uf, vg), (ug, -vf)))
 
 
 def _nu_local(vc, phis, x: Place) -> int:
     return phis[0].valuation(x) * vc[1] - phis[1].valuation(x) * vc[0]
 
 
-def _horozov_local(vc, phis, minus_one, x: Place) -> FieldScalar:
-    first = tame_symbol(phis[0], phis[2], x) ** vc[1]
-    second = tame_symbol(phis[1], minus_one, x) ** (vc[0] * vc[2])
-    return first * second
+def _horozov_exponents(c, b):
+    return (c[1] * b[0] * b[2] + c[0] * c[2] * b[1],
+            (c[1] * b[2], 0, -c[1] * b[0]))
 
 
-def _parshin_local(vc, phis, x: Place) -> FieldScalar:
-    vb = tuple(p.valuation(x) for p in phis)
-    a = vc[1] * vb[2] - vc[2] * vb[1]
-    b = vc[0] * vb[2] - vc[2] * vb[0]
-    c = vc[0] * vb[1] - vc[1] * vb[0]
-    alpha = (vc[0] * vc[1] * vb[2] + vc[0] * vc[2] * vb[1]
-             + vc[1] * vc[2] * vb[0] + vc[0] * vb[1] * vb[2]
-             + vc[1] * vb[0] * vb[2] + vc[2] * vb[0] * vb[1])
-    # the monomial phi0^a phi1^-b phi2^c has x-valuation 0 identically and
-    # unit parts multiply, so its value at x is read off the unit values
+def _parshin_exponents(c, b):
+    alpha = (c[0] * c[1] * b[2] + c[0] * c[2] * b[1] + c[1] * c[2] * b[0]
+             + c[0] * b[1] * b[2] + c[1] * b[0] * b[2] + c[2] * b[0] * b[1])
+    return alpha, (c[1] * b[2] - c[2] * b[1], c[2] * b[0] - c[0] * b[2],
+                   c[0] * b[1] - c[1] * b[0])
+
+
+def _hk4_exponents(c, b):
+    w1 = c[1] * b[0] - c[0] * b[1]
+    w2 = c[3] * b[2] - c[2] * b[3]
+    alpha = (sum(b[i] * prod(c[:i] + c[i + 1:]) for i in range(4))
+             + w1 * w2 + c[0] * c[1] * w2 + c[2] * c[3] * w1)
+    return alpha, (c[1] * w2, -c[0] * w2, -c[3] * w1, c[2] * w1)
+
+
+# each multiplicative kind: arity, and (v_C, v_x of the phi_z) -> (alpha, e)
+_MONOMIAL_KINDS = {"horozov": (3, _horozov_exponents),
+                   "parshin": (3, _parshin_exponents),
+                   "hk4": (4, _hk4_exponents)}
+
+
+def _monomial_local(exponents, vc, phis, x: Place) -> FieldScalar:
+    alpha, es = exponents(vc, tuple(p.valuation(x) for p in phis))
     ring = x.residue_field()
-    unit = ring.sign(alpha)
-    for p, e in zip(phis, (a, -b, c)):
-        unit = ring.mul(unit, ring.pow(p.unit_value(x), e))
-    return ring.norm(unit)
-
-
-def _hk4_local(vc, phis, tames, minus_one, base, x: Place) -> FieldScalar:
-    value = base.one_scalar()
-    for i, p in enumerate(phis):
-        exponent = prod(vc[:i] + vc[i + 1:])
-        value = value * tame_symbol(p, minus_one, x) ** exponent
-    return value * tame_symbol(*tames, x)
+    return ring.norm(ring.monomial(
+        alpha, [(p.unit_value(x), e) for p, e in zip(phis, es) if e]))
 
 
 def _local_symbol(kind: str, functions, z):
     """The local symbol of `kind` at the parameter z, as a function of x,
     and the functions whose supports on C carry its nontrivial values."""
     vc, phis = zip(*_curve_data(functions, z))
-    if kind == "nu":
-        return partial(_nu_local, vc, phis), phis
-    if kind == "parshin":
-        return partial(_parshin_local, vc, phis), phis
-    base = functions[0].field.base
-    minus_one = RationalFunction.constant(base, -1, functions[0].field.var)
-    if kind == "horozov":
-        return partial(_horozov_local, vc, phis, minus_one), phis
-    tames = (curve_tame(*functions[:2]), curve_tame(*functions[2:]))
-    return (partial(_hk4_local, vc, phis, tames, minus_one, base),
-            phis + tames)
+    local = (_nu_local if kind == "nu"
+             else partial(_monomial_local, _MONOMIAL_KINDS[kind][1]))
+    return partial(local, vc, phis), phis
 
 
 def horozov3(f: RationalFunction, g: RationalFunction, h: RationalFunction,
@@ -240,7 +257,8 @@ def horozov3(f: RationalFunction, g: RationalFunction, h: RationalFunction,
     """Three-slot local symbol at x; genuinely depends on the parameter z.
 
     Tame value of the restricted outer pair to the middle curve valuation,
-    times a sign-type tame factor of the middle restriction.
+    times the tame symbol of the middle restriction against -1 to the
+    product of the outer curve valuations.
     """
     return _local_symbol("horozov", (f, g, h), z)[0](x)
 
@@ -263,13 +281,12 @@ def hk4(f1: RationalFunction, f2: RationalFunction, f3: RationalFunction,
         z: RationalFunction | None = None) -> FieldScalar:
     """Four-slot local symbol at x; independent of the parameter z.
 
-    Four sign-type tame factors with triple-product curve exponents, times
-    the tame value at x of the two curve-level tame symbols of the pairs.
+    Four tame symbols of the restrictions against -1, each to the product
+    of the other three curve valuations, times the tame value at x of the
+    two curve-level tame symbols of the pairs, multiplied out into one
+    monomial: nothing is built in k(s).
     """
     return _local_symbol("hk4", (f1, f2, f3, f4), z)[0](x)
-
-
-_ARITY = {"horozov": 3, "parshin": 3, "hk4": 4}
 
 
 def reciprocity_verify_2d(kind: str, functions,
@@ -277,14 +294,15 @@ def reciprocity_verify_2d(kind: str, functions,
     """Product of a local surface symbol over the places of the curve.
 
     kind selects the symbol; the place list is the joint support on C of
-    the restricted unit parts (plus, for the four-slot symbol, the two
-    curve-level tame symbols), which exhausts the nontrivial terms.
+    the restricted unit parts plus infinity, which exhausts the nontrivial
+    terms.
     """
-    if kind not in _ARITY:
+    if kind not in _MONOMIAL_KINDS:
         raise DomainError(f"unknown surface symbol {kind!r}")
     functions = tuple(functions)
-    if len(functions) != _ARITY[kind]:
-        raise DomainError(f"{kind} takes {_ARITY[kind]} functions, "
+    arity = _MONOMIAL_KINDS[kind][0]
+    if len(functions) != arity:
+        raise DomainError(f"{kind} takes {arity} functions, "
                           f"got {len(functions)}")
     symbol, carriers = _local_symbol(kind, functions, z)
 

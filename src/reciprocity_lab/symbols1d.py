@@ -1,11 +1,14 @@
 """Curve-level symbols on k(t) and their reciprocity verifiers.
 
 The tame symbol at a place x is
-(-1)^(deg(x) v_x(f) v_x(g)) * Norm[(f^v_x(g) / g^v_x(f))(x)], with the norm
-taken from the residue field down to k.  Multiplying over all places gives 1
-(the product over the joint support of f and g, since every other factor is
-a norm of 1).  The same machinery yields the sum-of-valuations formula, the
-residue theorem, and the Hilbert norm residue symbol over prime fields.
+Norm[(-1)^(v_x(f) v_x(g)) * u_f^v_x(g) / u_g^v_x(f)], with u_f and u_g the
+unit values of f and g at x and the norm taken from the residue field down
+to k; the signed monomial is built by `Field.monomial` of the residue
+field, as every multiplicative local symbol on a surface is.  Multiplying
+over all places gives 1 (the product over the joint support of f and g,
+since every other factor is a norm of 1).  The same machinery yields the
+sum-of-valuations formula, the residue theorem, and the Hilbert norm
+residue symbol over prime fields.
 
 The Weil, Hilbert and residue-theorem verifiers hand a local symbol, its
 places and its group to `report.place_law_report`, which combines the terms
@@ -31,13 +34,11 @@ def _tame_raw(f: RationalFunction, g: RationalFunction, x: Place):
         raise ZeroInputError("tame symbol of the zero function")
     vf = f.valuation(x)
     vg = g.valuation(x)
-    ring = x.residue_field()
     # f^vg / g^vf is a unit at x; rebuilding it from the unit parts of f and
     # g keeps the powers inside the residue field instead of blowing up
     # polynomial degrees.
-    uf = ring.pow(f.unit_value(x), vg)
-    ug = ring.pow(g.unit_value(x), vf)
-    return ring.mul(ring.sign(vf * vg), ring.div(uf, ug)), vf, vg
+    factors = [(h.unit_value(x), e) for h, e in ((f, vg), (g, -vf)) if e]
+    return x.residue_field().monomial(vf * vg, factors), vf, vg
 
 
 def tame_symbol(f: RationalFunction, g: RationalFunction, x: Place) -> FieldScalar:

@@ -634,6 +634,23 @@ def test_surface_reports_at_degree_two_places_keep_their_bytes(capsys):
         assert (code, out, err) == (0, expected, ""), line
 
 
+def test_hk4_answers_where_its_curve_level_tame_symbols_do_not_factor(capsys):
+    # every restriction factors; only the numerator s^4+3*s^2+2 of the
+    # curve-level tame symbol of the first pair would not, and hk4's places
+    # are those of the restrictions alone
+    line = ('hk4 --f "(s^2+1)*t" --g "(s^2+2)/t" --h "s" --w "s+1" '
+            '--verify --json')
+    assert run(capsys, *shlex.split(line)) == (0, (
+        '{"details":{"places":5,"suppressed_trivial":5},"expected":"1",'
+        '"field":"Q","inputs":{"f1":"(s^2+1)*t","f2":"(s^2+2)/(t)",'
+        '"f3":"s","f4":"s+1"},"law":"hk4-product","ok":true,'
+        '"terms":[{"deg":1,"place":"s","value":"1"},'
+        '{"deg":1,"place":"s+1","value":"1"},'
+        '{"deg":2,"place":"s^2+1","value":"1"},'
+        '{"deg":2,"place":"s^2+2","value":"1"},'
+        '{"deg":1,"place":"inf","value":"1"}],"value":"1"}\n'), "")
+
+
 @pytest.mark.parametrize("line", [
     'tame --f "t" --g "t+1"',
     'residue --f "1/t" --g "t"',

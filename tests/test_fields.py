@@ -7,6 +7,9 @@ from reciprocity_lab.errors import (DomainError, MixedFieldError, ParseError,
                                     ZeroInputError)
 from reciprocity_lab.fields import (FieldScalar, PrimeField, RationalField,
                                     field_from_descriptor)
+from reciprocity_lab.funcfield import FractionField, RationalFunction
+from reciprocity_lab.poly import Polynomial
+from reciprocity_lab.residue_field import ResidueField
 
 from helpers import F5, F7, F13, Q
 
@@ -66,6 +69,51 @@ def test_sign_helper():
     assert F5.sign(3) == 4
     assert Q.sign(2) == Fraction(1)
     assert Q.sign(-1) == Fraction(-1)
+
+
+def _monomial_cases():
+    ring = ResidueField(Polynomial(F5, [2, 0, 1], "T"))  # T^2 + 2
+    ks = FractionField(Q, "s")
+    s = RationalFunction.variable(Q, "s")
+    return [
+        (Q, (Fraction(2, 3), Fraction(-5, 7), Fraction(4))),
+        (F13, (2, 5, 11)),
+        (ring, ((1, 1), (3, 2), (0, 4))),
+        (ks, (s + 1, s / (s - 2), ks.from_int(3))),
+    ]
+
+
+@pytest.mark.parametrize("field, elements", _monomial_cases(),
+                         ids=["Q", "F13", "F5[T]/(T^2+2)", "Q(s)"])
+def test_monomial_is_the_signed_product_of_powers(field, elements,
+                                                  monkeypatch):
+    inversions = []
+    inv = type(field).inv
+    monkeypatch.setattr(type(field), "inv",
+                        lambda self, a: inversions.append(a) or inv(self, a))
+    a, b, c = elements
+
+    def want(sign, factors):
+        value = field.sign(sign)
+        for x, e in factors:
+            value = field.mul(value, field.pow(x, e))
+        return value
+
+    for sign in (0, 1, -3):
+        assert field.eq(field.monomial(sign, []), field.sign(sign))
+        assert field.eq(field.monomial(sign, [(a, 0)]), field.sign(sign))
+        for factors in ([(a, 2), (b, 1), (c, 3)], [(a, 0), (b, 4)]):
+            inversions.clear()
+            assert field.eq(field.monomial(sign, factors), want(sign, factors))
+            assert inversions == []
+        for factors in ([(a, -2), (b, -1)], [(c, -3)],
+                        [(a, 3), (b, -2), (c, 0), (a, -1)]):
+            expected = want(sign, factors)
+            inversions.clear()
+            assert field.eq(field.monomial(sign, factors), expected)
+            assert len(inversions) == 1
+    # a zero exponent never touches its element, even zero itself
+    assert field.eq(field.monomial(0, [(field.zero, 0), (a, 1)]), a)
 
 
 def test_rationals_past_the_text_limit_are_refused_before_str():

@@ -1,10 +1,12 @@
 import random
+from math import prod
 
 import pytest
 
 from reciprocity_lab.errors import (DomainError, MixedFieldError,
                                     ZeroInputError)
 from reciprocity_lab.funcfield import Place, RationalFunction
+from reciprocity_lab.parsing import parse_place
 from reciprocity_lab.poly import Polynomial
 from reciprocity_lab.surface import (curve_place, curve_tame,
                                      curve_valuation, hk4, horozov3,
@@ -13,6 +15,7 @@ from reciprocity_lab.surface import (curve_place, curve_tame,
                                      reciprocity_verify_2d,
                                      restrict_to_curve, surface_generators,
                                      vbar)
+from reciprocity_lab.symbols1d import tame_symbol
 
 from helpers import F3, F5, F13, Q, rand_surface_fn
 
@@ -75,6 +78,18 @@ def test_parameter_must_vanish_to_first_order():
         phi_z(s * t, z=t * t)
     with pytest.raises(DomainError):
         phi_z(s * t, z=s)
+
+
+@pytest.mark.parametrize("pair", ["double-order", "mixed-order"])
+def test_lambda_shift_checks_both_parameters_like_phi_z(pair):
+    s, t = gens(Q)
+    x = place_s(Q)
+    z_new, z_old = (s * t * t, t * t) if pair == "double-order" \
+        else (t * t, t)
+    with pytest.raises(DomainError,
+                       match="the parameter must vanish to first order "
+                             "along the curve"):
+        lambda_shift(z_new, z_old, x)
 
 
 def test_parameter_from_another_model_is_rejected():
@@ -384,3 +399,66 @@ def test_parshin_matches_the_evaluated_monomial():
                     signs.update((i, (e > 0) - (e < 0))
                                  for i, e in enumerate(exponents))
     assert signs == {(i, e) for i in range(3) for e in (-1, 0, 1)}
+
+
+def _minus_one(phi):
+    return RationalFunction.constant(phi.field, -1, phi.var)
+
+
+def _horozov_reference(f, g, h, x, z):
+    """The definition: tame(phi0, phi2)^c1 * tame(phi1, -1)^(c0 c2)."""
+    c = [curve_valuation(w) for w in (f, g, h)]
+    phis = [phi_z(w, z) for w in (f, g, h)]
+    return (tame_symbol(phis[0], phis[2], x) ** c[1]
+            * tame_symbol(phis[1], _minus_one(phis[1]), x) ** (c[0] * c[2]))
+
+
+def _hk4_reference(f1, f2, f3, f4, x, z):
+    """The definition: prod_i tame(phi_i, -1)^(prod_{j != i} c_j) times
+    the tame symbol of the two curve-level tame symbols of the pairs."""
+    quad = (f1, f2, f3, f4)
+    c = [curve_valuation(w) for w in quad]
+    value = tame_symbol(curve_tame(f1, f2), curve_tame(f3, f4), x)
+    for i, w in enumerate(quad):
+        phi = phi_z(w, z)
+        value = value * tame_symbol(phi, _minus_one(phi), x) ** \
+            prod(c[:i] + c[i + 1:])
+    return value
+
+
+_REFERENCES = {
+    "horozov": (horozov3, _horozov_reference),
+    "parshin": (parshin3, lambda f, g, h, x, z: (
+        _horozov_reference(f, g, h, x, z) * _horozov_reference(h, f, g, x, z)
+        * _horozov_reference(g, h, f, x, z))),
+    "hk4": (hk4, _hk4_reference),
+}
+
+
+def test_exponent_tables_match_the_definitions_at_every_report_place():
+    # each function carries at most one of the two nonlinear places, so
+    # over Q every restriction still factors with certificates
+    rng = random.Random(373)
+    degrees = set()
+    compared = 0
+    for base, a, b in ((F5, 1, 1), (F13, 0, 2), (Q, 0, -2)):
+        s, t = gens(base)
+        carriers = (s * s + 2, s ** 3 + a * s + b)
+        for z in (t, t * (1 + t), s * t):
+            for kind, (symbol, reference) in _REFERENCES.items():
+                for _ in range(5):
+                    functions = [
+                        rand_surface_fn(rng, base, max_factors=2)
+                        * rng.choice(carriers) ** rng.randint(-2, 2)
+                        for _ in range(LAW_ARITY[kind])]
+                    report = reciprocity_verify_2d(kind, functions, z=z)
+                    assert report.ok, report.to_json(indent=2)
+                    for term in report.terms:
+                        x = parse_place(term["place"], base, "s")
+                        want = reference(*functions, x, z)
+                        assert symbol(*functions, x, z=z) == want
+                        assert term["value"] == str(want)
+                        degrees.add(x.degree)
+                        compared += 1
+    assert degrees == {1, 2, 3}
+    assert compared > 500, compared
