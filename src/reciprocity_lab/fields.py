@@ -13,10 +13,11 @@ literals into the ambient field.
 This module also owns the library's one square-and-multiply loop,
 `power(mul, one, x, n)`, behind `Field.pow`, `Polynomial.__pow__` and
 modular powers in `factor`, and its one signed-monomial builder,
-`Field.monomial`: every multiplicative local symbol (the tame symbol in
-k(x), the curve-level tame symbol in k(s), and the Horozov, Parshin and
-four-slot symbols on a surface) is the norm of one such monomial in unit
-values.
+`Field.monomial`.  It has two callers: `symbols1d.monomial_symbol`, which
+builds every multiplicative local symbol (the tame, Horozov, Parshin and
+four-slot symbols) as the norm of one such monomial in k(x), and
+`surface.curve_tame`, which builds the curve-level tame symbol in k(s)
+from the same tame table.
 """
 from __future__ import annotations
 

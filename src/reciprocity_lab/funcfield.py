@@ -4,9 +4,16 @@ A place of the projective line over k is either a monic irreducible
 polynomial pi (residue field k[T]/(pi), degree = deg pi) or the point at
 infinity (residue field k, degree 1).  `RationalFunction` keeps the
 canonical form num/den with den monic and gcd(num, den) = 1, and provides
-valuations, evaluation into residue fields (a `FieldScalar` over the
-place's `ResidueField`), divisor support, and the derivative needed for
-residues of f dg.
+evaluation into residue fields (a `FieldScalar` over the place's
+`ResidueField`), divisor support, and the derivative needed for residues
+of f dg.
+
+A function is read at a place in one way, `split`: f = z**v * u / w with
+the local parameter z and u, w prime to it, dividing pi out of num and
+den once.  `valuation` and `unit_value` (the class of u / w in the
+residue field) read it, and so does every multiplicative local symbol,
+which reduces u and w into the residue field itself and so inverts at
+most once per place (`symbols1d.monomial_symbol`).
 
 `FractionField` implements the same `Field` protocol with rational
 functions as raw values, which is how functions on the surface k(s)(t) are
@@ -239,32 +246,39 @@ class RationalFunction:
         if place.field != self.field or place.var != self.var:
             raise MixedFieldError("place belongs to a different function field")
 
-    def valuation(self, place: Place) -> int:
-        """Order of vanishing at the place; errors on the zero function."""
+    def split(self, place: Place) -> tuple[int, Polynomial, Polynomial]:
+        """(v, u, w) with f = z**v * u / w, z the local parameter at the
+        place; errors on the zero function.
+
+        At a finite place z is pi, and u and w are num and den with pi
+        divided out, so pi divides neither.  num and den are coprime, so den
+        is divided only when pi does not divide num.  At infinity u and w
+        are the leading coefficients of num and den, as constants: the
+        value of f * z**(-v) there is u / w.
+        """
         self._check_place(place)
         if self.is_zero():
             raise ZeroInputError("the zero function has no valuation")
+        num, den = self.num, self.den
         if place.is_infinity:
-            return self.den.degree - self.num.degree
-        count_num, _ = _strip_power(self.num, place.pi)
-        if count_num:
-            return count_num
-        count_den, _ = _strip_power(self.den, place.pi)
-        return -count_den
+            return (den.degree - num.degree,
+                    Polynomial(self.field, num.coeffs[-1:], self.var),
+                    Polynomial(self.field, den.coeffs[-1:], self.var))
+        v, num = _strip_power(num, place.pi)
+        if v:
+            return v, num, den
+        v, den = _strip_power(den, place.pi)
+        return -v, num, den
+
+    def valuation(self, place: Place) -> int:
+        """Order of vanishing at the place; errors on the zero function."""
+        return self.split(place)[0]
 
     def unit_value(self, place: Place):
         """Raw residue-field value of the unit part f * z**(-v) at the place."""
-        self._check_place(place)
-        if self.is_zero():
-            raise ZeroInputError("the zero function has no unit part")
+        _, u, w = self.split(place)
         L = place.residue_field()
-        if place.is_infinity:
-            value = self.field.div(self.num.leading_coefficient(),
-                                   self.den.leading_coefficient())
-            return L.from_base(value)
-        _, num = _strip_power(self.num, place.pi)
-        _, den = _strip_power(self.den, place.pi)
-        return L.div(L.from_polynomial(num), L.from_polynomial(den))
+        return L.div(L.from_polynomial(u), L.from_polynomial(w))
 
     def evaluate(self, place: Place) -> FieldScalar:
         """The class of f in the residue field; f must be a unit at the place."""
@@ -313,15 +327,15 @@ def _strip_power(p: Polynomial, pi: Polynomial) -> tuple[int, Polynomial]:
 
 def support_union(*functions: RationalFunction,
                   include_infinity: bool = False) -> list[Place]:
-    """Sorted union of the supports of several functions."""
+    """Sorted union of the supports of several functions, which must all
+    lie in one k(t)."""
     places: dict = {}
-    field = functions[0].field
-    var = functions[0].var
+    first = functions[0]
     for f in functions:
-        for place, _ in f.support():
+        for place, _ in first._coerce(f).support():
             places[place] = True
     if include_infinity:
-        places[Place.at_infinity(field, var)] = True
+        places[Place.at_infinity(first.field, first.var)] = True
     return sorted(places, key=lambda x: x.sort_key())
 
 

@@ -19,7 +19,6 @@ a_i and b_j nonzero in k(s):
     v_C(f)          = i - j
     phi_t(f)        = a_i / b_j
     phi_z(f)        = phi_t(f) * phi_t(z)**(-v_C(f))
-    curve_tame(f,g) = (-1)**(v_C(f) v_C(g)) * phi_t(f)**v_C(g) / phi_t(g)**v_C(f)
 
 so no element of k(s)(t) is built, and no gcd over k(s) runs, to restrict.
 
@@ -30,12 +29,15 @@ the place x: `nu_symbol`, `horozov3`, `parshin3` and `hk4` evaluate it at one
 place, and `nu_verify` and `reciprocity_verify_2d` sum or multiply it over C
 in `place_law_report`.
 
-The three multiplicative symbols are, like the tame symbol, the norm down
-to k of one signed monomial (-1)^alpha * prod u_i^e_i in the unit values u_i
-of the phi_z(f_i) at x, built by the residue field's `Field.monomial`; no
-tame symbol is evaluated and nothing is built in k(s).  With c_i = v_C(f_i)
-and b_i = v_x(phi_z(f_i)):
+The three multiplicative symbols are, like the tame symbol, exponent
+tables over `symbols1d.monomial_symbol`: the norm down to k of one signed
+monomial (-1)^alpha * prod u_i^e_i in the unit values u_i of the
+phi_z(f_i) at x, built by the residue field's `Field.monomial`; no tame
+symbol is evaluated and nothing is built in k(s).  With c_i = v_C(f_i) and
+b_i = v_x(phi_z(f_i)):
 
+    tame     alpha = b0 b1
+             e     = (b1, -b0)
     horozov  alpha = c1 b0 b2 + c0 c2 b1
              e     = (c1 b2, 0, -c1 b0)
     parshin  alpha = c0 c1 b2 + c0 c2 b1 + c1 c2 b0
@@ -45,6 +47,12 @@ and b_i = v_x(phi_z(f_i)):
              alpha = sum_i b_i prod_{j != i} c_j
                      + w1 w2 + c0 c1 w2 + c2 c3 w1
              e     = (c1 w2, -c0 w2, -c3 w1, c2 w1)
+
+The tame row is `symbols1d.tame_exponents`.  Read with the curve
+valuations c in place of b, and in k(s) instead of k(x), it gives the
+curve-level tame symbol
+
+    curve_tame(f, g) = (-1)**(c0 c1) * phi_t(f)**c1 / phi_t(g)**c0.
 
 Horozov's table multiplies out tame(phi0, phi2)^c1 * tame(phi1, -1)^(c0 c2).
 The four-slot table multiplies out prod_i tame(phi_i, -1)^(prod_{j != i} c_j)
@@ -64,6 +72,7 @@ from .fields import Field, FieldScalar, ensure_same_field
 from .funcfield import FractionField, Place, RationalFunction, support_union
 from .poly import Polynomial
 from .report import VerificationReport, place_law_report
+from .symbols1d import monomial_symbol, tame_exponents
 
 
 def surface_generators(base: Field, s_var: str = "s",
@@ -202,8 +211,9 @@ def nu_verify(f: RationalFunction, g: RationalFunction) -> VerificationReport:
 
 def curve_tame(f: RationalFunction, g: RationalFunction) -> RationalFunction:
     """The curve-level tame symbol, a function on C rather than a scalar."""
-    (vf, uf), (vg, ug) = _curve_data((f, g), None)
-    return f.field.monomial(vf * vg, ((uf, vg), (ug, -vf)))
+    vc, phis = zip(*_curve_data((f, g), None))
+    alpha, es = tame_exponents(vc)
+    return f.field.monomial(alpha, list(zip(phis, es)))
 
 
 def _nu_local(vc, phis, x: Place) -> int:
@@ -236,20 +246,14 @@ _MONOMIAL_KINDS = {"horozov": (3, _horozov_exponents),
                    "hk4": (4, _hk4_exponents)}
 
 
-def _monomial_local(exponents, vc, phis, x: Place) -> FieldScalar:
-    alpha, es = exponents(vc, tuple(p.valuation(x) for p in phis))
-    ring = x.residue_field()
-    return ring.norm(ring.monomial(
-        alpha, [(p.unit_value(x), e) for p, e in zip(phis, es) if e]))
-
-
 def _local_symbol(kind: str, functions, z):
     """The local symbol of `kind` at the parameter z, as a function of x,
     and the functions whose supports on C carry its nontrivial values."""
     vc, phis = zip(*_curve_data(functions, z))
-    local = (_nu_local if kind == "nu"
-             else partial(_monomial_local, _MONOMIAL_KINDS[kind][1]))
-    return partial(local, vc, phis), phis
+    if kind == "nu":
+        return partial(_nu_local, vc, phis), phis
+    exponents = partial(_MONOMIAL_KINDS[kind][1], vc)
+    return lambda x: monomial_symbol(phis, exponents, x)[0], phis
 
 
 def horozov3(f: RationalFunction, g: RationalFunction, h: RationalFunction,

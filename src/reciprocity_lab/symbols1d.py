@@ -1,14 +1,22 @@
 """Curve-level symbols on k(t) and their reciprocity verifiers.
 
-The tame symbol at a place x is
-Norm[(-1)^(v_x(f) v_x(g)) * u_f^v_x(g) / u_g^v_x(f)], with u_f and u_g the
-unit values of f and g at x and the norm taken from the residue field down
-to k; the signed monomial is built by `Field.monomial` of the residue
-field, as every multiplicative local symbol on a surface is.  Multiplying
-over all places gives 1 (the product over the joint support of f and g,
-since every other factor is a norm of 1).  The same machinery yields the
+Every multiplicative local symbol is an exponent table over one builder,
+`monomial_symbol`: the table maps the valuations b of the functions at x to
+(alpha, e), and the symbol is Norm[(-1)^alpha * prod u_i^e_i], with u_i the
+unit values at x and the norm taken from the residue field down to k.  The
+builder splits each function once (`RationalFunction.split`) and hands the
+reduced cofactors to `Field.monomial` of the residue field, so it inverts
+at most once per place.  The tame symbol is the table `tame_exponents`,
+
+    alpha = v_x(f) v_x(g),    e = (v_x(g), -v_x(f)),
+
+which `surface.curve_tame` reads too, in k(s); the Horozov, Parshin and
+four-slot tables live in `surface`.  Multiplying the tame symbol over all
+places gives 1 (the product over the joint support of f and g, since every
+other factor is a norm of 1).  The same machinery yields the
 sum-of-valuations formula, the residue theorem, and the Hilbert norm
-residue symbol over prime fields.
+residue symbol over prime fields, the tame symbol to the (q - 1)/m, whose
+m `hilbert_verify` checks once before any place.
 
 The Weil, Hilbert and residue-theorem verifiers hand a local symbol, its
 places and its group to `report.place_law_report`, which combines the terms
@@ -28,29 +36,62 @@ from .report import VerificationReport, place_law_report
 from .tate import abstract_residue_trace, differential_residue
 
 
-def _tame_raw(f: RationalFunction, g: RationalFunction, x: Place):
-    """(raw (-1)^(v_x(f) v_x(g)) (f^v_x(g) / g^v_x(f))(x), v_x(f), v_x(g))."""
+def monomial_symbol(functions, exponents, x: Place):
+    """The multiplicative local symbol at x of an exponent table, and the
+    valuations b of the functions at x.
+
+    The table gives (alpha, e) = exponents(b), and the symbol is the norm
+    down to k of (-1)**alpha * prod u_i**e_i, u_i the unit value of the
+    i-th function at x.  Each function is split once; the reductions of
+    its u and w enter `Field.monomial` of k(x) with exponents e_i and -e_i,
+    so the powers stay in k(x) instead of blowing up polynomial degrees,
+    and the symbol inverts at most once.
+    """
+    splits = [f.split(x) for f in functions]
+    b = tuple(v for v, _, _ in splits)
+    alpha, es = exponents(b)
+    ring = x.residue_field()
+    factors = []
+    for (_, u, w), e in zip(splits, es):
+        if e:
+            factors += ((ring.from_polynomial(u), e),
+                        (ring.from_polynomial(w), -e))
+    return ring.norm(ring.monomial(alpha, factors)), b
+
+
+def tame_exponents(v):
+    """The tame symbol's table: (-1)**(v_f v_g) * u_f**v_g / u_g**v_f."""
+    return v[0] * v[1], (v[1], -v[0])
+
+
+def _tame(f: RationalFunction, g: RationalFunction, x: Place):
+    """(tame symbol at x, (v_x(f), v_x(g)))."""
     if f.is_zero() or g.is_zero():
         raise ZeroInputError("tame symbol of the zero function")
-    vf = f.valuation(x)
-    vg = g.valuation(x)
-    # f^vg / g^vf is a unit at x; rebuilding it from the unit parts of f and
-    # g keeps the powers inside the residue field instead of blowing up
-    # polynomial degrees.
-    factors = [(h.unit_value(x), e) for h, e in ((f, vg), (g, -vf)) if e]
-    return x.residue_field().monomial(vf * vg, factors), vf, vg
+    return monomial_symbol((f, g), tame_exponents, x)
 
 
 def tame_symbol(f: RationalFunction, g: RationalFunction, x: Place) -> FieldScalar:
     """The k-valued tame symbol: norm of the unit part with the degree sign."""
-    return x.residue_field().norm(_tame_raw(f, g, x)[0])
+    return _tame(f, g, x)[0]
 
 
 def milnor_symbol(f: RationalFunction, g: RationalFunction, x: Place) -> FieldScalar:
     """The rational-point form of the tame symbol; only for degree-1 places."""
     if x.degree != 1:
         raise DomainError("the rational-point symbol needs a degree-1 place")
-    return FieldScalar(f.field, _tame_raw(f, g, x)[0][0])
+    return tame_symbol(f, g, x)
+
+
+def _hilbert_power(f: RationalFunction, m: int) -> int:
+    """(q - 1) / m, after checking that f lies over a prime field F_q with
+    m | q - 1."""
+    if not isinstance(f.field, PrimeField):
+        raise DomainError("norm residue symbols need a finite ground field")
+    q = f.field.p
+    if m < 1 or (q - 1) % m:
+        raise DomainError(f"m = {m} does not divide q - 1 = {q - 1}")
+    return (q - 1) // m
 
 
 def hilbert_symbol(f: RationalFunction, g: RationalFunction, x: Place,
@@ -60,17 +101,7 @@ def hilbert_symbol(f: RationalFunction, g: RationalFunction, x: Place,
     The sign stays inside the norm; the result is an m-th root of unity
     inside F_q.
     """
-    field = _require_prime_field(f)
-    q = field.p
-    if m < 1 or (q - 1) % m:
-        raise DomainError(f"m = {m} does not divide q - 1 = {q - 1}")
-    return tame_symbol(f, g, x) ** ((q - 1) // m)
-
-
-def _require_prime_field(f: RationalFunction) -> PrimeField:
-    if not isinstance(f.field, PrimeField):
-        raise DomainError("norm residue symbols need a finite ground field")
-    return f.field
+    return tame_symbol(f, g, x) ** _hilbert_power(f, m)
 
 
 def sum_of_valuations_verify(f: RationalFunction) -> VerificationReport:
@@ -99,8 +130,7 @@ def sum_of_valuations_verify(f: RationalFunction) -> VerificationReport:
 def weil_verify(f: RationalFunction, g: RationalFunction) -> VerificationReport:
     """Check the product of tame symbols over the joint support equals 1."""
     def local(x):
-        raw, vf, vg = _tame_raw(f, g, x)
-        val = x.residue_field().norm(raw)
+        val, (vf, vg) = _tame(f, g, x)
         return val, {"v_f": vf, "v_g": vg, "value": str(val)}
 
     return place_law_report("weil", f.field.descriptor,
@@ -111,15 +141,15 @@ def weil_verify(f: RationalFunction, g: RationalFunction) -> VerificationReport:
 def hilbert_verify(f: RationalFunction, g: RationalFunction,
                    m: int) -> VerificationReport:
     """Check the product of Hilbert norm residue symbols equals 1."""
-    field = _require_prime_field(f)
+    power = _hilbert_power(f, m)
 
     def local(x):
-        val = hilbert_symbol(f, g, x, m)
+        val = tame_symbol(f, g, x) ** power
         return val, {"value": str(val)}
 
-    return place_law_report("hilbert", field.descriptor,
+    return place_law_report("hilbert", f.field.descriptor,
                             {"f": str(f), "g": str(g), "m": str(m)},
-                            support_union(f, g), local, field.one_scalar(),
+                            support_union(f, g), local, f.field.one_scalar(),
                             mul)
 
 

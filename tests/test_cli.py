@@ -74,6 +74,21 @@ def test_hilbert_local_and_verify(capsys):
     assert json.loads(out)["ok"] is True
 
 
+def test_hilbert_checks_m_before_any_place(capsys):
+    # constants have no places, so a per-place check never ran for them
+    for f, g, m in (("2", "3", "3"), ("2", "3", "0"), ("t", "t+1", "3"),
+                    ("t", "t", "-2")):
+        code, out, err = run(capsys, "hilbert", "--field", "Fp:5", "--f", f,
+                             "--g", g, "--m", m)
+        assert code == 3, (f, g, m, out)
+        assert out == ""
+        assert f"domain error: m = {m} does not divide q - 1 = 4" in err
+    code, out, _ = run(capsys, "hilbert", "--field", "Fp:5", "--f", "2",
+                       "--g", "3", "--m", "4")
+    assert code == 0
+    assert out.strip().endswith("OK")
+
+
 def test_surface_commands(capsys):
     code, out, _ = run(capsys, "nu", "--f", "s*t", "--g", "s", "--json")
     assert code == 0

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from reciprocity_lab.errors import DomainError, ZeroInputError
+from reciprocity_lab.errors import DomainError, MixedFieldError, ZeroInputError
 from reciprocity_lab.funcfield import Place, RationalFunction
 from reciprocity_lab.poly import Polynomial
 from reciprocity_lab.symbols1d import (hilbert_symbol, hilbert_verify,
@@ -210,6 +210,25 @@ def test_hilbert_symbol_domain_errors():
     tq = tt(Q)
     with pytest.raises(DomainError):
         hilbert_symbol(tq, tq, origin(Q), 2)
+    with pytest.raises(DomainError, match="finite ground field"):
+        hilbert_verify(tq, tq, 2)
+    # m is checked before any place, so inputs without places see it too
+    two = RationalFunction.constant(F5, 2)
+    three = RationalFunction.constant(F5, 3)
+    for m in (3, 0, -4, 8):
+        with pytest.raises(DomainError, match=f"m = {m} does not divide"):
+            hilbert_verify(two, three, m)
+        with pytest.raises(DomainError, match=f"m = {m} does not divide"):
+            hilbert_verify(t, t + 1, m)
+    assert hilbert_verify(two, three, 4).ok
+    # f and g must share a function field, with or without places
+    seven = RationalFunction.constant(F7, 3)
+    for f, g in ((two, seven), (t, tt(F7)),
+                 (t, RationalFunction.variable(F5, "s"))):
+        with pytest.raises(MixedFieldError):
+            weil_verify(f, g)
+        with pytest.raises(MixedFieldError):
+            hilbert_verify(f, g, 2)
 
 
 def test_hilbert_product_formula():
