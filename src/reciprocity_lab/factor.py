@@ -10,7 +10,7 @@ by Newton's iteration from the simple roots mod the least suitable prime p;
 p grows with the degree and the digits of f, not with its coefficients.
 
 Over F_p the modular arithmetic runs on coefficient tuples through
-`poly.convolve` and `poly.reduce_monic`.  For each monic squarefree part f
+`poly.convolve` and `poly.divide`.  For each monic squarefree part f
 of degree n, x^p mod f is computed once (about log2 p + popcount(p)
 products) and extended to the Frobenius matrix, the rows x^(p*i) mod f for
 i < n (n - 2 more products).  Since h(x)^p = h(x^p) over F_p, every later
@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from .errors import DomainError, ZeroInputError
 from .fields import FieldScalar, PrimeField, RationalField, power
-from .poly import Polynomial, convolve, reduce_monic
+from .poly import Polynomial, convolve, divide
 
 DEFAULT_SEED = 20140901
 
@@ -73,15 +73,15 @@ def _sorted_factors(items: list[Factor]) -> tuple[Factor, ...]:
 
 def _mul_mod(F: PrimeField, a, b, m) -> tuple:
     """The product a*b modulo the monic m, on coefficient tuples."""
-    return reduce_monic(F, convolve(F, a, b), m)
+    return divide(F, convolve(F, a, b), m)[1]
 
 
 def _frobenius_rows(F: PrimeField, m) -> list[tuple]:
     """Rows x^(p*i) mod m for i < deg(m), m monic: the matrix of the
     Frobenius map h -> h^p on F_p[x]/(m)."""
-    one = reduce_monic(F, (F.one,), m)
+    one = divide(F, (F.one,), m)[1]
     xp = power(lambda a, b: _mul_mod(F, a, b, m), one,
-               reduce_monic(F, (F.zero, F.one), m), F.p)
+               divide(F, (F.zero, F.one), m)[1], F.p)
     rows = [one, xp]
     while len(rows) < len(m) - 1:
         rows.append(_mul_mod(F, rows[-1], xp, m))
@@ -101,7 +101,7 @@ def _frobenius(F: PrimeField, rows: list[tuple], h) -> tuple:
 
 def _reduce_rows(F: PrimeField, rows: list[tuple], g: Polynomial) -> list[tuple]:
     """The Frobenius rows modulo g, a monic divisor of their modulus."""
-    return [reduce_monic(F, row, g.coeffs) for row in rows[:g.degree]]
+    return [divide(F, row, g.coeffs)[1] for row in rows[:g.degree]]
 
 
 def _distinct_degree(f: Polynomial) -> list[tuple[int, Polynomial, list]]:
@@ -126,7 +126,7 @@ def _distinct_degree(f: Polynomial) -> list[tuple[int, Polynomial, list]]:
             out.append((d, g, _reduce_rows(F, rows, g)))
             rest = rest.exact_div(g)
             rows = _reduce_rows(F, rows, rest)
-            h = reduce_monic(F, h, rest.coeffs)
+            h = divide(F, h, rest.coeffs)[1]
     return out
 
 

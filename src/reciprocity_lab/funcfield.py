@@ -284,9 +284,11 @@ class RationalFunction:
         """The class of f in the residue field; f must be a unit at the place."""
         if self.is_zero():
             raise ZeroInputError("cannot evaluate the zero function as a unit")
-        if self.valuation(place) != 0:
+        v, u, w = self.split(place)
+        if v != 0:
             raise NotAUnitError(f"function has a zero or pole at {place}")
-        return place.residue_field().scalar(self.unit_value(place))
+        L = place.residue_field()
+        return L.scalar(L.div(L.from_polynomial(u), L.from_polynomial(w)))
 
     def support(self) -> list[tuple[Place, int]]:
         """The divisor of f: all places with nonzero valuation, canonical order.

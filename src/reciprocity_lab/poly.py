@@ -6,8 +6,10 @@ so callers are forced to treat it explicitly.
 
 This module also owns the kernels on bare coefficient sequences that every
 dense type shares (k[t], k[T]/(pi), truncated k((w)) and k[z]/(z^(N+1))):
-`convolve` (products), `reduce_monic` (remainder mod a monic modulus) and
-`series_quotient` (power-series division).
+`convolve` (products), `divide` (quotient and remainder, the one division
+loop), `trim` (dropping trailing zeros) and `series_quotient` (power-series
+division).  `gcd` and `resultant` walk their remainder sequences as trimmed
+tuples and build a `Polynomial` only for the result.
 """
 from __future__ import annotations
 
@@ -37,19 +39,28 @@ def convolve(F: Field, a, b, length: int | None = None) -> list:
     return out
 
 
-def reduce_monic(F: Field, coeffs, modulus) -> tuple:
-    """Remainder of `coeffs` modulo the monic coefficient sequence `modulus`,
-    as exactly deg(modulus) coefficients (zero-padded, not trimmed)."""
-    d = len(modulus) - 1
-    work = list(coeffs)
+def divide(F: Field, a, b) -> tuple[list, tuple]:
+    """Quotient and remainder of the coefficient sequence a by b over F.
+
+    b must end in a nonzero coefficient.  The remainder has exactly
+    len(b) - 1 entries (zero-padded, not trimmed).  b is inverted only when
+    it is not monic and a is not shorter than b.
+    """
+    d = len(b) - 1
+    work = list(a)
+    quot = [F.zero] * (len(work) - d)
+    inv_lc = None if not quot or F.eq(b[-1], F.one) else F.inv(b[-1])
     for i in range(len(work) - 1, d - 1, -1):
         c = work[i]
         if F.is_zero(c):
             continue
+        if inv_lc is not None:
+            c = F.mul(c, inv_lc)
+        quot[i - d] = c
         for j in range(d):
-            work[i - d + j] = F.sub(work[i - d + j], F.mul(c, modulus[j]))
+            work[i - d + j] = F.sub(work[i - d + j], F.mul(c, b[j]))
     work.extend([F.zero] * (d - len(work)))
-    return tuple(work[:d])
+    return quot, tuple(work[:d])
 
 
 def series_quotient(F: Field, num, den, terms: int) -> list:
@@ -65,9 +76,10 @@ def series_quotient(F: Field, num, den, terms: int) -> list:
     return out
 
 
-def _trim(coeffs: list, field: Field) -> tuple:
+def trim(F: Field, coeffs) -> tuple:
+    """The coefficients without their trailing zeros, as a tuple."""
     n = len(coeffs)
-    while n > 0 and field.is_zero(coeffs[n - 1]):
+    while n > 0 and F.is_zero(coeffs[n - 1]):
         n -= 1
     return tuple(coeffs[:n])
 
@@ -78,8 +90,8 @@ class Polynomial:
     def __init__(self, field: Field, coeffs, var: str = "t"):
         self.field = field
         self.var = var
-        self.coeffs = _trim([field.coerce(c) if isinstance(c, int) else c
-                             for c in coeffs], field)
+        self.coeffs = trim(field, [field.coerce(c) if isinstance(c, int) else c
+                                   for c in coeffs])
 
     @classmethod
     def zero(cls, field: Field, var: str = "t") -> "Polynomial":
@@ -199,24 +211,11 @@ class Polynomial:
 
     def divmod(self, other: "Polynomial"):
         self._compat(other)
-        F = self.field
         if other.is_zero():
             raise ZeroInputError("polynomial division by zero")
-        if self.is_zero() or len(self.coeffs) < len(other.coeffs):
-            return Polynomial.zero(F, self.var), self
-        rem = list(self.coeffs)
-        dden = len(other.coeffs) - 1
-        inv_lc = F.inv(other.coeffs[-1])
-        quot = [F.zero] * (len(rem) - dden)
-        for i in range(len(rem) - 1, dden - 1, -1):
-            c = rem[i]
-            if F.is_zero(c):
-                continue
-            q = F.mul(c, inv_lc)
-            quot[i - dden] = q
-            for j, bj in enumerate(other.coeffs):
-                rem[i - dden + j] = F.sub(rem[i - dden + j], F.mul(q, bj))
-        return (Polynomial(F, quot, self.var), Polynomial(F, rem, self.var))
+        quot, rem = divide(self.field, self.coeffs, other.coeffs)
+        return (Polynomial(self.field, quot, self.var),
+                Polynomial(self.field, rem, self.var))
 
     def __mod__(self, other: "Polynomial") -> "Polynomial":
         return self.divmod(other)[1]
@@ -238,10 +237,11 @@ class Polynomial:
     def gcd(self, other: "Polynomial") -> "Polynomial":
         """Monic greatest common divisor; gcd(0, 0) = 0."""
         self._compat(other)
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        F = self.field
+        a, b = self.coeffs, other.coeffs
+        while b:
+            a, b = b, trim(F, divide(F, a, b)[1])
+        return Polynomial(F, a, self.var).monic()
 
     def derivative(self) -> "Polynomial":
         F = self.field
@@ -287,25 +287,26 @@ class Polynomial:
         """Res(self, other) as a raw field value, by the Euclidean chain."""
         self._compat(other)
         F = self.field
-        f, g = self, other
-        if f.is_zero() or g.is_zero():
+        f, g = self.coeffs, other.coeffs
+        if not f or not g:
             # Res with the zero polynomial vanishes unless both are constants.
             return F.zero
         res = F.one
         flip = False
         while True:
-            if g.degree == 0:
-                res = F.mul(res, F.pow(g.coeffs[0], f.degree))
+            df, dg = len(f) - 1, len(g) - 1
+            if dg == 0:
+                res = F.mul(res, F.pow(g[0], df))
                 return F.neg(res) if flip else res
-            if f.degree < g.degree:
-                flip ^= (f.degree * g.degree) % 2 == 1
+            if df < dg:
+                flip ^= (df * dg) % 2 == 1
                 f, g = g, f
                 continue
-            r = f % g
-            if r.is_zero():
+            r = trim(F, divide(F, f, g)[1])
+            if not r:
                 return F.zero
-            flip ^= (f.degree * g.degree) % 2 == 1
-            res = F.mul(res, F.pow(g.coeffs[-1], f.degree - r.degree))
+            flip ^= (df * dg) % 2 == 1
+            res = F.mul(res, F.pow(g[-1], df - len(r) + 1))
             f, g = g, r
 
     def squarefree_part_decomposition(self):

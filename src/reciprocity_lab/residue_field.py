@@ -7,6 +7,10 @@ pairing tr(T^j) = p_j with the p_j obtained from Newton's identities, which
 need no division and therefore work in any characteristic.  Both are
 cross-checked in the test suite against the multiplication-matrix oracle.
 
+Products are reduced mod pi by `poly.divide`, which inverts nothing since
+pi is monic, and `inv` runs extended Euclid on coefficient tuples with its
+cofactors reduced in the ring.
+
 `ResidueField` is a `Field` like Q and F_p, so polynomials can take their
 coefficients in it and its classes travel as `FieldScalar`s tagged with it.
 """
@@ -14,7 +18,7 @@ from __future__ import annotations
 
 from .errors import MixedFieldError, ZeroInputError
 from .fields import Field, FieldScalar
-from .poly import Polynomial, convolve, reduce_monic
+from .poly import Polynomial, convolve, divide, trim
 
 
 class ResidueField(Field):
@@ -62,7 +66,7 @@ class ResidueField(Field):
 
     def from_coeffs(self, coeffs):
         """Reduce an arbitrary coefficient sequence mod pi into a raw tuple."""
-        return reduce_monic(self.base, coeffs, self.modulus.coeffs)
+        return divide(self.base, coeffs, self.modulus.coeffs)[1]
 
     def from_polynomial(self, p: Polynomial):
         return self.from_coeffs(p.coeffs)
@@ -91,7 +95,7 @@ class ResidueField(Field):
         F = self.base
         if self.degree == 1:
             return (F.mul(a[0], b[0]),)
-        return reduce_monic(F, convolve(F, a, b), self.modulus.coeffs)
+        return divide(F, convolve(F, a, b), self.modulus.coeffs)[1]
 
     def inv(self, a):
         if self.is_zero(a):
@@ -99,19 +103,17 @@ class ResidueField(Field):
         F = self.base
         if self.degree == 1:
             return (F.inv(a[0]),)
-        # extended Euclid on polynomial representatives, keeping s*a = r mod pi
-        p = Polynomial(F, a, self.modulus.var)
-        r0, r1 = self.modulus, p
-        s0 = Polynomial.zero(F, self.modulus.var)
-        s1 = Polynomial.one(F, self.modulus.var)
-        while not r1.is_zero() and r1.degree > 0:
-            q, r = r0.divmod(r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-        if r1.is_zero():
+        # extended Euclid on coefficient tuples, keeping s*a = r mod pi
+        r0, r1 = self.modulus.coeffs, trim(F, a)
+        s0, s1 = self.zero, self.one
+        while len(r1) > 1:
+            q, r = divide(F, r0, r1)
+            r0, r1 = r1, trim(F, r)
+            s0, s1 = s1, self.sub(s0, self.mul(q, s1))
+        if not r1:
             raise ZeroInputError("element is not a unit mod pi")
-        scale = F.inv(r1.coeffs[0])
-        return self.from_polynomial(s1.scale(scale))
+        scale = F.inv(r1[0])
+        return tuple(F.mul(scale, c) for c in s1)
 
     # -- norm and trace ------------------------------------------------------
 

@@ -45,7 +45,9 @@ def monomial_symbol(functions, exponents, x: Place):
     i-th function at x.  Each function is split once; the reductions of
     its u and w enter `Field.monomial` of k(x) with exponents e_i and -e_i,
     so the powers stay in k(x) instead of blowing up polynomial degrees,
-    and the symbol inverts at most once.
+    and the symbol inverts at most once.  A constant w is 1 (den is monic)
+    and is left out, so a symbol whose negative exponents all fall on such
+    w inverts nothing.
     """
     splits = [f.split(x) for f in functions]
     b = tuple(v for v, _, _ in splits)
@@ -54,8 +56,9 @@ def monomial_symbol(functions, exponents, x: Place):
     factors = []
     for (_, u, w), e in zip(splits, es):
         if e:
-            factors += ((ring.from_polynomial(u), e),
-                        (ring.from_polynomial(w), -e))
+            factors.append((ring.from_polynomial(u), e))
+            if w.degree:
+                factors.append((ring.from_polynomial(w), -e))
     return ring.norm(ring.monomial(alpha, factors)), b
 
 

@@ -118,10 +118,12 @@ def test_evaluate_examples():
 def test_evaluate_needs_a_unit():
     t = tt(Q)
     at_t = Place.finite(Polynomial.variable(Q))
-    with pytest.raises(NotAUnitError):
+    with pytest.raises(NotAUnitError, match="zero or pole at t$"):
         t.evaluate(at_t)
-    with pytest.raises(NotAUnitError):
+    with pytest.raises(NotAUnitError, match="zero or pole at t$"):
         (1 / t).evaluate(at_t)
+    with pytest.raises(ZeroInputError, match="cannot evaluate the zero function"):
+        RationalFunction.constant(Q, 0).evaluate(at_t)
 
 
 def test_place_certification_split():

@@ -290,6 +290,9 @@ def test_a_local_symbol_splits_each_function_once_and_inverts_once(op_counts):
         for call in calls:
             _evaluate(op_counts, x, (f, g), call)
             inverted += op_counts["inv"]
+        if f.valuation(x) == 0:
+            value = _evaluate(op_counts, x, (f,), lambda: f.evaluate(x))
+            assert value.raw == ref_unit_value(f, x)
     for _, places, z, kind, symbol, functions in surface_cases():
         phis = [phi for _, phi in surface._curve_data(functions, z)]
         for x in places:
@@ -297,3 +300,13 @@ def test_a_local_symbol_splits_each_function_once_and_inverts_once(op_counts):
                       lambda: symbol(*functions, x, z=z))
             inverted += op_counts["inv"]
     assert inverted > 100
+
+
+def test_a_constant_cofactor_is_not_inverted(op_counts):
+    # den = 1 at every place, so the tame symbol of t + 1 and t at the
+    # place t needs no inversion: its only negative exponent is on w = 1
+    t = RationalFunction.variable(F5)
+    x = Place.finite(Polynomial.variable(F5))
+    assert _evaluate(op_counts, x, (t + 1, t),
+                     lambda: tame_symbol(t + 1, t, x)).raw == 1
+    assert op_counts["inv"] == 0

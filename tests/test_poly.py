@@ -6,7 +6,7 @@ import pytest
 from reciprocity_lab.errors import ZeroInputError
 from reciprocity_lab.fields import field_from_descriptor
 from reciprocity_lab.funcfield import FractionField, RationalFunction
-from reciprocity_lab.poly import Polynomial
+from reciprocity_lab.poly import Polynomial, divide
 from reciprocity_lab.residue_field import ResidueField
 
 from helpers import F2, F5, F13, Q, rand_poly
@@ -35,14 +35,53 @@ def test_ring_operations():
     assert (t + 2) ** 3 == t ** 3 + 6 * t * t + 12 * t + 8
 
 
+def _division_fields():
+    """(field, draw) pairs: draw(rng) is a random coefficient, often zero."""
+    F1000003 = field_from_descriptor("Fp:1000003")
+    ks = FractionField(F5, "s")
+
+    def rational(rng):
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    def function_of_s(rng):
+        return RationalFunction(rand_poly(rng, F5, 2, "s"),
+                                rand_poly(rng, F5, 1, "s", nonzero=True))
+
+    yield F2, lambda rng: F2.from_int(rng.randint(0, 1))
+    yield F13, lambda rng: F13.from_int(rng.randint(-3, 3))
+    yield F1000003, lambda rng: F1000003.from_int(rng.choice((0, rng.randint(1, 10 ** 6))))
+    yield F5, lambda rng: F5.from_int(rng.randint(0, 4))
+    yield Q, rational
+    yield ks, function_of_s
+
+
 def test_divmod_identity():
     rng = random.Random(11)
-    for _ in range(40):
-        a = rand_poly(rng, F5, 6)
-        b = rand_poly(rng, F5, 3, nonzero=True)
-        q, r = a.divmod(b)
-        assert q * b + r == a
-        assert r.is_zero() or r.degree < b.degree
+    for field, draw in _division_fields():
+
+        def poly(deg, nonzero=False):
+            while True:
+                p = Polynomial(field, [draw(rng) for _ in range(deg + 1)])
+                if not (nonzero and p.is_zero()):
+                    return p
+
+        pairs = [(Polynomial.zero(field), poly(2, nonzero=True)),
+                 (poly(1), poly(4, nonzero=True)),
+                 (poly(5), poly(0, nonzero=True))]
+        for _ in range(30):
+            b = poly(rng.randint(0, 3), nonzero=True)
+            pairs.append((poly(rng.randint(0, 6)),
+                          b.monic() if rng.random() < 0.5 else b))
+        for a, b in pairs:
+            q, r = a.divmod(b)
+            assert q * b + r == a
+            assert r.is_zero() or r.degree < b.degree
+            quot, rem = divide(field, a.coeffs, b.coeffs)
+            assert len(rem) == b.degree
+            assert (Polynomial(field, quot), Polynomial(field, rem)) == (q, r)
+        # over F_2 every divisor is monic
+        assert field is F2 or any(not b.is_monic() and not b.is_constant()
+                                  for _, b in pairs)
 
 
 def test_division_by_zero_polynomial():
@@ -64,6 +103,42 @@ def test_gcd_is_monic_and_divides():
         q = rand_poly(rng, Q, 4, nonzero=True)
         g = p.gcd(q)
         assert (p % g).is_zero() and (q % g).is_zero()
+
+
+def _sympy_poly(sympy, x, p: Polynomial):
+    if p.field.char == 0:
+        coeffs = [sympy.Rational(c.numerator, c.denominator) for c in p.coeffs]
+        return sympy.Poly(coeffs[::-1], x, domain=sympy.QQ)
+    return sympy.Poly(list(p.coeffs[::-1]), x, domain=sympy.GF(p.field.p))
+
+
+def _from_sympy(field, value):
+    """A sympy number as a raw value of field."""
+    if field.char == 0:
+        return Fraction(int(value.p), int(value.q))
+    return field.from_int(int(value))
+
+
+def test_gcd_and_resultant_agree_with_sympy():
+    # The resultant's oracle is the determinant of the Sylvester matrix, the
+    # definition: sympy's Poly.resultant (1.14) has the opposite sign on
+    # some pairs of odd degree product, e.g. Res(t + 3, t^3) = -27.
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.subresultants_qq_zz import sylvester
+    x = sympy.Symbol("x")
+    rng = random.Random(29)
+    F1000003 = field_from_descriptor("Fp:1000003")
+    for field in (Q, F2, F5, F13, F1000003):
+        for _ in range(30):
+            # degrees 0-8 with a shared factor of degree 0-3
+            shared = rand_poly(rng, field, 3, nonzero=True)
+            a = rand_poly(rng, field, 8 - shared.degree, nonzero=True) * shared
+            b = rand_poly(rng, field, 8 - shared.degree, nonzero=True) * shared
+            sa, sb = _sympy_poly(sympy, x, a), _sympy_poly(sympy, x, b)
+            gcd = [_from_sympy(field, c) for c in sa.gcd(sb).all_coeffs()]
+            assert a.gcd(b) == Polynomial(field, gcd[::-1]), (a, b)
+            matrix = sylvester(sa.as_expr(), sb.as_expr(), x)
+            assert a.resultant(b) == _from_sympy(field, matrix.det()), (a, b)
 
 
 def test_derivative_product_rule():

@@ -121,8 +121,9 @@ def test_frobenius_fixed_points_have_full_norm():
 
 
 def test_products_and_reduction_match_polynomial_division():
-    # the shared convolution and monic reduction against a schoolbook
-    # product and the remainder of Polynomial.divmod
+    # the shared convolution and division kernels against a schoolbook
+    # product and a schoolbook long division, which subtracts shifted
+    # multiples of the monic modulus until the degree drops below it
     rng = random.Random(47)
     cases = (
         (ResidueField(Polynomial(F5, [1, 2, 0, 1], "T")),
@@ -134,8 +135,11 @@ def test_products_and_reduction_match_polynomial_division():
         F, d = ring.base, ring.degree
 
         def remainder(coeffs):
-            rem = Polynomial(F, coeffs, "T").divmod(ring.modulus)[1].coeffs
-            return tuple(rem) + (F.zero,) * (d - len(rem))
+            rem = Polynomial(F, coeffs, "T")
+            while not rem.is_zero() and rem.degree >= d:
+                rem -= ring.modulus.shift(rem.degree - d).scale(
+                    rem.leading_coefficient())
+            return rem.coeffs + (F.zero,) * (d - len(rem.coeffs))
 
         for _ in range(60):
             a = tuple(draw() for _ in range(d))
@@ -148,3 +152,24 @@ def test_products_and_reduction_match_polynomial_division():
             assert ring.from_coeffs(plain) == remainder(plain)
             longer = [draw() for _ in range(rng.randint(0, 3 * d))]
             assert ring.from_coeffs(longer) == remainder(longer)
+
+
+def test_products_never_invert_in_the_base_field(monkeypatch):
+    # pi is monic, so reducing a product mod pi needs no division in k
+    rng = random.Random(53)
+    for ring in (quadratic_ring(F5, 1, 2),
+                 ResidueField(Polynomial(F7, [2, 0, 0, 1], "T")),
+                 ResidueField(Polynomial(Q, [3, Fraction(1, 2), 1], "T"))):
+        F = ring.base
+        elements = [ring.from_coeffs([F.from_int(rng.randint(-9, 9))
+                                      for _ in range(rng.randint(1, 7))])
+                    for _ in range(12)]
+        pairs = [(a, ring.inv(a)) for a in elements if not ring.is_zero(a)]
+        inverted = []
+        original = type(F).inv
+        monkeypatch.setattr(type(F), "inv",
+                            lambda self, a: inverted.append(a) or original(self, a))
+        assert all(ring.mul(a, b) == ring.one for a, b in pairs)
+        assert len({ring.mul(a, b) for a in elements for b in elements}) > 1
+        assert len(pairs) > 6 and not inverted
+        monkeypatch.undo()
