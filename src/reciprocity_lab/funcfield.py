@@ -25,7 +25,7 @@ from .errors import (DomainError, MixedFieldError, NotAUnitError,
                      UncertifiedFactorError, ZeroInputError)
 from .factor import factor_polynomial
 from .fields import Field, FieldScalar, ensure_same_field
-from .poly import Polynomial
+from .poly import Polynomial, divide, trim
 from .residue_field import ResidueField
 
 
@@ -242,9 +242,11 @@ class RationalFunction:
 
     # -- places ---------------------------------------------------------------
 
-    def _check_place(self, place: Place):
+    def _check_nonzero_at(self, place: Place):
         if place.field != self.field or place.var != self.var:
             raise MixedFieldError("place belongs to a different function field")
+        if self.is_zero():
+            raise ZeroInputError("the zero function has no valuation")
 
     def split(self, place: Place) -> tuple[int, Polynomial, Polynomial]:
         """(v, u, w) with f = z**v * u / w, z the local parameter at the
@@ -256,9 +258,7 @@ class RationalFunction:
         are the leading coefficients of num and den, as constants: the
         value of f * z**(-v) there is u / w.
         """
-        self._check_place(place)
-        if self.is_zero():
-            raise ZeroInputError("the zero function has no valuation")
+        self._check_nonzero_at(place)
         num, den = self.num, self.den
         if place.is_infinity:
             return (den.degree - num.degree,
@@ -272,6 +272,9 @@ class RationalFunction:
 
     def valuation(self, place: Place) -> int:
         """Order of vanishing at the place; errors on the zero function."""
+        if place.is_infinity:
+            self._check_nonzero_at(place)
+            return self.den.degree - self.num.degree
         return self.split(place)[0]
 
     def unit_value(self, place: Place):
@@ -318,13 +321,15 @@ class RationalFunction:
 
 def _strip_power(p: Polynomial, pi: Polynomial) -> tuple[int, Polynomial]:
     """Largest k with pi**k | p, together with the cofactor p / pi**k."""
+    F = p.field
+    coeffs = p.coeffs
     count = 0
     while True:
-        q, r = p.divmod(pi)
-        if not r.is_zero():
-            return count, p
+        q, r = divide(F, coeffs, pi.coeffs)
+        if trim(F, r):
+            return count, (Polynomial(F, coeffs, p.var) if count else p)
         count += 1
-        p = q
+        coeffs = q
 
 
 def support_union(*functions: RationalFunction,

@@ -7,7 +7,8 @@ so callers are forced to treat it explicitly.
 This module also owns the kernels on bare coefficient sequences that every
 dense type shares (k[t], k[T]/(pi), truncated k((w)) and k[z]/(z^(N+1))):
 `convolve` (products), `divide` (quotient and remainder, the one division
-loop), `trim` (dropping trailing zeros) and `series_quotient` (power-series
+loop over a generic field; factorization over F_p has its own on ints),
+`trim` (dropping trailing zeros) and `series_quotient` (power-series
 division).  `gcd` and `resultant` walk their remainder sequences as trimmed
 tuples and build a `Polynomial` only for the result.
 """

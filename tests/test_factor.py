@@ -8,7 +8,9 @@ from reciprocity_lab.factor import (_factor_prime_field as factor_prime_field,
                                     _factor_rationals_limited
                                     as factor_rationals_limited,
                                     _frobenius, _frobenius_rows,
-                                    factor_polynomial, is_irreducible)
+                                    _x_to_the_p, factor_polynomial,
+                                    is_irreducible)
+from reciprocity_lab import factor
 from reciprocity_lab.fields import field_from_descriptor, power
 from reciprocity_lab.poly import Polynomial
 
@@ -145,13 +147,38 @@ def test_frobenius_rows_are_the_powers_of_x_to_the_p_i():
                 _reference_power_mod(Polynomial(field, h), p, f)
 
 
+def test_x_to_the_p_is_the_reference_power(monkeypatch):
+    rng = random.Random(53)
+    products = []
+    mul_mod = factor._mul_mod
+
+    def counted(*args):
+        products.append(args)
+        return mul_mod(*args)
+
+    monkeypatch.setattr(factor, "_mul_mod", counted)
+    for field in ORACLE_FIELDS:
+        p = field.p
+        x = Polynomial.variable(field)
+        for n in range(1, 9):
+            f = Polynomial(field, [rng.randrange(p) for _ in range(n)] + [1])
+            products.clear()
+            got = _x_to_the_p(field, f.coeffs)
+            assert len(got) == n
+            assert Polynomial(field, got) == _reference_power_mod(x, p, f)
+            # one squaring per bit of p below the top one; a set bit adds a
+            # shift, not a product
+            assert len(products) == p.bit_length() - 1
+
+
 def _oracle_inputs(rng, field):
     """Dense polynomials and products of small pieces with multiplicities,
-    all of degree <= 12."""
+    all of degree <= 18; for p <= 5 also g(t^p), whose derivative is zero,
+    and pieces to the power p."""
     p = field.p
     out = []
     for _ in range(12):
-        deg = rng.randint(0, 12)
+        deg = rng.randint(0, 18)
         out.append(Polynomial(field, [rng.randrange(p) for _ in range(deg)]
                               + [rng.randrange(1, p)]))
     for _ in range(12):
@@ -159,11 +186,17 @@ def _oracle_inputs(rng, field):
         while True:
             piece = Polynomial(field, [rng.randrange(p) for _ in
                                        range(rng.randint(1, 4))] + [1])
-            piece = piece ** rng.randint(1, 3)
-            if f.degree + piece.degree > 12:
+            piece = piece ** rng.choice([1, 2, 3, p] if p <= 5 else [1, 2, 3])
+            if f.degree + piece.degree > 18:
                 break
             f = f * piece
         out.append(f)
+    if p <= 5:
+        for _ in range(6):
+            g = [rng.randrange(p) for _ in range(rng.randint(1, 18 // p))]
+            spread = [0] * (p * len(g) + 1)
+            spread[::p] = g + [rng.randrange(1, p)]
+            out.append(Polynomial(field, spread))
     return out
 
 
@@ -191,12 +224,17 @@ def test_prime_field_factorization_agrees_with_sympy():
     pytest.importorskip("sympy")
     rng = random.Random(43)
     t2 = Polynomial.variable(F2)
-    # over F_2, blocks of two and three same-degree irreducibles (d = 3, 4)
+    # over F_2, blocks of two to three same-degree irreducibles (d = 3..6)
     # that only the trace map splits, next to a repeated quadratic
     fixed = [(t2 ** 3 + t2 + 1) * (t2 ** 3 + t2 ** 2 + 1)
              * (t2 ** 2 + t2 + 1) ** 2,
              (t2 ** 4 + t2 + 1) * (t2 ** 4 + t2 ** 3 + 1)
-             * (t2 ** 4 + t2 ** 3 + t2 ** 2 + t2 + 1)]
+             * (t2 ** 4 + t2 ** 3 + t2 ** 2 + t2 + 1),
+             (t2 ** 5 + t2 ** 2 + 1) * (t2 ** 5 + t2 ** 3 + 1)
+             * (t2 ** 5 + t2 ** 4 + t2 ** 3 + t2 + 1)
+             * (t2 ** 3 + t2 + 1),
+             (t2 ** 6 + t2 + 1) * (t2 ** 6 + t2 ** 3 + 1)
+             * (t2 ** 6 + t2 ** 5 + t2 ** 4 + t2 + 1)]
     cases = fixed + [f for field in ORACLE_FIELDS
                      for f in _oracle_inputs(rng, field)]
     for f in cases:
@@ -204,6 +242,24 @@ def test_prime_field_factorization_agrees_with_sympy():
         got = sorted((item.base.coeffs, item.multiplicity)
                      for item in fac.factors)
         assert (fac.unit.raw, got) == _sympy_factorization(f), str(f)
+
+
+def test_prime_field_factorization_builds_a_polynomial_per_factor(
+        monkeypatch):
+    rng = random.Random(61)
+    cases = [f for field in ORACLE_FIELDS for f in _oracle_inputs(rng, field)]
+    built = []
+    init = Polynomial.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Polynomial, "__init__", counted)
+    for f in cases:
+        built.clear()
+        fac = factor_prime_field(f)
+        assert len(built) <= len(fac.factors), str(f)
 
 
 def _rational_oracle_input(rng):

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from reciprocity_lab import funcfield
-from reciprocity_lab.errors import (DomainError, NotAUnitError,
-                                    UncertifiedFactorError, ZeroInputError)
+from reciprocity_lab.errors import (DomainError, MixedFieldError,
+                                    NotAUnitError, UncertifiedFactorError,
+                                    ZeroInputError)
 from reciprocity_lab.funcfield import (FractionField, Place, RationalFunction,
                                       support_union)
 from reciprocity_lab.poly import Polynomial
@@ -88,6 +89,28 @@ def test_valuation_examples():
     assert c.valuation(Place.at_infinity(Q)) == 0
     with pytest.raises(ZeroInputError):
         (f - f).valuation(at_t)
+
+
+def test_valuation_at_infinity_builds_no_polynomial(monkeypatch):
+    rng = random.Random(59)
+    cases = [(Place.at_infinity(F5), rand_fn(rng, F5)) for _ in range(20)]
+    cases += [(Place.at_infinity(Q), rand_fn_q(rng)) for _ in range(20)]
+    expected = [f.split(x)[0] for x, f in cases]
+    built = []
+    init = Polynomial.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Polynomial, "__init__", counted)
+    assert [f.valuation(x) for x, f in cases] == expected
+    assert built == []
+    monkeypatch.undo()
+    with pytest.raises(ZeroInputError):
+        RationalFunction.constant(F5, 0).valuation(Place.at_infinity(F5))
+    with pytest.raises(MixedFieldError):
+        tt(F5).valuation(Place.at_infinity(F7))
 
 
 def test_support_example_over_f3():

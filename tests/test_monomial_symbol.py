@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from reciprocity_lab import surface
+from reciprocity_lab import funcfield, surface
 from reciprocity_lab.errors import DomainError
 from reciprocity_lab.funcfield import Place, RationalFunction, support_union
 from reciprocity_lab.poly import Polynomial
@@ -238,22 +238,23 @@ def test_curve_tame_matches_the_reference_route():
 
 @pytest.fixture
 def op_counts(monkeypatch):
-    """Calls of ResidueField.inv, and divisions by each place's pi."""
+    """Calls of ResidueField.inv, and the divisions by each place's pi that
+    funcfield makes."""
     counts = {"inv": 0, "by_pi": 0}
-    inv, divmod_ = ResidueField.inv, Polynomial.divmod
+    inv, divide = ResidueField.inv, funcfield.divide
     divisors = []
 
     def counted_inv(self, a):
         counts["inv"] += 1
         return inv(self, a)
 
-    def counted_divmod(self, other):
-        if any(other is pi for pi in divisors):
+    def counted_divide(F, a, b):
+        if any(b is pi.coeffs for pi in divisors):
             counts["by_pi"] += 1
-        return divmod_(self, other)
+        return divide(F, a, b)
 
     monkeypatch.setattr(ResidueField, "inv", counted_inv)
-    monkeypatch.setattr(Polynomial, "divmod", counted_divmod)
+    monkeypatch.setattr(funcfield, "divide", counted_divide)
     counts["divisors"] = divisors
     return counts
 
