@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from reciprocity_lab import factor
 from reciprocity_lab.errors import DomainError, ZeroInputError
 from reciprocity_lab.factor import (_factor_prime_field as factor_prime_field,
                                     _factor_rationals_limited
@@ -10,7 +11,6 @@ from reciprocity_lab.factor import (_factor_prime_field as factor_prime_field,
                                     _frobenius, _frobenius_rows,
                                     _x_to_the_p, factor_polynomial,
                                     is_irreducible)
-from reciprocity_lab import factor
 from reciprocity_lab.fields import field_from_descriptor, power
 from reciprocity_lab.poly import Polynomial
 
@@ -224,7 +224,7 @@ def test_prime_field_factorization_agrees_with_sympy():
     pytest.importorskip("sympy")
     rng = random.Random(43)
     t2 = Polynomial.variable(F2)
-    # over F_2, blocks of two to three same-degree irreducibles (d = 3..6)
+    # over F_2, blocks of two or three same-degree irreducibles (d = 3..6)
     # that only the trace map splits, next to a repeated quadratic
     fixed = [(t2 ** 3 + t2 + 1) * (t2 ** 3 + t2 ** 2 + 1)
              * (t2 ** 2 + t2 + 1) ** 2,
