@@ -23,8 +23,9 @@ products).  It is extended to the Frobenius matrix, the rows x^(p*i) mod f
 for i < n (n - 2 more products).  Since h(x)^p = h(x^p) over F_p, every later
 p-th power mod f is that matrix applied to h: n^2 integer multiply-adds
 instead of a square-and-multiply chain.  A distinct-degree step costs one
-application and one gcd; a block that splits off takes the rows reduced
-mod itself, and the rest continues with its own reduced rows.  Equal-degree
+application and one gcd; the rest continues with the rows reduced mod
+itself, and a block that splits off reduces them only if it holds more than
+one irreducible, which is when equal-degree splitting reads them.  Equal-degree
 splitting of a block of degree-d factors forms r^((p^d-1)/2) as
 (r * r^p * ... * r^(p^(d-1)))^((p-1)/2): d - 1 applications and d - 1
 products, then one power of exponent (p-1)/2.  For p = 2 the trace map is a
@@ -222,7 +223,8 @@ def _reduce_rows(F: PrimeField, rows: list, g: list) -> list:
 
 def _distinct_degree(F: PrimeField, f: list) -> list[tuple[int, list, list]]:
     """Split a monic squarefree f into products of same-degree irreducibles,
-    each with its Frobenius rows (read only when the block splits further)."""
+    each with the Frobenius rows modulo a multiple of it (the rest it split
+    off from), which only a block that splits further reduces and reads."""
     out = []
     rest = f
     rows = _frobenius_rows(F, f) if len(f) > 2 else []
@@ -238,7 +240,7 @@ def _distinct_degree(F: PrimeField, f: list) -> list[tuple[int, list, list]]:
         shifted[1] = (shifted[1] - 1) % F.p
         g = _gcd(F, rest, _trim(shifted))
         if len(g) > 1:
-            out.append((d, g, _reduce_rows(F, rows, g)))
+            out.append((d, g, rows))
             rest = _divide_monic(F, rest, g)[0]
             rows = _reduce_rows(F, rows, rest)
             h = _divide_monic(F, h, rest)[1]
@@ -248,11 +250,12 @@ def _distinct_degree(F: PrimeField, f: list) -> list[tuple[int, list, list]]:
 def _split_equal_degree(F: PrimeField, f: list, d: int, rows: list,
                         rng: random.Random) -> list[list]:
     """Cantor-Zassenhaus splitting of a monic product of degree-d irreducibles,
-    given the Frobenius rows modulo f."""
+    given the Frobenius rows modulo a multiple of f."""
     p = F.p
     n = len(f) - 1
     if n == d:
         return [f]
+    rows = _reduce_rows(F, rows, f)
     while True:
         r = [rng.randrange(p) for _ in range(n)]
         if not any(r[1:]):
@@ -275,9 +278,8 @@ def _split_equal_degree(F: PrimeField, f: list, d: int, rows: list,
         g = _gcd(F, f, _trim(acc))
         if 1 < len(g) < len(f):
             rest = _divide_monic(F, f, g)[0]
-            return (_split_equal_degree(F, g, d, _reduce_rows(F, rows, g), rng)
-                    + _split_equal_degree(F, rest, d,
-                                          _reduce_rows(F, rows, rest), rng))
+            return (_split_equal_degree(F, g, d, rows, rng)
+                    + _split_equal_degree(F, rest, d, rows, rng))
 
 
 def _factor_prime_field(f: Polynomial, seed: int | None = None) -> Factorization:

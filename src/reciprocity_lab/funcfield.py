@@ -6,7 +6,8 @@ infinity (residue field k, degree 1).  `RationalFunction` keeps the
 canonical form num/den with den monic and gcd(num, den) = 1, and provides
 evaluation into residue fields (a `FieldScalar` over the place's
 `ResidueField`), divisor support, and the derivative needed for residues
-of f dg.
+of f dg.  Building one from a denominator of 1, as `from_polynomial` does,
+takes num as it is, with no gcd and no scaling.
 
 A function is read at a place in one way, `split`: f = z**v * u / w with
 the local parameter z and u, w prime to it, dividing pi out of num and
@@ -110,7 +111,11 @@ class RationalFunction:
         if num.var != den.var:
             raise MixedFieldError(f"mixed variables {num.var}, {den.var}")
         field = num.field
-        if num.is_zero():
+        if den.degree == 0 and den.is_monic():
+            # over the denominator 1 every num is in lowest terms
+            self.num = num
+            self.den = den
+        elif num.is_zero():
             self.num = num
             self.den = Polynomial.one(field, num.var)
         else:

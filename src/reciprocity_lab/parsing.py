@@ -8,14 +8,21 @@ and "1/t^2" is t^(-2).  Round trips parse(str(f)) == f hold for every
 canonical form.
 
 While parsing, a value is an unreduced pair (num, den) of sparse
-polynomials in k[t, s], each a dict {(t_exp, s_exp): raw} over the ground
-field without zero entries.  "+" adds numerators over an equal denominator
-and cross-multiplies otherwise, "*" and "/" cross-multiply, and "^" goes
-through `fields.power` (a negative power swaps num and den).  Nothing is
-reduced on the way: the pair becomes one `RationalFunction(num, den)` at
-the end, the only canonicalization of a parse.  `parse_rational` never
-binds s; `parse_surface` reads the s-exponents into k(s) coefficients of
-polynomials in t.
+polynomials in k[t, s], each a dict {(t_exp, s_exp): c} of plain ints
+without zero entries: exact integers over Q, since every literal is one and
+"/" only swaps num and den, and ints in 1..p-1 over F_p, where a product
+sums exactly and reduces each entry mod p once.  "+" adds numerators over
+an equal denominator and cross-multiplies otherwise, "*" and "/"
+cross-multiply, and "^" goes through `fields.power` (a negative power swaps
+num and den).  Nothing is reduced on the way.  Field values (Fractions,
+residues mod p) appear only when the pair becomes `Polynomial`s at the end:
+`parse_rational` makes it one `RationalFunction(num, den)` and never binds
+s.  `parse_surface` builds the k(s)(t) form in one pass.  It groups the
+pair by t-exponent and divides each row, a polynomial in s, by
+L = lc_t(den) as one `RationalFunction(row, L)` in k(s): one gcd in k[s]
+per coefficient, none when L = 1.  The denominator in t is then monic, so
+the final `RationalFunction(num, den)` over k(s) only strips a common power
+of t, or runs the gcd over k(s)[t] when neither side is a monomial in t.
 
 Work is bounded before it is done.  "^n" with |n| > EXPONENT_BOUND, a
 product whose num or den would have total degree above DEGREE_BOUND
@@ -30,7 +37,7 @@ checked: they add at most one digit per "+" of the text.
 from __future__ import annotations
 
 import re
-from functools import partial
+from functools import lru_cache, partial
 
 from .errors import ParseError, ZeroInputError
 from .fields import Field, field_from_descriptor, power
@@ -40,17 +47,18 @@ from .poly import Polynomial
 _TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|\^|[-+*/()]")
 
 # Largest |n| in "^n".  README, tests and perfbench write at most ^13; 50
-# leaves almost 4x headroom.  (1+s+t)^50 parses in about 1 s over Q, where
-# (1+s+t)^100 takes 10 s and t^20000000 built a dense tuple of twenty
-# million entries.
+# leaves almost 4x headroom.  (1+s+t)^50 parses in about 0.05 s over Q
+# (2-vCPU VM, Python 3.11), and t^20000000 would build a dense tuple of
+# twenty million entries.
 EXPONENT_BOUND = 50
 
 # Largest total degree in t and s of a numerator or denominator, checked
 # before every product and, once for the whole chain, before every power.
-# The tests parse degree 50 (t^50 at the exponent bound, (1+s+t)^50),
-# README and perfbench at most 7; 100 leaves 2x headroom.  The costliest
-# product under it, (1+s+t)^50 squared over Q, takes about 11 s in Fraction
-# arithmetic; ((t+1)^50)^50 would have degree 2500.
+# README and perfbench reach degree 7 at most; 100 is twice a power at the
+# exponent bound, such as (1+s+t)^50.  The costliest product under it,
+# (1+s+t)^50 squared over Q (1326 by 1326 terms with coefficients up to
+# 3^50), takes about 0.7 s on ints on the same machine, and the tests parse
+# it; ((t+1)^50)^50 would have degree 2500.
 DEGREE_BOUND = 100
 
 # Most digits in an integer literal, and in any coefficient a product or a
@@ -77,12 +85,15 @@ def _tokenize(text: str) -> list[str]:
     return out
 
 
-def _add(F: Field, a: dict, b: dict) -> dict:
+def _add(p: int, a: dict, b: dict) -> dict:
+    """a + b over F_p, or over Q when p is 0."""
     out = dict(a)
     for key, c in b.items():
         if key in out:
-            c = F.add(out[key], c)
-            if F.is_zero(c):
+            c += out[key]
+            if p:
+                c %= p
+            if not c:
                 del out[key]
                 continue
         out[key] = c
@@ -99,20 +110,25 @@ def _check_degree(degree: int) -> None:
 
 
 def _height(a: dict) -> tuple[int, int]:
-    """Sum and largest of the absolute values of a's coefficients over Q,
-    which are integers while parsing: "/" only swaps num and den."""
-    sizes = [abs(c.numerator) for c in a.values()]
+    """Sum and largest of the absolute values of a's coefficients over Q."""
+    sizes = [abs(c) for c in a.values()]
     return sum(sizes), max(sizes, default=0)
 
 
-def _mul(F: Field, a: dict, b: dict) -> dict:
+def _mul(p: int, a: dict, b: dict) -> dict:
+    """a * b over F_p, or over Q when p is 0.  The sums are exact, and over
+    F_p each entry is reduced once."""
     out: dict = {}
     for (i, j), x in a.items():
         for (k, l), y in b.items():
             key = (i + k, j + l)
-            xy = F.mul(x, y)
-            out[key] = F.add(out[key], xy) if key in out else xy
-    return {key: c for key, c in out.items() if not F.is_zero(c)}
+            if key in out:
+                out[key] += x * y
+            else:
+                out[key] = x * y
+    if p:
+        return {key: c % p for key, c in out.items() if c % p}
+    return {key: c for key, c in out.items() if c}
 
 
 class _ExpressionParser:
@@ -121,11 +137,12 @@ class _ExpressionParser:
     def __init__(self, tokens: list[str], field: Field, variables: dict):
         self.tokens = tokens
         self.pos = 0
-        self.field = field
-        self.one = {(0, 0): field.one}
+        # ints mod p in characteristic p, exact ints in characteristic 0
+        self.p = field.char
+        self.one = {(0, 0): 1}
         self.variables = variables
         # over F_p every value is already reduced, so only Q bounds heights
-        self.height_limit = 10 ** DIGIT_BOUND if field.char == 0 else None
+        self.height_limit = None if self.p else 10 ** DIGIT_BOUND
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -152,7 +169,7 @@ class _ExpressionParser:
             (sum_a, max_a), (sum_b, max_b) = _height(a), _height(b)
             # each coefficient of a*b sums products over pairs of terms
             self.check_height(min(sum_a * max_b, max_a * sum_b))
-        return _mul(self.field, a, b)
+        return _mul(self.p, a, b)
 
     def check_height(self, bound: int) -> None:
         if bound >= self.height_limit:
@@ -160,7 +177,9 @@ class _ExpressionParser:
                              f"{DIGIT_BOUND} digits")
 
     def neg(self, a: dict) -> dict:
-        return {key: self.field.neg(c) for key, c in a.items()}
+        if self.p:
+            return {key: self.p - c for key, c in a.items()}
+        return {key: -c for key, c in a.items()}
 
     def expression(self):
         num, den = self.term()
@@ -170,10 +189,9 @@ class _ExpressionParser:
             if minus:
                 num2 = self.neg(num2)
             if den == den2:
-                num = _add(self.field, num, num2)
+                num = _add(self.p, num, num2)
             else:
-                num = _add(self.field, self.mul(num, den2),
-                           self.mul(num2, den))
+                num = _add(self.p, self.mul(num, den2), self.mul(num2, den))
                 den = self.mul(den, den2)
         return num, den
 
@@ -212,7 +230,7 @@ class _ExpressionParser:
         _check_degree(n * max(_degree(num), _degree(den)))
         if self.height_limit:
             self.check_height(max(_height(num)[0], _height(den)[0]) ** n)
-        mul = partial(_mul, self.field)
+        mul = partial(_mul, self.p)
         return power(mul, self.one, num, n), power(mul, self.one, den, n)
 
     def exponent(self) -> int:
@@ -239,8 +257,8 @@ class _ExpressionParser:
             if len(digits) > DIGIT_BOUND:
                 raise ParseError(f"integer literal of {len(digits)} digits; "
                                  f"at most {DIGIT_BOUND} are read")
-            c = self.field.coerce(int(digits))
-            return ({} if self.field.is_zero(c) else {(0, 0): c}), self.one
+            c = int(digits) % self.p if self.p else int(digits)
+            return ({(0, 0): c} if c else {}), self.one
         if token == "(":
             value = self.expression()
             if self.peek() != ")":
@@ -248,14 +266,15 @@ class _ExpressionParser:
             self.take()
             return value
         if token in self.variables:
-            return {self.variables[token]: self.field.one}, self.one
+            return {self.variables[token]: 1}, self.one
         if token[0].isalpha() or token[0] == "_":
             raise ParseError(f"unknown variable {token!r}")
         raise ParseError(f"unexpected token {token!r}")
 
 
 def _polynomial(F: Field, by_exponent: dict, var: str) -> Polynomial:
-    """The polynomial in var with the coefficients {exponent: raw}."""
+    """The polynomial in var with the coefficients {exponent: c}, each a
+    raw value of F or an int that F coerces."""
     coeffs = [F.zero] * (max(by_exponent, default=-1) + 1)
     for k, c in by_exponent.items():
         coeffs[k] = c
@@ -273,19 +292,28 @@ def parse_rational(text: str, field: Field, var: str = "t") -> RationalFunction:
 def parse_surface(text: str, base: Field, s_var: str = "s",
                   t_var: str = "t") -> RationalFunction:
     """A two-variable function of the surface model, coefficients in k(s)."""
-    pair = _ExpressionParser(_tokenize(text), base,
-                             {s_var: _S, t_var: _T}).parse()
-    ks = FractionField(base, s_var)
+    num, den = _ExpressionParser(_tokenize(text), base,
+                                 {s_var: _S, t_var: _T}).parse()
+    ks = _coefficient_field(base, s_var)
+    top = max(i for i, _ in den)
+    lead = _polynomial(base, {j: c for (i, j), c in den.items() if i == top},
+                       s_var)
 
     def in_t(terms: dict) -> Polynomial:
         rows: dict = {}
         for (i, j), c in terms.items():
             rows.setdefault(i, {})[j] = c
         return _polynomial(ks, {
-            i: RationalFunction.from_polynomial(_polynomial(base, row, s_var))
+            i: RationalFunction(_polynomial(base, row, s_var), lead)
             for i, row in rows.items()}, t_var)
 
-    return RationalFunction(*(in_t(p) for p in pair))
+    return RationalFunction(in_t(num), in_t(den))
+
+
+@lru_cache(maxsize=16)
+def _coefficient_field(base: Field, var: str) -> FractionField:
+    """k(var) over base, built once: a build makes its zero and one."""
+    return FractionField(base, var)
 
 
 def parse_place(text: str, field: Field, var: str = "t") -> Place:

@@ -171,6 +171,30 @@ def test_x_to_the_p_is_the_reference_power(monkeypatch):
             assert len(products) == p.bit_length() - 1
 
 
+
+def test_frobenius_rows_are_reduced_only_where_they_are_read(monkeypatch):
+    # the rest of each distinct-degree step reduces them, and so does a
+    # block of several irreducibles before equal-degree splitting; a block
+    # of one irreducible never reads them
+    moduli = []
+    reduce_rows = factor._reduce_rows
+
+    def recorded(F, rows, g):
+        moduli.append(str(Polynomial(F, g)))
+        return reduce_rows(F, rows, g)
+
+    monkeypatch.setattr(factor, "_reduce_rows", recorded)
+    t = Polynomial.variable(F5)
+    for f, factors, reduced in (
+            ((t + 1) * (t ** 2 + 2) * (t ** 4 + 2), ["t+1", "t^2+2", "t^4+2"],
+             ["t^6+2*t^4+2*t^2+4", "t^4+2"]),
+            (t * (t + 1) * (t ** 3 + t + 1), ["t", "t+1", "t^3+t+1"],
+             ["t^3+t+1", "t^2+t"])):
+        moduli.clear()
+        fac = factor_prime_field(f)
+        assert [str(item.base) for item in fac.factors] == factors
+        assert moduli == reduced
+
 def _oracle_inputs(rng, field):
     """Dense polynomials and products of small pieces with multiplicities,
     all of degree <= 18; for p <= 5 also g(t^p), whose derivative is zero,

@@ -2,6 +2,7 @@ import random
 import re
 import shlex
 import sys
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -18,9 +19,10 @@ from reciprocity_lab.parsing import (DEGREE_BOUND, DIGIT_BOUND,
 from reciprocity_lab.poly import Polynomial
 from reciprocity_lab.surface import surface_generators
 
-from helpers import F5, F7, Q, rand_fn_for, rand_surface_fn
+from helpers import F2, F5, F7, F13, Q, rand_fn_for, rand_surface_fn
 
 ROOT = Path(__file__).resolve().parent.parent
+F1000003 = field_from_descriptor("Fp:1000003")
 
 
 def test_rational_literal_basics():
@@ -167,6 +169,18 @@ def test_degrees_are_bounded():
                  "((t+1)^50)^50", "((1+s)^50)^-50"):
         with pytest.raises(ParseError, match="degree"):
             parse_surface(text, F5)
+
+
+def test_a_dense_product_at_the_degree_bound_is_exact():
+    # 1326 x 1326 terms with integer coefficients up to 3^50 over Q
+    f = parse_surface("((1+s+t)^50)^2", Q)
+    assert f.den == 1
+    for a, b in ((0, 0), (100, 0), (0, 100), (1, 98), (20, 30), (33, 33),
+                 (50, 50), (99, 1)):
+        c = f.num.coefficient(a)
+        assert c.den == 1
+        assert c.num.coefficient(b) == factorial(100) // (
+            factorial(a) * factorial(b) * factorial(100 - a - b))
 
 
 def test_literals_are_bounded():
@@ -353,7 +367,57 @@ def test_generated_expressions_over_f5_parse_as_by_the_reference_route(text):
     _assert_same_parse(text, F5, surface=False)
 
 
-@settings(max_examples=120)
-@given(_grammar(("s", "t")))
-def test_generated_surface_expressions_parse_as_by_the_reference_route(text):
-    _assert_same_parse(text, F5, surface=True)
+@settings(max_examples=300)
+@given(_grammar(("s", "t")), st.sampled_from((F5, Q, F2, F13, F1000003)))
+def test_generated_surface_expressions_parse_as_by_the_reference_route(
+        text, base):
+    _assert_same_parse(text, base, surface=True)
+
+
+# lc_t(den) a polynomial in s; a gcd over k(s)[t] where neither side is a
+# monomial in t; sums that cancel; negative powers of s-only factors
+_SURFACE_CASES = (
+    "1/((s+1)*t)", "(t+s)/((s^2+1)*t^2+s)", "(s*t+1)/((s-1)^2*t^3+(s+2)*t)",
+    "(t^2+s)/(s*t-1)", "t/(s^2*t^2+s*t+1)-1/s",
+    "(t^2-s^2)/((t-s)*(s+1)*t)", "((t+s)*(t+1))/((t+s)*(s*t+2))",
+    "(t^2+s*t+1)^2/((t^2+s*t+1)*(t-s^2))", "(s*t-1)^3/((s*t-1)*(t+s)^2)",
+    "t/s-t/s", "(s+t)^2-s^2-2*s*t-t^2", "1/(s*t)-1/(t*s)",
+    "(t+s)/(t-s)-(t+s)/(t-s)", "0*t/(s+1)", "(s+t)^2-t^2", "(s+t)^2-s^2",
+    "(s+1)^-3*t", "t^2*(s^2+s+1)^-2+s^-1", "(s-1)^-2*(s+1)^-1*(t+1)",
+    "s^-5*(t^2+s)/(s+2)^-1", "((s+3)^-2*t)^-2*(1+(s+3)*t)",
+)
+
+
+def test_fixed_surface_expressions_parse_as_by_the_reference_route():
+    for base in (F5, Q, F2, F13, F1000003):
+        for text in _SURFACE_CASES:
+            _assert_same_parse(text, base, surface=True)
+
+
+def test_a_surface_parse_normalizes_each_coefficient_once(monkeypatch):
+    # one RationalFunction per coefficient in k(s), which divides its row by
+    # lc_t(den), and one for the result: no second pass over k(s)[t]
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        from workloads import surface_item
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    calls = []
+    init = RationalFunction.__init__
+
+    def counted(self, num, den):
+        calls.append(None)
+        init(self, num, den)
+
+    monkeypatch.setattr(RationalFunction, "__init__", counted)
+    bound = 0
+    for seed in (1, 7):
+        for index in range(200):
+            spec = surface_item(seed, index)
+            base = field_from_descriptor(spec["field"])
+            for text in spec["functions"] + [spec["z"]]:
+                f = parse_surface(text, base)
+                bound += 1 + sum(not c.is_zero()
+                                 for c in f.num.coeffs + f.den.coeffs)
+    assert bound > 3000
+    assert len(calls) <= bound
