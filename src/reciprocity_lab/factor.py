@@ -3,8 +3,9 @@
 Over a prime field this is distinct-degree decomposition followed by seeded
 Cantor-Zassenhaus equal-degree splitting (the trace map for p = 2), so the
 result is complete and certified.  Over Q we stop at what exact elementary
-means certify: squarefree splitting, rational-root extraction, and the
-degree-2/3 irreducibility test; any surviving cofactor of degree >= 4 is
+means certify: Yun's monic squarefree parts (from
+`Polynomial.squarefree_part_decomposition`), rational-root extraction, and
+the degree-2/3 irreducibility test; any surviving cofactor of degree >= 4 is
 returned flagged as not certified irreducible.  Rational roots are lifted
 by Newton's iteration from the simple roots mod the least suitable prime p;
 p grows with the degree and the digits of f, not with its coefficients.
@@ -374,8 +375,9 @@ def _factor_rationals_limited(f: Polynomial) -> Factorization:
             linear = Polynomial(field, [-root, Fraction(1)], f.var)
             rest = rest.exact_div(linear)
             items.append(Factor(linear, mult, True))
+        # a monic part divided by monic linears stays monic
         if not rest.is_constant():
-            items.append(Factor(rest.monic(), mult, rest.degree <= 3))
+            items.append(Factor(rest, mult, rest.degree <= 3))
     return Factorization(unit, _sorted_factors(items))
 
 

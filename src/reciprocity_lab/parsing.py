@@ -20,7 +20,8 @@ residues mod p) appear only when the pair becomes `Polynomial`s at the end:
 s.  `parse_surface` builds the k(s)(t) form in one pass.  It groups the
 pair by t-exponent and divides each row, a polynomial in s, by
 L = lc_t(den) as one `RationalFunction(row, L)` in k(s): one gcd in k[s]
-per coefficient, none when L = 1.  The denominator in t is then monic, so
+per coefficient, none when L = 1 or the row is L, as den's top row is, which
+becomes k(s)'s one.  The denominator in t is then monic, so
 the final `RationalFunction(num, den)` over k(s) only strips a common power
 of t, or runs the gcd over k(s)[t] when neither side is a monomial in t.
 
@@ -299,13 +300,17 @@ def parse_surface(text: str, base: Field, s_var: str = "s",
     lead = _polynomial(base, {j: c for (i, j), c in den.items() if i == top},
                        s_var)
 
+    def coefficient(row: dict):
+        # a row equal to lead, as den's top row is, divides to k(s)'s one
+        c = _polynomial(base, row, s_var)
+        return ks.one if c == lead else RationalFunction(c, lead)
+
     def in_t(terms: dict) -> Polynomial:
         rows: dict = {}
         for (i, j), c in terms.items():
             rows.setdefault(i, {})[j] = c
-        return _polynomial(ks, {
-            i: RationalFunction(_polynomial(base, row, s_var), lead)
-            for i, row in rows.items()}, t_var)
+        return _polynomial(ks, {i: coefficient(row) for i, row in rows.items()},
+                           t_var)
 
     return RationalFunction(in_t(num), in_t(den))
 

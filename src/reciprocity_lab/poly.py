@@ -11,12 +11,16 @@ loop over a generic field; factorization over F_p has its own on ints),
 `trim` (dropping trailing zeros) and `series_quotient` (power-series
 division).  `gcd` and `resultant` walk their remainder sequences as trimmed
 tuples and build a `Polynomial` only for the result.
+
+`Polynomial.squarefree_part_decomposition` is Yun's loop in characteristic 0
+only, the first step of factoring over Q; factorization over F_p runs its
+own on ints.
 """
 from __future__ import annotations
 
 from operator import mul as _mul
 
-from .errors import MixedFieldError, ZeroInputError
+from .errors import DomainError, MixedFieldError, ZeroInputError
 from .fields import Field, ensure_same_field, power
 
 
@@ -311,49 +315,36 @@ class Polynomial:
             f, g = g, r
 
     def squarefree_part_decomposition(self):
-        """List of (monic squarefree factor, multiplicity), pairwise coprime,
-        multiplicities distinct, whose weighted product is the monic part.
+        """Yun's squarefree decomposition in characteristic 0: a list of
+        (monic squarefree part, multiplicity), pairwise coprime, ascending
+        in multiplicity, whose weighted product is the monic part.
 
-        Characteristic p is handled by contracting the exponents of the
-        derivative-free remainder (its coefficients are Frobenius-fixed over
-        a prime field, so g(x) = h(x**p) gives the p-th root directly).
+        With c = gcd(f, f') and w = f/c, each step takes y = gcd(w, c): the
+        part of multiplicity m is w/y, and the loop goes on with c/y and y.
+        Over F_p a part can have derivative 0, so `factor_polynomial` splits
+        there on its own (Yun, SYMSAC 1976).
         """
         F = self.field
+        if F.char:
+            raise DomainError(
+                f"squarefree decomposition over {F.descriptor} needs "
+                "characteristic 0; factor_polynomial splits over F_p")
         if self.is_zero():
             raise ZeroInputError("zero polynomial has no squarefree decomposition")
-
-        def contract(g: Polynomial, p: int) -> Polynomial:
-            return Polynomial(F, [g.coeffs[i] for i in range(0, len(g.coeffs), p)], g.var)
-
-        def rec(g: Polynomial):
-            if g.is_constant():
-                return []
-            d = g.derivative()
-            if d.is_zero():
-                p = F.char
-                return [(h, m * p) for h, m in rec(contract(g, p))]
-            c = g.gcd(d)
-            w = g.exact_div(c)
-            result = []
-            m = 1
-            while not w.is_constant():
-                y = w.gcd(c)
-                z = w.exact_div(y)
-                if not z.is_constant():
-                    result.append((z.monic(), m))
-                c = c.exact_div(y)
-                w = y
-                m += 1
-            if not c.is_constant():
-                p = F.char
-                result.extend((h, m2 * p) for h, m2 in rec(contract(c, p)))
-            return result
-
-        merged: dict[int, Polynomial] = {}
-        for h, m in rec(self.monic()):
-            merged[m] = merged[m] * h if m in merged else h
-        return sorted(((g.monic(), m) for m, g in merged.items()),
-                      key=lambda item: item[1])
+        f = self.monic()
+        c = f.gcd(f.derivative())
+        w = f.exact_div(c)
+        parts = []
+        m = 1
+        while not w.is_constant():
+            y = w.gcd(c)
+            z = w.exact_div(y)
+            if not z.is_constant():
+                parts.append((z, m))
+            c = c.exact_div(y)
+            w = y
+            m += 1
+        return parts
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -104,7 +104,8 @@ def hilbert_symbol(f: RationalFunction, g: RationalFunction, x: Place,
     The sign stays inside the norm; the result is an m-th root of unity
     inside F_q.
     """
-    return tame_symbol(f, g, x) ** _hilbert_power(f, m)
+    power = _hilbert_power(f, m)
+    return tame_symbol(f, g, x) ** power
 
 
 def sum_of_valuations_verify(f: RationalFunction) -> VerificationReport:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from reciprocity_lab import cli, segalwilson
+from reciprocity_lab import cli, segalwilson, symbols1d
 from reciprocity_lab.errors import HypothesisViolation
 from reciprocity_lab.lattices import MonomialLattice, MonomialOperator
 from reciprocity_lab.parsing import DIGIT_BOUND
@@ -74,15 +74,27 @@ def test_hilbert_local_and_verify(capsys):
     assert json.loads(out)["ok"] is True
 
 
-def test_hilbert_checks_m_before_any_place(capsys):
-    # constants have no places, so a per-place check never ran for them
+def test_hilbert_checks_m_before_any_place(capsys, monkeypatch):
+    # constants have no places, so a per-place check never ran for them;
+    # at one place, the field and m are checked before any tame symbol
+    tame = []
+    monkeypatch.setattr(symbols1d, "tame_symbol",
+                        lambda *args: tame.append(args))
     for f, g, m in (("2", "3", "3"), ("2", "3", "0"), ("t", "t+1", "3"),
-                    ("t", "t", "-2")):
-        code, out, err = run(capsys, "hilbert", "--field", "Fp:5", "--f", f,
-                             "--g", g, "--m", m)
-        assert code == 3, (f, g, m, out)
-        assert out == ""
-        assert f"domain error: m = {m} does not divide q - 1 = 4" in err
+                    ("t", "t", "-2"), ("0", "t", "3")):
+        for place in ((), ("--place", "t")):
+            code, out, err = run(capsys, "hilbert", "--field", "Fp:5",
+                                 "--f", f, "--g", g, "--m", m, *place)
+            assert code == 3, (f, g, m, place, out)
+            assert out == ""
+            assert f"domain error: m = {m} does not divide q - 1 = 4" in err
+    for place in ((), ("--place", "t")):
+        code, out, err = run(capsys, "hilbert", "--field", "Q", "--f", "0",
+                             "--g", "t", "--m", "2", *place)
+        assert code == 3, (place, out)
+        assert "norm residue symbols need a finite ground field" in err
+    assert tame == []
+    monkeypatch.undo()
     code, out, _ = run(capsys, "hilbert", "--field", "Fp:5", "--f", "2",
                        "--g", "3", "--m", "4")
     assert code == 0

@@ -407,7 +407,8 @@ def test_a_surface_parse_normalizes_each_coefficient_once(monkeypatch):
     # lc_t(den), and one for the result: no second pass over k(s)[t].  The
     # benchmark's denominators are monomials in t; the texts added here
     # have several rows in den and a monomial in t as num, so no gcd over
-    # k(s)[t] runs either
+    # k(s)[t] runs either.  A row equal to lc_t(den), as den's top row is,
+    # becomes k(s)'s one without a gcd: no gcd has equal operands
     surface_item = _workloads().surface_item
     cases = [(field_from_descriptor(spec["field"]), text)
              for spec in (surface_item(seed, index)
@@ -423,10 +424,20 @@ def test_a_surface_parse_normalizes_each_coefficient_once(monkeypatch):
         calls.append(None)
         init(self, num, den)
 
+    gcds = []
+    gcd = Polynomial.gcd
+
+    def recorded(self, other):
+        gcds.append(self == other)
+        return gcd(self, other)
+
     monkeypatch.setattr(RationalFunction, "__init__", counted)
+    monkeypatch.setattr(Polynomial, "gcd", recorded)
     bound = 0
     for base, text in cases:
         f = parse_surface(text, base)
         bound += 1 + sum(not c.is_zero() for c in f.num.coeffs + f.den.coeffs)
     assert bound > 3000
     assert len(calls) <= bound
+    assert len(gcds) > 300
+    assert not any(gcds)

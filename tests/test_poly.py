@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from reciprocity_lab.errors import ZeroInputError
+from reciprocity_lab.errors import DomainError, ZeroInputError
 from reciprocity_lab.fields import field_from_descriptor
 from reciprocity_lab.funcfield import FractionField, RationalFunction
 from reciprocity_lab.poly import Polynomial, divide
@@ -219,15 +219,58 @@ def test_resultant_detects_common_roots():
 
 def test_squarefree_decomposition_recomposes():
     rng = random.Random(17)
-    for field in (F2, F5, Q):
-        for _ in range(20):
-            f = rand_poly(rng, field, 5, nonzero=True)
-            parts = f.squarefree_part_decomposition()
-            rebuilt = Polynomial.constant(field, 1).scale(
-                f.leading_coefficient())
-            for g, m in parts:
-                rebuilt = rebuilt * g ** m
-            assert rebuilt == f
+    for _ in range(20):
+        f = rand_poly(rng, Q, 5, nonzero=True)
+        parts = f.squarefree_part_decomposition()
+        rebuilt = Polynomial.constant(Q, 1).scale(f.leading_coefficient())
+        for g, m in parts:
+            rebuilt = rebuilt * g ** m
+        assert rebuilt == f
+
+
+def test_squarefree_decomposition_refuses_prime_fields(monkeypatch):
+    # over F_p a part can have derivative 0; factor_polynomial splits there
+    gcds = []
+    monkeypatch.setattr(Polynomial, "gcd",
+                        lambda self, other: gcds.append(None))
+    t2, t5 = Polynomial.variable(F2), Polynomial.variable(F5)
+    for f in (t2 ** 2 + 1, t2 ** 3 + t2, (t5 + 1) ** 5 * t5, t5 ** 10 + 2,
+              Polynomial.zero(F5)):
+        with pytest.raises(DomainError, match="factor_polynomial"):
+            f.squarefree_part_decomposition()
+    assert gcds == []
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def test_squarefree_decomposition_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(71)
+    t = Polynomial.variable(Q)
+
+    def fraction():
+        return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+
+    for _ in range(150):
+        # a constant cofactor times 1-4 powers of pieces of degree 1-3 with
+        # fractional coefficients, which may repeat or share factors
+        f = Polynomial.constant(Q, fraction() or Fraction(7, 3))
+        for _ in range(rng.randint(1, 4)):
+            piece = Polynomial(Q, [fraction() for _ in range(rng.randint(1, 3))]
+                               + [Fraction(rng.randint(1, 9), rng.randint(1, 9))])
+            f = f * piece ** rng.randint(1, 6)
+        if rng.random() < 0.2:
+            f = f * t ** rng.randint(1, 6)
+        parts = f.squarefree_part_decomposition()
+        mults = [m for _, m in parts]
+        assert mults == sorted(set(mults)), str(f)
+        _, items = sympy.sqf_list(_sympy_poly(sympy, x, f))
+        expected = []
+        for g, m in items:
+            coeffs = [_from_sympy(Q, c) for c in g.all_coeffs()[::-1]]
+            expected.append((tuple(c / coeffs[-1] for c in coeffs), m))
+        assert sorted((g.coeffs, m) for g, m in parts) == sorted(expected), \
+            str(f)
 
 
 def test_squarefree_parts_are_squarefree_over_q():
