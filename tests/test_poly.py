@@ -256,9 +256,9 @@ def test_squarefree_decomposition_agrees_with_sympy():
         # fractional coefficients, which may repeat or share factors
         f = Polynomial.constant(Q, fraction() or Fraction(7, 3))
         for _ in range(rng.randint(1, 4)):
-            piece = Polynomial(Q, [fraction() for _ in range(rng.randint(1, 3))]
-                               + [Fraction(rng.randint(1, 9), rng.randint(1, 9))])
-            f = f * piece ** rng.randint(1, 6)
+            low = [fraction() for _ in range(rng.randint(1, 3))]
+            lead = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            f = f * Polynomial(Q, low + [lead]) ** rng.randint(1, 6)
         if rng.random() < 0.2:
             f = f * t ** rng.randint(1, 6)
         parts = f.squarefree_part_decomposition()
