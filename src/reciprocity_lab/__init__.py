@@ -15,8 +15,8 @@ from .factor import Factor, Factorization, factor_polynomial, is_irreducible
 from .residue_field import ResidueField
 from .funcfield import FractionField, Place, RationalFunction, support_union
 from .localfield import LaurentSeries, expand
-from .lattices import (BlockShiftOperator, MonomialLattice, MonomialOperator,
-                       lattice_index, parse_lattice)
+from .lattices import (BlockShiftOperator, MonomialLattice, lattice_index,
+                       parse_lattice)
 from .tate import (abstract_residue_trace, banded_commutator_trace,
                    classical_residue, differential_residue, minimal_window)
 from .report import VerificationReport
@@ -41,7 +41,7 @@ __all__ = [
     "BlockShiftOperator", "DEFAULT_ORDER", "DomainError", "Factor",
     "Factorization", "Field", "FieldScalar", "FractionField",
     "HypothesisViolation", "IndexSymbol", "LaurentSeries", "MixedFieldError",
-    "MonomialLattice", "MonomialOperator", "NotAUnitError", "ParseError",
+    "MonomialLattice", "NotAUnitError", "ParseError",
     "Place", "Polynomial", "PrecisionError", "PrimeField", "RationalField",
     "RationalFunction", "ReciprocityError", "ResidueField",
     "ResidueSymbol", "TameSymbol",

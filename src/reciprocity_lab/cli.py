@@ -7,7 +7,8 @@ commands and index, it runs the product or sum over every place of the
 joint support and exits 0 exactly when the law holds; weil, sumval and
 restheorem take no --place, and tame and residue need one.  Exit codes: 0
 verified or computed, 1 a verification failed, 2 input could not be
-parsed, 3 the inputs are outside a symbol's domain, 4 a reciprocity
+parsed, 3 the inputs are outside a symbol's domain (every library error
+that is not a parse error or a violated hypothesis), 4 a reciprocity
 hypothesis was violated.
 
 Reports print as aligned text, or as canonical JSON with --json: keys are
@@ -21,11 +22,9 @@ import argparse
 import sys
 from typing import Callable, NamedTuple
 
-from .errors import (DomainError, HypothesisViolation, MixedFieldError,
-                     NotAUnitError, ParseError, PrecisionError,
-                     UncertifiedFactorError, ZeroInputError)
+from .errors import HypothesisViolation, ParseError, ReciprocityError
 from .fields import Field
-from .lattices import MonomialOperator, lattice_index, parse_lattice
+from .lattices import BlockShiftOperator, lattice_index, parse_lattice
 from .parsing import parse_field, parse_place, parse_rational, parse_surface
 from .report import VerificationReport
 from .segalwilson import DEFAULT_ORDER, ORDER_BOUND, cocycle_c, sw_verify
@@ -37,9 +36,6 @@ from .tate import classical_residue
 from .xsymbol import (curve_index_family, curve_residue_family,
                       curve_tame_family, general_reciprocity_run,
                       xsymbol_axiom_check)
-
-_DOMAIN_ERRORS = (DomainError, ZeroInputError, NotAUnitError,
-                  UncertifiedFactorError, MixedFieldError, PrecisionError)
 
 _REQUIRED = {"required": True, "type": str}
 _OPTIONAL = {"type": str}
@@ -92,7 +88,7 @@ def _index(args) -> VerificationReport:
         raise ParseError("index needs --place (or --verify)")
     x = parse_place(args.place, field)
     lattice = parse_lattice(args.lattice)
-    op = MonomialOperator(field, field.one, f.valuation(x))
+    op = BlockShiftOperator(1, {0: f.valuation(x)})
     return _value_report("index", field,
                          {"f": str(f), "lattice": str(lattice)}, x,
                          x.degree * lattice_index(op, lattice))
@@ -270,7 +266,7 @@ def main(argv=None) -> int:
         print(f"hypothesis violation ({exc.clause}): {exc.detail}",
               file=sys.stderr)
         return 4
-    except _DOMAIN_ERRORS as exc:
+    except ReciprocityError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
     if args.json:

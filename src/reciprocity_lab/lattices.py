@@ -12,9 +12,12 @@ stretch under a full pattern is one run and one under an empty pattern is
 none.  Canonicalization makes structural equality coincide with set
 equality.
 
-The index of a shift operator over a lattice counts |S \\ sigma(S)| minus
-|sigma(S) \\ S| when both are finite; on curve models it reproduces
-deg(x) * v_x(f).
+The one operator type is `BlockShiftOperator`, which shifts each residue
+class mod D by its own amount; with D = 1 it is the plain shift t^i ->
+t^(i+m).  The index of such an operator over a lattice counts
+|S \\ sigma(S)| minus |sigma(S) \\ S| when both are finite; on curve models
+it reproduces deg(x) * v_x(f).  The layer is set algebra on Z only: it
+depends on no field, since a scalar factor changes no index.
 """
 from __future__ import annotations
 
@@ -23,7 +26,6 @@ from math import gcd, inf, lcm
 from operator import and_, or_, xor
 
 from .errors import DomainError, ParseError
-from .fields import Field
 
 
 class MonomialLattice:
@@ -228,17 +230,15 @@ class MonomialLattice:
         d = self.modulus // gcd(step, self.modulus)
         low = [s for s in range(d) if (offset + s * step) % self.modulus in self.low_pat]
         high = [s for s in range(d) if (offset + s * step) % self.modulus in self.high_pat]
-        lo = -((offset - self.lo) // step) - 1
-        hi = (self.hi - offset) // step + 2
         # offset + m*step lies in [start, stop) exactly for m in
-        # [ceil((start - offset) / step), ceil((stop - offset) / step))
+        # [ceil((start - offset) / step), ceil((stop - offset) / step)).
+        # So the window [self.lo, self.hi) pulls back to [lo, hi): below lo
+        # the point lies below self.lo and follows `low`, and from hi on it
+        # lies at or above self.hi and follows `high`
+        lo = -((offset - self.lo) // step)
+        hi = -((offset - self.hi) // step)
         runs = [(-((offset - start) // step), -((offset - stop) // step))
                 for start, stop in self.runs]
-        # the few local positions outside the window's image
-        first = -((offset - self.lo) // step)
-        last = -((offset - self.hi) // step)
-        runs += [(m, m + 1) for m in (*range(lo, first), *range(last, hi))
-                 if (offset + m * step) in self]
         return MonomialLattice(d, lo, hi, runs, low, high)
 
     def commensurable(self, other: "MonomialLattice") -> tuple[bool, int | None]:
@@ -399,31 +399,12 @@ def parse_lattice(text: str) -> MonomialLattice:
         raise ParseError(str(exc)) from exc
 
 
-class MonomialOperator:
-    """t^i -> c * t^(i+m): an invertible monomial multiplication operator."""
-
-    __slots__ = ("field", "coeff", "shift")
-
-    def __init__(self, field: Field, coeff, shift: int):
-        coeff = field.coerce(coeff)
-        if field.is_zero(coeff):
-            raise DomainError("monomial operator needs a nonzero coefficient")
-        self.field = field
-        self.coeff = coeff
-        self.shift = shift
-
-    def apply(self, lattice: MonomialLattice) -> MonomialLattice:
-        return lattice.shift(self.shift)
-
-    def __repr__(self):
-        return f"MonomialOperator({self.field.render(self.coeff)}*t^{self.shift})"
-
-
 class BlockShiftOperator:
     """Shift each residue class mod D by its own amount; models block action.
 
     Used to encode one multiplication operator acting on several local
-    factors at once: residues of the same block move together.
+    factors at once: residues of the same block move together.  Modulus 1
+    is multiplication by t^m on a single local factor.
     """
 
     __slots__ = ("modulus", "shifts")

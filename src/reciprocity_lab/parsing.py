@@ -290,19 +290,18 @@ def parse_rational(text: str, field: Field, var: str = "t") -> RationalFunction:
         for p in pair))
 
 
-def parse_surface(text: str, base: Field, s_var: str = "s",
-                  t_var: str = "t") -> RationalFunction:
-    """A two-variable function of the surface model, coefficients in k(s)."""
+def parse_surface(text: str, base: Field) -> RationalFunction:
+    """A function of s and t on the surface model, coefficients in k(s)."""
     num, den = _ExpressionParser(_tokenize(text), base,
-                                 {s_var: _S, t_var: _T}).parse()
-    ks = _coefficient_field(base, s_var)
+                                 {"s": _S, "t": _T}).parse()
+    ks = _coefficient_field(base)
     top = max(i for i, _ in den)
     lead = _polynomial(base, {j: c for (i, j), c in den.items() if i == top},
-                       s_var)
+                       "s")
 
     def coefficient(row: dict):
         # a row equal to lead, as den's top row is, divides to k(s)'s one
-        c = _polynomial(base, row, s_var)
+        c = _polynomial(base, row, "s")
         return ks.one if c == lead else RationalFunction(c, lead)
 
     def in_t(terms: dict) -> Polynomial:
@@ -310,15 +309,15 @@ def parse_surface(text: str, base: Field, s_var: str = "s",
         for (i, j), c in terms.items():
             rows.setdefault(i, {})[j] = c
         return _polynomial(ks, {i: coefficient(row) for i, row in rows.items()},
-                           t_var)
+                           "t")
 
     return RationalFunction(in_t(num), in_t(den))
 
 
 @lru_cache(maxsize=16)
-def _coefficient_field(base: Field, var: str) -> FractionField:
-    """k(var) over base, built once: a build makes its zero and one."""
-    return FractionField(base, var)
+def _coefficient_field(base: Field) -> FractionField:
+    """k(s) over base, built once: a build makes its zero and one."""
+    return FractionField(base, "s")
 
 
 def parse_place(text: str, field: Field, var: str = "t") -> Place:

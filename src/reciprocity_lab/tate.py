@@ -95,12 +95,12 @@ def _data_spread(h: RationalFunction) -> int:
     return (h.num.degree or 0) + (h.den.degree or 0)
 
 
-def minimal_window(f: RationalFunction, g: RationalFunction, x: Place,
-                   lattice: MonomialLattice | None = None) -> int:
-    """Smallest admissible index block radius for the commutator trace."""
+def minimal_window(f: RationalFunction, g: RationalFunction, x: Place) -> int:
+    """Smallest admissible index block radius for the commutator trace on
+    the standard lattice, the ray [0, oo)."""
     if f.is_zero() or g.is_zero():
         raise ZeroInputError("zero input to the abstract residue")
-    lattice = MonomialLattice.ray(0) if lattice is None else lattice
+    lattice = MonomialLattice.ray(0)
     vf = f.valuation(x)
     vg = g.valuation(x)
     return _radius(lattice, _support_bound(lattice, vf, vg), vf, vg,

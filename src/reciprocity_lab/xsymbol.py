@@ -6,7 +6,8 @@ progression {m : m = offset_j mod D}, and a global lattice decomposes into
 block-local lattices via extract_progression.  Three symbol instances are
 provided:
 
-* IndexSymbol: integer index of a shift operator, valued in (Z, +);
+* IndexSymbol: integer index of a BlockShiftOperator (one shift per residue
+  class, so per block), valued in (Z, +);
 * ResidueSymbol: commutator-trace residues of a fixed pair f, g, valued in
   (k, +), computed per block against the block-local lattice;
 * TameSymbol: tame symbol values of a fixed pair f, g, valued in (k*, x),
@@ -28,8 +29,7 @@ from __future__ import annotations
 from .errors import DomainError, HypothesisViolation, ZeroInputError
 from .fields import Field, FieldScalar
 from .funcfield import Place, RationalFunction, support_union
-from .lattices import (BlockShiftOperator, MonomialLattice, MonomialOperator,
-                       lattice_index)
+from .lattices import BlockShiftOperator, MonomialLattice, lattice_index
 from .report import VerificationReport
 from .symbols1d import residue_differential, tame_symbol
 from .tate import CommutatorTrace
@@ -40,7 +40,7 @@ class IndexSymbol:
 
     name = "index"
 
-    def __init__(self, operator: MonomialOperator | BlockShiftOperator):
+    def __init__(self, operator: BlockShiftOperator):
         self.operator = operator
 
     def evaluate(self, lattice: MonomialLattice) -> int:

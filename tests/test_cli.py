@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from reciprocity_lab import cli, segalwilson, symbols1d
-from reciprocity_lab.errors import HypothesisViolation
-from reciprocity_lab.lattices import MonomialLattice, MonomialOperator
+from reciprocity_lab import cli, segalwilson, symbols1d, xsymbol
+from reciprocity_lab.errors import (HypothesisViolation, ParseError,
+                                    ReciprocityError)
+from reciprocity_lab.lattices import BlockShiftOperator, MonomialLattice
 from reciprocity_lab.parsing import DIGIT_BOUND
 from reciprocity_lab.report import VerificationReport
 from reciprocity_lab.xsymbol import IndexSymbol, XSymbolFamily
@@ -198,6 +199,63 @@ def test_domain_errors_exit_3(capsys):
     assert code == 3
 
 
+def test_every_library_error_maps_to_its_exit_code(capsys, monkeypatch):
+    # a library error class the CLI does not name still exits 3, not with
+    # a traceback; parse errors and hypothesis violations keep 2 and 4
+    class FreshError(ReciprocityError):
+        pass
+
+    for error, code_wanted, prefix in (
+            (FreshError("a new refusal"), 3, "domain error: a new refusal"),
+            (ParseError("bad text"), 2, "parse error: bad text"),
+            (HypothesisViolation("b", "A_0"), 4,
+             "hypothesis violation (b): A_0")):
+        def refuse(*functions, error=error):
+            raise error
+
+        monkeypatch.setattr(cli, "weil_verify", refuse)
+        code, out, err = run(capsys, "weil", "--f", "t", "--g", "t-1")
+        assert (code, out) == (code_wanted, "")
+        assert err.startswith(prefix)
+
+
+def test_restheorem_oracle_refuses_a_disagreeing_trace(capsys, monkeypatch):
+    argv = ("restheorem", "--f", "1/(t^2-t)", "--g", "t", "--oracle")
+    assert run(capsys, *argv)[0] == 0
+    trace = symbols1d.abstract_residue_trace
+
+    def off_by_one(f, g, x):
+        return trace(f, g, x) + f.field.one_scalar()
+
+    monkeypatch.setattr(symbols1d, "abstract_residue_trace", off_by_one)
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert err.startswith("domain error: classical and commutator residues "
+                          "disagree at ")
+
+
+def test_constant_tame_family_is_one_member_at_infinity(capsys, monkeypatch):
+    # 2 and 3 have no place in their support, so the family falls back to
+    # the place at infinity, where the tame symbol of constants is 1
+    seen = []
+    tame = xsymbol.tame_symbol
+
+    def recorded(f, g, x):
+        seen.append(str(x))
+        return tame(f, g, x)
+
+    monkeypatch.setattr(xsymbol, "tame_symbol", recorded)
+    code, out, _ = run(capsys, "xsymbol", "--instance", "tame", "--f", "2",
+                       "--g", "3", "--check", "reciprocity", "--json")
+    assert code == 0
+    assert seen == ["inf"]
+    report = json.loads(out)
+    assert report["inputs"]["family_size"] == "1"
+    assert report["terms"] == [{"lattice": "ray:0", "member": 0,
+                                "value": "1"}]
+    assert (report["value"], report["ok"]) == ("1", True)
+
+
 def test_prime_moduli_are_decided_quickly(capsys):
     start = time.perf_counter()
     code, out, _ = run(capsys, "weil", "--field", "Fp:1000000000000000003",
@@ -226,7 +284,7 @@ def test_failed_verification_exits_1(capsys, monkeypatch):
 
 def test_hypothesis_violation_exits_4(capsys, monkeypatch):
     def inadmissible(f):
-        sym = IndexSymbol(MonomialOperator(f.field, f.field.one, 1))
+        sym = IndexSymbol(BlockShiftOperator(1, {0: 1}))
         return XSymbolFamily.with_derived_b(
             sym, [MonomialLattice.ray(0), MonomialLattice.ray(0)])
     monkeypatch.setattr(cli, "curve_index_family", inadmissible)

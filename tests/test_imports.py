@@ -112,3 +112,11 @@ def test_the_check_sees_an_unreached_definition():
     }
     assert _unreached_definitions(sources, {"exported"}) == \
         ["a.orphan", "a.Lonely"]
+
+
+def test_the_lattice_layer_depends_only_on_errors():
+    # set algebra on Z: no field, polynomial or function module
+    tree = ast.parse((PACKAGE / "lattices.py").read_text())
+    siblings = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level}
+    assert siblings == {"errors"}

@@ -3,7 +3,9 @@ replaced, kept here as a reference route.
 
 Both classes canonicalize on construction, so every operation must give
 the same lattice field for field: modulus, split, window members and both
-patterns, and with them the same str.  The last test checks
+patterns, and with them the same str.  extract_progression is also checked
+against its earlier run-based route, which widened the window and tested
+the positions outside its image one at a time.  The last test checks
 that a window tens of millions wide costs nothing extra once it is a run.
 """
 import random
@@ -14,9 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from reciprocity_lab.errors import DomainError
 from reciprocity_lab.lattices import (BlockShiftOperator, MonomialLattice,
-                                      MonomialOperator, lattice_index)
+                                      lattice_index)
 
-from helpers import F5, Q, rand_lattice
+from helpers import rand_lattice
 
 
 class FrozensetLattice:
@@ -263,14 +265,15 @@ def reference_of(lattice):
 
 
 def reference_index(op, lattice):
-    """lattice_index with the operator's set action run on the reference."""
-    if isinstance(op, BlockShiftOperator):
+    """lattice_index with the operator's set action run on the reference;
+    modulus 1 takes the plain shift, the action of a single block."""
+    if op.modulus == 1:
+        image = lattice.shift(op.shifts.get(0, 0))
+    else:
         image = FrozensetLattice.empty()
         for r in range(op.modulus):
             part = lattice.restrict_to_progression((r,), op.modulus)
             image = image.union(part.shift(op.shifts.get(r, 0)))
-    else:
-        image = lattice.shift(op.shift)
     gained = lattice.difference(image)
     lost = image.difference(lattice)
     if not (gained.is_finite() and lost.is_finite()):
@@ -301,7 +304,7 @@ def assert_same(new, ref):
 
 
 BINARY = ("union", "intersect", "difference", "symmetric_difference")
-OPERATORS = (MonomialOperator(Q, 2, 3), MonomialOperator(F5, 4, -2),
+OPERATORS = (BlockShiftOperator(1, {0: 3}), BlockShiftOperator(1, {0: -2}),
              BlockShiftOperator(2, {0: 2, 1: -4}),
              BlockShiftOperator(3, {0: 3, 1: 0, 2: -3}),
              BlockShiftOperator(2, {0: 1}))
@@ -389,6 +392,48 @@ def test_generated_lattices_agree_with_the_reference(spec_a, spec_b):
     check_pair(a, ra, b, rb)
 
 
+def widened_extract_progression(lattice, offset, step):
+    """extract_progression as it was before it took the window's image as
+    its window: one position wider on each side, each position outside the
+    image tested for membership one at a time."""
+    d = lattice.modulus // gcd(step, lattice.modulus)
+    low = [s for s in range(d)
+           if (offset + s * step) % lattice.modulus in lattice.low_pat]
+    high = [s for s in range(d)
+            if (offset + s * step) % lattice.modulus in lattice.high_pat]
+    lo = -((offset - lattice.lo) // step) - 1
+    hi = (lattice.hi - offset) // step + 2
+    runs = [(-((offset - start) // step), -((offset - stop) // step))
+            for start, stop in lattice.runs]
+    first = -((offset - lattice.lo) // step)
+    last = -((offset - lattice.hi) // step)
+    runs += [(m, m + 1) for m in (*range(lo, first), *range(last, hi))
+             if (offset + m * step) in lattice]
+    return MonomialLattice(d, lo, hi, runs, low, high)
+
+
+def test_extract_progression_agrees_with_the_widened_route():
+    rng = random.Random(23)
+    for _ in range(3000):
+        modulus = rng.randint(1, 6)
+        lo = rng.randint(-8, 8)
+        hi = lo + rng.randint(0, 12)
+        members = [n for n in range(lo, hi) if rng.random() < 0.5]
+        lattice = MonomialLattice(
+            modulus, lo, hi, ((n, n + 1) for n in members),
+            [r for r in range(modulus) if rng.random() < 0.5],
+            [r for r in range(modulus) if rng.random() < 0.5])
+        for _ in range(4):
+            offset, step = rng.randint(-7, 7), rng.randint(1, 7)
+            new = lattice.extract_progression(offset, step)
+            old = widened_extract_progression(lattice, offset, step)
+            assert (new.modulus, new.lo, new.hi, new.runs, new.low_pat,
+                    new.high_pat) == (old.modulus, old.lo, old.hi, old.runs,
+                                      old.low_pat, old.high_pat)
+            assert all((m in new) == (offset + m * step in lattice)
+                       for m in range(-40, 40))
+
+
 def test_equal_sets_from_different_routes_are_equal_and_hash_alike():
     routes = [
         MonomialLattice.from_ray_spec(0, added={-3, -2}, removed={2}),
@@ -426,4 +471,4 @@ def test_a_wide_window_costs_only_its_runs():
     assert timed(wide.shift, 4) == MonomialLattice.from_ray_spec(4, {far + 4})
     assert timed(str, wide) == "ray:0;add:-30000000"
     # gained {far, 0, 1, 2}, lost {far + 3}
-    assert timed(lattice_index, MonomialOperator(Q, 1, 3), wide) == 3
+    assert timed(lattice_index, BlockShiftOperator(1, {0: 3}), wide) == 3

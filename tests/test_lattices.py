@@ -4,10 +4,10 @@ import pytest
 
 from reciprocity_lab.errors import DomainError, ParseError
 from reciprocity_lab.lattices import (LITERAL_BOUND, BlockShiftOperator,
-                                      MonomialLattice, MonomialOperator,
-                                      lattice_index, parse_lattice)
+                                      MonomialLattice, lattice_index,
+                                      parse_lattice)
 
-from helpers import F5, Q, lattice_with_oracle, rand_lattice
+from helpers import lattice_with_oracle, rand_lattice
 
 SPAN = range(-60, 61)
 
@@ -78,19 +78,19 @@ def test_commensurability_witness():
 
 def test_lattice_index_examples():
     ray = MonomialLattice.ray(0)
-    assert lattice_index(MonomialOperator(Q, 1, 3), ray) == 3
-    assert lattice_index(MonomialOperator(Q, 2, 0), ray) == 0
+    assert lattice_index(BlockShiftOperator(1, {0: 3}), ray) == 3
+    assert lattice_index(BlockShiftOperator(1, {0: 0}), ray) == 0
     bumpy = ray.union(MonomialLattice.finite({-2}))
-    assert lattice_index(MonomialOperator(Q, 1, 1), bumpy) == 1
+    assert lattice_index(BlockShiftOperator(1, {0: 1}), bumpy) == 1
 
 
 def test_index_additivity_examples_and_random():
-    op = MonomialOperator(F5, 1, 2)
+    op = BlockShiftOperator(1, {0: 2})
     a = MonomialLattice.ray(0)
     b = MonomialLattice.ray(1)
     assert lattice_index(op, a) + lattice_index(op, b) == \
         lattice_index(op, a.union(b)) + lattice_index(op, a.intersect(b)) == 4
-    down = MonomialOperator(F5, 3, -1)
+    down = BlockShiftOperator(1, {0: -1})
     holed = MonomialLattice.from_ray_spec(0, removed={4})
     assert lattice_index(down, a) + lattice_index(down, holed) == \
         lattice_index(down, a.union(holed)) + \
@@ -98,7 +98,7 @@ def test_index_additivity_examples_and_random():
     rng = random.Random(97)
     for _ in range(150):
         shift = rng.randint(-4, 4)
-        op = MonomialOperator(Q, 1, shift)
+        op = BlockShiftOperator(1, {0: shift})
         x = rand_lattice(rng)
         y = rand_lattice(rng)
         if not _shift_friendly(x, shift) or not _shift_friendly(y, shift):
@@ -118,15 +118,15 @@ def test_index_is_invariant_under_commensurable_change():
         noise = MonomialLattice.finite({rng.randint(-12, 12)
                                         for _ in range(rng.randint(0, 4))})
         b = a.symmetric_difference(noise)
-        op = MonomialOperator(Q, 1, rng.randint(-5, 5))
+        op = BlockShiftOperator(1, {0: rng.randint(-5, 5)})
         assert lattice_index(op, a) == lattice_index(op, b)
 
 
 def test_index_counts_shift_displacement():
-    # i(sigma, A) for sigma = c t^m over any ray is m, independent of c
+    # i(sigma, A) for sigma = t^m over any ray is m
     for m in range(-5, 6):
         for n0 in (-3, 0, 7):
-            op = MonomialOperator(F5, 2, m)
+            op = BlockShiftOperator(1, {0: m})
             assert lattice_index(op, MonomialLattice.ray(n0)) == m
 
 
@@ -143,17 +143,16 @@ def test_block_shift_operator():
 
 
 def test_non_commensurable_shift_has_no_index():
-    op = MonomialOperator(Q, 1, 1)
+    op = BlockShiftOperator(1, {0: 1})
     even = MonomialLattice.progression({0}, 2)
     with pytest.raises(DomainError):
         lattice_index(op, even)
 
 
 def test_operator_validation():
-    with pytest.raises(DomainError):
-        MonomialOperator(F5, 0, 1)
-    with pytest.raises(DomainError):
-        MonomialOperator(F5, 5, 1)
+    for modulus in (0, -2):
+        with pytest.raises(DomainError):
+            BlockShiftOperator(modulus, {})
 
 
 def test_extract_progression_splits_by_residue():

@@ -360,6 +360,21 @@ def test_t_adic_restriction_matches_the_kst_route():
             assert (got.num, got.den) == (want.num, want.den)
 
 
+def test_restriction_of_a_curve_unit_is_phi_for_every_parameter():
+    rng = random.Random(359)
+    for base in (F5, Q):
+        s, t = gens(base)
+        for _ in range(12):
+            f = rand_surface_fn(rng, base)
+            unit = f / t ** curve_valuation(f)
+            got = restrict_to_curve(unit)
+            for z in (t, t * (1 + t), s * t):
+                want = phi_z(unit, z)
+                assert (got.num, got.den) == (want.num, want.den)
+            want = _restrict_via_kst(unit, t)
+            assert (got.num, got.den) == (want.num, want.den)
+
+
 def _parshin_via_kst(f, g, h, x, z):
     """The Parshin symbol the long way: build the determinant monomial in
     k(s), evaluate it at x, and take the norm of the signed value; also

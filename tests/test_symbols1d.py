@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from reciprocity_lab import symbols1d
 from reciprocity_lab.errors import DomainError, MixedFieldError, ZeroInputError
 from reciprocity_lab.funcfield import Place, RationalFunction
 from reciprocity_lab.poly import Polynomial
@@ -276,6 +277,19 @@ def test_residue_theorem_random_with_oracle():
             assert report.ok, report.to_json(indent=2)
             if i % 3 == 0:
                 assert int(report.details["oracle_agreements"]) >= 1
+
+
+def test_residue_theorem_oracle_refuses_a_disagreeing_trace(monkeypatch):
+    t = tt(Q)
+    f = 1 / (t * t - t)
+    trace = symbols1d.abstract_residue_trace
+    monkeypatch.setattr(symbols1d, "abstract_residue_trace",
+                        lambda f, g, x: trace(f, g, x) + Q.one_scalar())
+    # without the oracle the trace is never read
+    assert residue_theorem_verify(f, t).ok
+    with pytest.raises(DomainError, match="classical and commutator "
+                                          "residues disagree at "):
+        residue_theorem_verify(f, t, oracle=True)
 
 
 def test_residue_theorem_at_quadratic_place():

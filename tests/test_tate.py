@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from reciprocity_lab import tate
-from reciprocity_lab.errors import DomainError, ZeroInputError
+from reciprocity_lab.errors import DomainError, PrecisionError, ZeroInputError
 from reciprocity_lab.funcfield import Place, RationalFunction, support_union
 from reciprocity_lab.lattices import MonomialLattice
 from reciprocity_lab.poly import Polynomial
@@ -202,6 +202,27 @@ def test_window_bound_grows_with_data_spread():
     narrow = minimal_window(1 / t, 1 / t, x)
     assert narrow >= 1 + 1 + 2 + 2
     assert minimal_window(h, 1 / t, x) >= 1 + 1 + 6 + 2 > narrow
+
+
+def test_a_support_that_misses_a_diagonal_entry_is_refused():
+    t = tt(Q)
+    x = at(Polynomial.variable(Q))
+    trace = tate.CommutatorTrace(1 / t, t, x)
+    lattice = MonomialLattice.ray(0)
+    low, high = _support_bound(lattice, trace.vf, trace.vg)
+    window = minimal_window(1 / t, t, x)
+
+    def banded(low, high):
+        return tate.banded_commutator_trace(trace.ring, trace.f_band,
+                                            trace.g_band, low, high,
+                                            lattice, window)
+
+    # the trace is 1, so some diagonal entry in [low, high] is nonzero
+    assert trace.ring.trace(banded(low, high)) == Q.scalar(1)
+    for missing in ((high + 1, high + 1), (low - 1, low - 1)):
+        with pytest.raises(PrecisionError,
+                           match="outside its predicted support"):
+            banded(*missing)
 
 
 def reference_support_bound(lattice, vf, vg):

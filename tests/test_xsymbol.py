@@ -4,8 +4,7 @@ import pytest
 
 from reciprocity_lab.errors import DomainError, HypothesisViolation
 from reciprocity_lab.funcfield import RationalFunction
-from reciprocity_lab.lattices import (BlockShiftOperator, MonomialLattice,
-                                      MonomialOperator)
+from reciprocity_lab.lattices import BlockShiftOperator, MonomialLattice
 from reciprocity_lab.report import VerificationReport
 from reciprocity_lab.xsymbol import (IndexSymbol, ResidueSymbol, TameSymbol,
                                      XSymbolFamily, curve_index_family,
@@ -40,7 +39,7 @@ def rand_two_sided(rng):
 def test_index_symbol_axioms():
     rng = random.Random(211)
     for _ in range(50):
-        sym = IndexSymbol(MonomialOperator(Q, 1, rng.randint(-4, 4)))
+        sym = IndexSymbol(BlockShiftOperator(1, {0: rng.randint(-4, 4)}))
         assert xsymbol_axiom_check(sym, rand_two_sided(rng),
                                    rand_two_sided(rng))
 
@@ -72,7 +71,7 @@ def test_tame_symbol_axioms():
 
 
 def test_trivial_lattices_take_the_identity_value():
-    sym = IndexSymbol(MonomialOperator(Q, 1, 3))
+    sym = IndexSymbol(BlockShiftOperator(1, {0: 3}))
     assert sym.evaluate(MonomialLattice.empty()) == sym.identity()
     assert sym.evaluate(MonomialLattice.everything()) == sym.identity()
     rng = random.Random(229)
@@ -87,7 +86,7 @@ def test_trivial_lattices_take_the_identity_value():
 def test_commensurable_lattices_share_a_value():
     rng = random.Random(233)
     for _ in range(30):
-        sym = IndexSymbol(MonomialOperator(Q, 1, rng.randint(-4, 4)))
+        sym = IndexSymbol(BlockShiftOperator(1, {0: rng.randint(-4, 4)}))
         a = rand_ray_spec(rng)
         noise = MonomialLattice.finite({rng.randint(-10, 10)
                                         for _ in range(3)})
@@ -156,7 +155,7 @@ def test_curve_tame_family_reciprocity():
 
 
 def test_single_member_family():
-    sym = IndexSymbol(MonomialOperator(Q, 1, 2))
+    sym = IndexSymbol(BlockShiftOperator(1, {0: 2}))
     family = XSymbolFamily.with_derived_b(sym, [MonomialLattice.ray(0)])
     report = general_reciprocity_run(family)
     assert report.ok
@@ -164,14 +163,14 @@ def test_single_member_family():
 
 
 def test_family_size_cap():
-    sym = IndexSymbol(MonomialOperator(Q, 1, 1))
+    sym = IndexSymbol(BlockShiftOperator(1, {0: 1}))
     lattices = [MonomialLattice.progression_ray((j,), 11) for j in range(11)]
     with pytest.raises(DomainError):
         XSymbolFamily.with_derived_b(sym, lattices)
 
 
 def test_violation_missing_empty_assignment():
-    sym = IndexSymbol(MonomialOperator(Q, 1, 1))
+    sym = IndexSymbol(BlockShiftOperator(1, {0: 1}))
     family = XSymbolFamily(sym, [MonomialLattice.ray(0)],
                            {frozenset({0}): MonomialLattice.empty()})
     with pytest.raises(HypothesisViolation) as err:
@@ -180,7 +179,7 @@ def test_violation_missing_empty_assignment():
 
 
 def test_violation_index_out_of_range():
-    sym = IndexSymbol(MonomialOperator(Q, 1, 1))
+    sym = IndexSymbol(BlockShiftOperator(1, {0: 1}))
     family = XSymbolFamily(sym, [MonomialLattice.ray(0)],
                            {frozenset(): MonomialLattice.ray(0),
                             frozenset({5}): MonomialLattice.empty()})
@@ -190,7 +189,7 @@ def test_violation_index_out_of_range():
 
 
 def test_violation_member_not_contained():
-    sym = IndexSymbol(MonomialOperator(Q, 1, 1))
+    sym = IndexSymbol(BlockShiftOperator(1, {0: 1}))
     family = XSymbolFamily(sym, [MonomialLattice.ray(0)],
                            {frozenset(): MonomialLattice.ray(4),
                             frozenset({0}): MonomialLattice.empty()})
@@ -201,7 +200,7 @@ def test_violation_member_not_contained():
 
 
 def test_violation_inconsistent_assignment():
-    sym = IndexSymbol(MonomialOperator(Q, 1, 1))
+    sym = IndexSymbol(BlockShiftOperator(1, {0: 1}))
     a0 = MonomialLattice.progression_ray((0,), 2)
     a1 = MonomialLattice.progression_ray((1,), 2)
     b_map = {
@@ -218,7 +217,7 @@ def test_violation_inconsistent_assignment():
 
 
 def test_violation_dependent_family():
-    sym = IndexSymbol(MonomialOperator(Q, 1, 1))
+    sym = IndexSymbol(BlockShiftOperator(1, {0: 1}))
     family = XSymbolFamily.with_derived_b(
         sym, [MonomialLattice.ray(0), MonomialLattice.ray(0)])
     with pytest.raises(HypothesisViolation) as err:
@@ -227,7 +226,7 @@ def test_violation_dependent_family():
 
 
 def test_violation_nontrivial_value_on_trivial_complement():
-    sym = IndexSymbol(MonomialOperator(Q, 1, 1))
+    sym = IndexSymbol(BlockShiftOperator(1, {0: 1}))
     a0 = MonomialLattice.finite({3})
     b_map = {
         frozenset(): MonomialLattice.ray(0),
@@ -263,7 +262,7 @@ def test_block_shift_index_symbol_mixes_blocks():
 
 
 def test_manual_and_derived_assignments_agree():
-    sym = IndexSymbol(MonomialOperator(Q, 1, 2))
+    sym = IndexSymbol(BlockShiftOperator(1, {0: 2}))
     a0 = MonomialLattice.progression_ray((0,), 2)
     a1 = MonomialLattice.progression_ray((1,), 2)
     derived = XSymbolFamily.with_derived_b(sym, [a0, a1])
@@ -294,7 +293,7 @@ def reference_derived_b(lattices):
 
 def test_derived_assignments_match_one_union_chain_per_set():
     rng = random.Random(307)
-    sym = IndexSymbol(MonomialOperator(Q, 1, 1))
+    sym = IndexSymbol(BlockShiftOperator(1, {0: 1}))
     for n in range(7):
         for _ in range(3):
             lattices = [rand_lattice(rng) for _ in range(n)]
@@ -377,7 +376,7 @@ def test_memoized_residue_values_match_a_fresh_symbol():
 
 
 def test_partial_assignment_is_refused_under_clause_a():
-    sym = IndexSymbol(MonomialOperator(Q, 1, 1))
+    sym = IndexSymbol(BlockShiftOperator(1, {0: 1}))
     a0 = MonomialLattice.progression_ray((0,), 2)
     a1 = MonomialLattice.progression_ray((1,), 2)
     family = XSymbolFamily(sym, [a0, a1], {
@@ -391,7 +390,7 @@ def test_partial_assignment_is_refused_under_clause_a():
 
 
 def test_mismatch_names_the_generator_that_fails():
-    sym = IndexSymbol(MonomialOperator(Q, 1, 1))
+    sym = IndexSymbol(BlockShiftOperator(1, {0: 1}))
     a0 = MonomialLattice.progression_ray((0,), 2)
     a1 = MonomialLattice.progression_ray((1,), 2)
     b_map = XSymbolFamily.with_derived_b(sym, [a0, a1]).b_map
@@ -508,7 +507,7 @@ def rand_complete_family(rng):
     rng.shuffle(keys)
     b_map = {K: b_map[K] for K in keys}
     if rng.random() < 0.5:
-        op = MonomialOperator(Q, 1, rng.randint(-3, 3))
+        op = BlockShiftOperator(1, {0: rng.randint(-3, 3)})
     else:
         op = BlockShiftOperator(modulus, {r: rng.randint(-2, 2) * modulus
                                           for r in range(modulus)})
