@@ -404,7 +404,9 @@ class BlockShiftOperator:
 
     Used to encode one multiplication operator acting on several local
     factors at once: residues of the same block move together.  Modulus 1
-    is multiplication by t^m on a single local factor.
+    is multiplication by t^m on a single local factor, and `apply` then
+    returns the plain shift; above 1 it restricts the lattice to each
+    residue class, shifts the part and unites the images.
     """
 
     __slots__ = ("modulus", "shifts")
@@ -416,6 +418,8 @@ class BlockShiftOperator:
         self.shifts = {r % modulus: s for r, s in shifts.items()}
 
     def apply(self, lattice: MonomialLattice) -> MonomialLattice:
+        if self.modulus == 1:
+            return lattice.shift(self.shifts.get(0, 0))
         out = MonomialLattice.empty()
         for r in range(self.modulus):
             part = lattice.restrict_to_progression((r,), self.modulus)

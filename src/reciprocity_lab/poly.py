@@ -114,11 +114,6 @@ class Polynomial:
     def variable(cls, field: Field, var: str = "t") -> "Polynomial":
         return cls(field, (field.zero, field.one), var)
 
-    @classmethod
-    def monomial(cls, field: Field, exponent: int, coeff=None, var: str = "t") -> "Polynomial":
-        c = field.one if coeff is None else field.coerce(coeff)
-        return cls(field, (field.zero,) * exponent + (c,), var)
-
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:

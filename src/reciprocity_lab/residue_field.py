@@ -162,14 +162,11 @@ class ResidueField(Field):
 
     # -- plumbing --------------------------------------------------------------
 
-    def to_polynomial(self, raw) -> Polynomial:
-        return Polynomial(self.base, raw, "T")
-
     def sort_key(self, a):
         return tuple(self.base.sort_key(c) for c in a)
 
     def render(self, raw) -> str:
-        return str(self.to_polynomial(raw))
+        return str(Polynomial(self.base, raw, "T"))
 
     def __eq__(self, other):
         return (isinstance(other, ResidueField)

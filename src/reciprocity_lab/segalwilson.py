@@ -108,8 +108,12 @@ def _require_char_zero(field: Field) -> None:
                           "of characteristic zero")
 
 
-def _half(field: Field) -> FieldScalar:
-    """1/2 in a ground field, which must have characteristic zero."""
+def _half(f: RationalFunction, g: RationalFunction) -> FieldScalar:
+    """1/2 in the ground field of f and g, after the checks every pairing
+    runs first: both functions nonzero, then characteristic zero."""
+    if f.is_zero() or g.is_zero():
+        raise ZeroInputError("the pairing is defined on nonzero functions")
+    field = f.field
     _require_char_zero(field)
     return FieldScalar(field, field.inv(field.from_int(2)))
 
@@ -134,9 +138,7 @@ def exp_z2(a: FieldScalar, order: int = DEFAULT_ORDER) -> TruncatedPowerSeries:
 def cocycle_c(f: RationalFunction, g: RationalFunction, x: Place,
               order: int = DEFAULT_ORDER) -> TruncatedPowerSeries:
     """Pairing value at x: even exponential of half the residue of f dg."""
-    if f.is_zero() or g.is_zero():
-        raise ZeroInputError("the pairing is defined on nonzero functions")
-    half = _half(f.field)
+    half = _half(f, g)
     return exp_z2(classical_residue(f, g, x) * half, order)
 
 
@@ -145,9 +147,7 @@ def cocycle_on_lattice(f: RationalFunction, g: RationalFunction, x: Place,
                        order: int = DEFAULT_ORDER) -> TruncatedPowerSeries:
     """Pairing against an arbitrary lattice: exponential of half the
     truncated commutator trace instead of the standard residue."""
-    if f.is_zero() or g.is_zero():
-        raise ZeroInputError("the pairing is defined on nonzero functions")
-    half = _half(f.field)
+    half = _half(f, g)
     trace = abstract_residue_trace(f, g, x, lattice=lattice)
     return exp_z2(trace * half, order)
 
@@ -155,10 +155,8 @@ def cocycle_on_lattice(f: RationalFunction, g: RationalFunction, x: Place,
 def sw_verify(f: RationalFunction, g: RationalFunction,
               order: int = DEFAULT_ORDER) -> VerificationReport:
     """Product of the pairing over all places of the joint support is 1."""
-    if f.is_zero() or g.is_zero():
-        raise ZeroInputError("the pairing is defined on nonzero functions")
+    half = _half(f, g)
     field = f.field
-    half = _half(field)
     h, places = residue_differential(f, g)
 
     def local(x):

@@ -11,7 +11,8 @@ provided:
 * ResidueSymbol: commutator-trace residues of a fixed pair f, g, valued in
   (k, +), computed per block against the block-local lattice;
 * TameSymbol: tame symbol values of a fixed pair f, g, valued in (k*, x),
-  as a class function of the block-local commensurability class.
+  as a class function of the block-local commensurability class, whose
+  exponent is read off the canonical form of the block-local lattice.
 
 Each satisfies the symbol axioms (trivial values, commensurability
 invariance, additivity over sum and intersection), which the axiom checker
@@ -99,25 +100,6 @@ class ResidueSymbol:
         return str(a)
 
 
-def _two_sided_class(local: MonomialLattice) -> tuple[int, int]:
-    """(upper, lower) membership flags of a block-local commensurability class.
-
-    upper is 1 when the set eventually contains everything above, lower is 1
-    when it contains everything far below; partial periodic patterns have no
-    class value and are rejected.
-    """
-    def flag(pattern) -> int:
-        if len(pattern) == local.modulus:
-            return 1
-        if pattern:
-            raise DomainError("block-local lattice is not commensurable "
-                              "with a ray, a lower set, the full line, "
-                              "or a finite set")
-        return 0
-
-    return flag(local.high_pat), flag(local.low_pat)
-
-
 class TameSymbol:
     """f(A) = product of tame values to the class exponent of each block.
 
@@ -125,6 +107,10 @@ class TameSymbol:
     class, the inverse on a lower-set class, and nothing on finite or full
     classes; those four classes are the ones closed under sums and
     intersections, and the exponent upper - lower is additive across them.
+    The canonical form reduces the modulus to the joint period of its
+    patterns, so a local lattice lies in one of the four classes exactly
+    when its modulus is 1, and then upper - lower is
+    len(high_pat) - len(low_pat).
     """
 
     name = "tame"
@@ -141,8 +127,11 @@ class TameSymbol:
         result = self.field.one_scalar()
         for offset, value in enumerate(self.values):
             local = lattice.extract_progression(offset, self.modulus)
-            upper, lower = _two_sided_class(local)
-            result = result * value ** (upper - lower)
+            if local.modulus != 1:
+                raise DomainError("block-local lattice is not commensurable "
+                                  "with a ray, a lower set, the full line, "
+                                  "or a finite set")
+            result = result * value ** (len(local.high_pat) - len(local.low_pat))
         return result
 
     def identity(self) -> FieldScalar:

@@ -169,9 +169,12 @@ def test_parse_errors_exit_2(capsys):
                        "--place", "t")
     assert code == 2
     assert "parse error" in err
-    code, _, err = run(capsys, "index", "--f", "t", "--place", "t",
-                       "--lattice", "ray:]")
-    assert code == 2
+    # a bad integer, no ray clause, a removed exponent below the ray start
+    for text in ("ray:]", "add:1", "ray:0;del:-1"):
+        code, _, err = run(capsys, "index", "--f", "t", "--place", "t",
+                           "--lattice", text)
+        assert code == 2, text
+        assert "parse error" in err
     code, _, err = run(capsys, "index", "--f", "t")
     assert code == 2
     code, _, err = run(capsys, "tame", "--f", "t", "--g", "t",

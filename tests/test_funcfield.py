@@ -65,8 +65,8 @@ def test_canonical_form_matches_the_full_gcd_route():
                 continue
             # monomial sides c*t^k and t^j take the gcd-free slice route
             k, j = exponents.randint(0, 3), exponents.randint(0, 3)
-            ck = c * Polynomial.monomial(field, k)
-            tj = Polynomial.monomial(field, j)
+            ck = c * Polynomial.variable(field) ** k
+            tj = Polynomial.variable(field) ** j
             pairs = ((p, c), (c, p), (p, q), (p, q.monic()), (p * q, q),
                      (ck * p, tj), (tj, p), (p, ck), (p.shift(j), ck))
             for num, den in pairs:

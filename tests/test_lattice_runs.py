@@ -265,15 +265,13 @@ def reference_of(lattice):
 
 
 def reference_index(op, lattice):
-    """lattice_index with the operator's set action run on the reference;
-    modulus 1 takes the plain shift, the action of a single block."""
-    if op.modulus == 1:
-        image = lattice.shift(op.shifts.get(0, 0))
-    else:
-        image = FrozensetLattice.empty()
-        for r in range(op.modulus):
-            part = lattice.restrict_to_progression((r,), op.modulus)
-            image = image.union(part.shift(op.shifts.get(r, 0)))
+    """lattice_index with the operator's set action run on the reference,
+    residue class by residue class at every modulus, so the plain shift
+    `apply` takes at modulus 1 is checked against the per-class route."""
+    image = FrozensetLattice.empty()
+    for r in range(op.modulus):
+        part = lattice.restrict_to_progression((r,), op.modulus)
+        image = image.union(part.shift(op.shifts.get(r, 0)))
     gained = lattice.difference(image)
     lost = image.difference(lattice)
     if not (gained.is_finite() and lost.is_finite()):

@@ -155,6 +155,16 @@ def test_operator_validation():
             BlockShiftOperator(modulus, {})
 
 
+def test_lattice_validation():
+    # modulus 0, window bounds out of order, a run outside the window
+    for args in ((0, 0, 0, (), (), ()), (1, 2, 1, (), (), ()),
+                 (1, 0, 3, ((2, 5),), (), ()), (1, 0, 3, ((-1, 1),), (), ())):
+        with pytest.raises(DomainError):
+            MonomialLattice(*args)
+    with pytest.raises(DomainError):
+        MonomialLattice.ray(0).extract_progression(0, 0)
+
+
 def test_extract_progression_splits_by_residue():
     lattice = MonomialLattice.ray(0)
     evens = lattice.extract_progression(0, 2)
@@ -177,9 +187,13 @@ def test_parse_lattice_grammar():
         parse_lattice("ray:x")
     with pytest.raises(ParseError):
         parse_lattice("ray:0;mul:3")
-    # bad set data surfaces as a parse failure too
+    assert parse_lattice("ray:0;;add:-1") == parse_lattice("ray:0;add:-1")
     with pytest.raises(ParseError):
-        parse_lattice("ray:0;add:5")
+        parse_lattice("add:1")
+    # bad set data surfaces as a parse failure too
+    for text in ("ray:0;add:5", "ray:0;del:-1"):
+        with pytest.raises(ParseError):
+            parse_lattice(text)
 
 
 def test_parse_lattice_bounds_its_integers():
@@ -199,6 +213,8 @@ def test_size_and_finiteness():
     assert MonomialLattice.empty().is_empty()
     assert not MonomialLattice.ray(0).is_finite()
     assert not MonomialLattice.ray(0).complement().is_finite()
+    with pytest.raises(DomainError):
+        MonomialLattice.ray(0).size()
 
 
 def test_commensurable_is_an_equivalence_on_generated_sets():

@@ -348,7 +348,7 @@ def test_products_skip_zero_coefficients_on_both_sides(monkeypatch):
     ks = FractionField(F5, "s")
     s = RationalFunction.variable(F5, "s")
     left = Polynomial(ks, [ks.one, s], "t")
-    cube = Polynomial.monomial(ks, 3, var="t")
+    cube = Polynomial.variable(ks, "t") ** 3
     calls = count_calls(monkeypatch, FractionField, "mul")
     assert left * cube == left.shift(3)
     assert len(calls) == 2

@@ -82,6 +82,14 @@ def test_inverse_roundtrip_and_zero_rejection():
         assert ring.eq(ring.mul(raw, ring.inv(raw)), ring.one)
     with pytest.raises(ZeroInputError):
         ring.inv(ring.zero)
+    # T - 1 is a zero divisor of k[T]/(T^2 - 1)
+    split = quadratic_ring(Q, 0, -1)
+    with pytest.raises(ZeroInputError, match="not a unit"):
+        split.inv(split.from_coeffs([-1, 1]))
+    # the modulus must be monic of degree >= 1
+    for coeffs in ([1, 2], [2], []):
+        with pytest.raises(ZeroInputError, match="monic"):
+            ResidueField(Polynomial(Q, coeffs, "T"))
 
 
 def test_elem_wrapper_arithmetic():

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from reciprocity_lab import symbols1d
-from reciprocity_lab.errors import DomainError, MixedFieldError, ZeroInputError
+from reciprocity_lab.errors import (DomainError, MixedFieldError,
+                                    UncertifiedFactorError, ZeroInputError)
 from reciprocity_lab.funcfield import Place, RationalFunction
 from reciprocity_lab.poly import Polynomial
 from reciprocity_lab.symbols1d import (hilbert_symbol, hilbert_verify,
@@ -11,6 +12,7 @@ from reciprocity_lab.symbols1d import (hilbert_symbol, hilbert_verify,
                                        residue_theorem_verify,
                                        sum_of_valuations_verify,
                                        tame_symbol, weil_verify)
+from reciprocity_lab.tate import differential_residue
 
 from helpers import F3, F5, F7, F13, Q, rand_fn, rand_fn_for, rand_fn_q
 
@@ -265,6 +267,36 @@ def test_residue_theorem_includes_derivative_support():
     assert h == f * g.derivative()
     names = [str(x) for x in places]
     assert "t-2" in names and "inf" in names
+
+
+def test_residues_vanish_where_f_and_g_are_regular():
+    """A residue of f dg can be nonzero only at a pole of f or g or at
+    infinity: every other listed place has residue 0, and the law holds on
+    the poles and infinity alone."""
+    rng = random.Random(7)
+    pairs = regular_places = 0
+    for field in (F5, F13, Q):
+        zero = field.zero_scalar()
+        for _ in range(200):
+            f = rand_fn(rng, field, max_deg=4)
+            g = rand_fn(rng, field, max_deg=4)
+            try:
+                h, places = residue_differential(f, g)
+                regular = [x for x in places if not x.is_infinity
+                           and f.valuation(x) >= 0 and g.valuation(x) >= 0]
+            except UncertifiedFactorError:
+                assert field is Q
+                continue
+            for x in regular:
+                assert differential_residue(h, x) == zero, (f, g, x)
+            poles = [x for x in places if x not in regular]
+            total = zero
+            for x in poles:
+                total = total + differential_residue(h, x)
+            assert total == zero, (f, g)
+            pairs += 1
+            regular_places += len(regular)
+    assert pairs >= 400 and regular_places >= 1000, (pairs, regular_places)
 
 
 def test_residue_theorem_random_with_oracle():

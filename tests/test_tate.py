@@ -212,10 +212,10 @@ def test_a_support_that_misses_a_diagonal_entry_is_refused():
     low, high = _support_bound(lattice, trace.vf, trace.vg)
     window = minimal_window(1 / t, t, x)
 
-    def banded(low, high):
+    def banded(low, high, truncate="f"):
         return tate.banded_commutator_trace(trace.ring, trace.f_band,
                                             trace.g_band, low, high,
-                                            lattice, window)
+                                            lattice, window, truncate)
 
     # the trace is 1, so some diagonal entry in [low, high] is nonzero
     assert trace.ring.trace(banded(low, high)) == Q.scalar(1)
@@ -223,6 +223,8 @@ def test_a_support_that_misses_a_diagonal_entry_is_refused():
         with pytest.raises(PrecisionError,
                            match="outside its predicted support"):
             banded(*missing)
+    with pytest.raises(DomainError, match="unknown truncation choice"):
+        banded(low, high, truncate="x")
 
 
 def reference_support_bound(lattice, vf, vg):

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from reciprocity_lab.errors import DomainError, HypothesisViolation
-from reciprocity_lab.funcfield import RationalFunction
+from reciprocity_lab.errors import (DomainError, HypothesisViolation,
+                                    ZeroInputError)
+from reciprocity_lab.funcfield import Place, RationalFunction
 from reciprocity_lab.lattices import BlockShiftOperator, MonomialLattice
+from reciprocity_lab.poly import Polynomial
 from reciprocity_lab.report import VerificationReport
 from reciprocity_lab.xsymbol import (IndexSymbol, ResidueSymbol, TameSymbol,
                                      XSymbolFamily, curve_index_family,
@@ -249,6 +251,91 @@ def test_tame_symbol_rejects_partial_periodic_patterns():
     sym = TameSymbol(f, g, places[:1])
     with pytest.raises(DomainError):
         sym.evaluate(MonomialLattice.progression_ray((0,), 4))
+
+
+def reference_class_exponent(local):
+    """upper - lower of a block-local lattice, classifying each pattern on
+    its own: full counts 1, empty 0, and a partial pattern has no class."""
+    def flag(pattern):
+        if len(pattern) == local.modulus:
+            return 1
+        if pattern:
+            raise DomainError("block-local lattice is not commensurable "
+                              "with a ray, a lower set, the full line, "
+                              "or a finite set")
+        return 0
+
+    return flag(local.high_pat) - flag(local.low_pat)
+
+
+def rand_class_lattice(rng):
+    """A ray, lower set, finite, full or empty set, or a progression (ray)
+    with modulus 2-6, changed at finitely many points."""
+    kind = rng.randrange(7)
+    n0 = rng.randint(-6, 6)
+    if kind == 0:
+        base = MonomialLattice.ray(n0)
+    elif kind == 1:
+        base = MonomialLattice.ray(n0).complement()
+    elif kind == 2:
+        base = MonomialLattice.finite({rng.randint(-8, 8) for _ in range(3)})
+    elif kind == 3:
+        base = MonomialLattice.everything()
+    elif kind == 4:
+        base = MonomialLattice.empty()
+    else:
+        modulus = rng.randint(2, 6)
+        residues = [r for r in range(modulus) if rng.random() < 0.5] or [0]
+        base = (MonomialLattice.progression(residues, modulus) if kind == 5
+                else MonomialLattice.progression_ray(residues, modulus, n0))
+    noise = MonomialLattice.finite({rng.randint(-10, 10)
+                                    for _ in range(rng.randint(0, 3))})
+    return base.symmetric_difference(noise)
+
+
+def test_tame_exponent_agrees_with_the_per_pattern_classifier():
+    """The exponent read off the canonical form (modulus 1 and the pattern
+    sizes) equals the per-pattern classification, or both refuse."""
+    t = RationalFunction.variable(Q)
+    # at t - p the tame symbol of (prod (t - p), t) is 1/p, so
+    # the value over distinct primes p fixes every block's exponent
+    primes = (2, 3, 5, 7, 11, 13)
+    f = RationalFunction.constant(Q, 1)
+    for p in primes:
+        f = f * (t - p)
+    places = [Place.finite(Polynomial(Q, [-p, 1])) for p in primes]
+    symbols = [TameSymbol(f, t, places[:step]) for step in range(1, 7)]
+    rng = random.Random(263)
+    outcomes = {True: 0, False: 0}
+    for _ in range(300):
+        lattice = rand_class_lattice(rng)
+        for step, sym in enumerate(symbols, 1):
+            for shift in (-3, 0, 2):
+                shifted = lattice.shift(shift)
+                try:
+                    want = Q.one_scalar()
+                    for offset, value in enumerate(sym.values):
+                        local = shifted.extract_progression(offset, step)
+                        want = want * value ** reference_class_exponent(local)
+                except DomainError:
+                    want = DomainError
+                try:
+                    got = sym.evaluate(shifted)
+                except DomainError:
+                    got = DomainError
+                assert got == want, (shifted, step)
+                outcomes[want is DomainError] += 1
+    assert min(outcomes.values()) > 500, outcomes
+
+
+def test_symbols_of_a_zero_function_are_refused():
+    t = RationalFunction.variable(F5)
+    zero = t - t
+    for cls in (TameSymbol, ResidueSymbol):
+        for places in ([], [Place.finite(Polynomial.variable(F5))]):
+            for f, g in ((zero, t), (t, zero)):
+                with pytest.raises(ZeroInputError):
+                    cls(f, g, places)
 
 
 def test_block_shift_index_symbol_mixes_blocks():
