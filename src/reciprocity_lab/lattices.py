@@ -404,9 +404,7 @@ class BlockShiftOperator:
 
     Used to encode one multiplication operator acting on several local
     factors at once: residues of the same block move together.  Modulus 1
-    is multiplication by t^m on a single local factor, and `apply` then
-    returns the plain shift; above 1 it restricts the lattice to each
-    residue class, shifts the part and unites the images.
+    is multiplication by t^m on a single local factor.
     """
 
     __slots__ = ("modulus", "shifts")
@@ -418,8 +416,6 @@ class BlockShiftOperator:
         self.shifts = {r % modulus: s for r, s in shifts.items()}
 
     def apply(self, lattice: MonomialLattice) -> MonomialLattice:
-        if self.modulus == 1:
-            return lattice.shift(self.shifts.get(0, 0))
         out = MonomialLattice.empty()
         for r in range(self.modulus):
             part = lattice.restrict_to_progression((r,), self.modulus)

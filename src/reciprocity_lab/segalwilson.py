@@ -108,7 +108,7 @@ def _require_char_zero(field: Field) -> None:
                           "of characteristic zero")
 
 
-def _half(f: RationalFunction, g: RationalFunction) -> FieldScalar:
+def _pairing_half(f: RationalFunction, g: RationalFunction) -> FieldScalar:
     """1/2 in the ground field of f and g, after the checks every pairing
     runs first: both functions nonzero, then characteristic zero."""
     if f.is_zero() or g.is_zero():
@@ -138,7 +138,7 @@ def exp_z2(a: FieldScalar, order: int = DEFAULT_ORDER) -> TruncatedPowerSeries:
 def cocycle_c(f: RationalFunction, g: RationalFunction, x: Place,
               order: int = DEFAULT_ORDER) -> TruncatedPowerSeries:
     """Pairing value at x: even exponential of half the residue of f dg."""
-    half = _half(f, g)
+    half = _pairing_half(f, g)
     return exp_z2(classical_residue(f, g, x) * half, order)
 
 
@@ -147,7 +147,7 @@ def cocycle_on_lattice(f: RationalFunction, g: RationalFunction, x: Place,
                        order: int = DEFAULT_ORDER) -> TruncatedPowerSeries:
     """Pairing against an arbitrary lattice: exponential of half the
     truncated commutator trace instead of the standard residue."""
-    half = _half(f, g)
+    half = _pairing_half(f, g)
     trace = abstract_residue_trace(f, g, x, lattice=lattice)
     return exp_z2(trace * half, order)
 
@@ -155,7 +155,7 @@ def cocycle_on_lattice(f: RationalFunction, g: RationalFunction, x: Place,
 def sw_verify(f: RationalFunction, g: RationalFunction,
               order: int = DEFAULT_ORDER) -> VerificationReport:
     """Product of the pairing over all places of the joint support is 1."""
-    half = _half(f, g)
+    half = _pairing_half(f, g)
     field = f.field
     h, places = residue_differential(f, g)
 

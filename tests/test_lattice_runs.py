@@ -266,8 +266,7 @@ def reference_of(lattice):
 
 def reference_index(op, lattice):
     """lattice_index with the operator's set action run on the reference,
-    residue class by residue class at every modulus, so the plain shift
-    `apply` takes at modulus 1 is checked against the per-class route."""
+    residue class by residue class at every modulus, modulus 1 included."""
     image = FrozensetLattice.empty()
     for r in range(op.modulus):
         part = lattice.restrict_to_progression((r,), op.modulus)
