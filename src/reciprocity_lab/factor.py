@@ -10,28 +10,29 @@ returned flagged as not certified irreducible.  Rational roots are lifted
 by Newton's iteration from the simple roots mod the least suitable prime p;
 p grows with the degree and the digits of f, not with its coefficients.
 
-Over F_p the whole path runs on plain lists of ints 0..p-1, from the monic
-input to the output factors, and a `Polynomial` is built only for each
-output factor.  One kernel divides by a monic modulus: sums stay exact ints
-and each entry is reduced mod p once.  Products mod f, the monic gcd, exact
-division, Yun's squarefree split (with the p-th root g(x^p) -> g(x) where
-the derivative vanishes) and the two steps below are built on it.  For each
-monic squarefree part f of degree n, x^p mod f is computed once, left to
-right over the bits of p: floor(log2 p) squarings, and for each set bit
-below the top one a product with x, which is a shift and one reduction
-step (19 squarings at p = 1000003, where square-and-multiply takes 27
-products).  It is extended to the Frobenius matrix, the rows x^(p*i) mod f
-for i < n (n - 2 more products).  Since h(x)^p = h(x^p) over F_p, every later
-p-th power mod f is that matrix applied to h: n^2 integer multiply-adds
-instead of a square-and-multiply chain.  A distinct-degree step costs one
-application and one gcd; the rest continues with the rows reduced mod
-itself, and a block that splits off reduces them only if it holds more than
-one irreducible, which is when equal-degree splitting reads them.  Equal-degree
-splitting of a block of degree-d factors forms r^((p^d-1)/2) as
-(r * r^p * ... * r^(p^(d-1)))^((p-1)/2): d - 1 applications and d - 1
-products, then one power of exponent (p-1)/2.  For p = 2 the trace map is a
-sum of d - 1 applications.  (von zur Gathen & Gerhard, Modern Computer
-Algebra, ch. 14.)
+Over F_p the whole path runs on coefficient sequences of ints 0..p-1,
+from the input to the output factors, and a `Polynomial` is built only for
+each output factor.  It runs on the kernels of `poly`, which work on ints
+over F_p with exact sums and one reduction mod p per entry: `convolve` and
+`divide` for products mod f and exact division, `monic_gcd`, and
+`squarefree_parts` for Yun's squarefree split (with the p-th root
+g(x^p) -> g(x) where the derivative vanishes).  For each monic squarefree
+part f of degree n, x^p mod f is computed once, left to right over the
+bits of p: floor(log2 p) squarings, and for each set bit below the top one
+a product with x, which is a shift and one reduction step (19 squarings at
+p = 1000003, where square-and-multiply takes 27 products).  It is extended
+to the Frobenius matrix, the rows x^(p*i) mod f for i < n (n - 2 more
+products).  Since h(x)^p = h(x^p) over F_p, every later p-th power mod f
+is that matrix applied to h: n^2 integer multiply-adds instead of a
+square-and-multiply chain.  A distinct-degree step costs one application
+and one gcd; the rest continues with the rows reduced mod itself, and a
+block that splits off reduces them only if it holds more than one
+irreducible, which is when equal-degree splitting reads them.
+Equal-degree splitting of a block of degree-d factors forms
+r^((p^d-1)/2) as (r * r^p * ... * r^(p^(d-1)))^((p-1)/2): d - 1
+applications and d - 1 products, then one power of exponent (p-1)/2.  For
+p = 2 the trace map is a sum of d - 1 applications.  (von zur Gathen &
+Gerhard, Modern Computer Algebra, ch. 14.)
 
 Factor order is deterministic: ascending degree, then ascending coefficient
 tuples.  The factorization into monic irreducibles is unique, so the
@@ -47,7 +48,8 @@ from fractions import Fraction
 
 from .errors import DomainError, ZeroInputError
 from .fields import FieldScalar, PrimeField, RationalField, power
-from .poly import Polynomial
+from .poly import (Polynomial, convolve, divide, monic_gcd,
+                   squarefree_parts, trim)
 
 DEFAULT_SEED = 20140901
 
@@ -80,127 +82,28 @@ def _sorted_factors(items: list[Factor]) -> tuple[Factor, ...]:
     return tuple(sorted(items, key=lambda it: it.base.sort_key()))
 
 
-def _divide_monic(F: PrimeField, a, m) -> tuple[list, list]:
-    """Quotient and remainder of the int list a by the monic m over F_p.
-
-    The entries of a may be any ints, such as an unreduced product: sums
-    stay exact and each entry is reduced once, when it is read as a quotient
-    or a remainder coefficient.  The remainder has deg(m) entries,
-    zero-padded.
-    """
-    p = F.p
-    n = len(m) - 1
-    low = m[:n]
-    work = list(a)
-    quot = []
-    for i in range(len(work) - 1, n - 1, -1):
-        c = work[i] % p
-        quot.append(c)
-        if c:
-            k = i - n
-            for b in low:
-                work[k] -= c * b
-                k += 1
-    quot.reverse()
-    rem = [w % p for w in work[:n]]
-    rem.extend([0] * (n - len(rem)))
-    return quot, rem
-
-
-def _trim(a: list) -> list:
-    """a without its trailing zeros, trimmed in place."""
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _product(a, b) -> list:
-    """The exact, unreduced integer product of two int lists."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            k = i
-            for y in b:
-                out[k] += x * y
-                k += 1
-    return out
-
-
-def _mul_mod(F: PrimeField, a, b, m) -> list:
+def _mul_mod(F: PrimeField, a, b, m) -> tuple:
     """The product a*b modulo the monic m."""
-    return _divide_monic(F, _product(a, b), m)[1]
+    return divide(F, convolve(F, a, b), m)[1]
 
 
-def _monic(F: PrimeField, a: list) -> list:
-    """a divided by its leading coefficient."""
-    if a[-1] == 1:
-        return a
-    p = F.p
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
-
-
-def _gcd(F: PrimeField, a: list, b: list) -> list:
-    """Monic gcd of two trimmed int lists, a nonzero."""
-    while b:
-        b = _monic(F, b)
-        a, b = b, _trim(_divide_monic(F, a, b)[1])
-    return _monic(F, a)
-
-
-def _squarefree_parts(F: PrimeField, f: list) -> list[tuple[list, int]]:
-    """Yun's squarefree decomposition of the monic f: (monic squarefree part,
-    multiplicity), pairwise coprime, ascending in multiplicity.
-
-    The cofactor whose derivative vanishes is g(x^p) = h(x)^p over F_p, and
-    its p-th root h takes every p-th coefficient.  At the level of p^j the
-    multiplicities are p^j * k with p not dividing k, so no two parts share
-    one.
-    """
-    p = F.p
-    out = []
-
-    def rec(g: list, scale: int):
-        if len(g) <= 1:
-            return
-        d = _trim([k * c % p for k, c in enumerate(g)][1:])
-        if not d:
-            rec(g[::p], scale * p)
-            return
-        c = _gcd(F, g, d)
-        w = _divide_monic(F, g, c)[0]
-        mult = scale
-        while len(w) > 1:
-            y = _gcd(F, w, c)
-            z = _divide_monic(F, w, y)[0]
-            if len(z) > 1:
-                out.append((z, mult))
-            c = _divide_monic(F, c, y)[0]
-            w = y
-            mult += scale
-        rec(c[::p], scale * p)
-
-    rec(f, 1)
-    return sorted(out, key=lambda item: item[1])
-
-
-def _x_to_the_p(F: PrimeField, m) -> list:
+def _x_to_the_p(F: PrimeField, m) -> tuple:
     """x^p modulo the monic m, left to right over the bits of p: a squaring
     for each bit below the top one and, where that bit is set, a product
     with x, which is a shift and one reduction step."""
-    h = _divide_monic(F, [0, 1], m)[1]
+    h = divide(F, (0, 1), m)[1]
     for bit in bin(F.p)[3:]:
         h = _mul_mod(F, h, h, m)
         if bit == "1":
-            h = _divide_monic(F, [0] + h, m)[1]
+            h = divide(F, (0,) + h, m)[1]
     return h
 
 
-def _frobenius_rows(F: PrimeField, m) -> list[list]:
+def _frobenius_rows(F: PrimeField, m) -> list[tuple]:
     """Rows x^(p*i) mod m for i < deg(m), m monic: the matrix of the
     Frobenius map h -> h^p on F_p[x]/(m)."""
     xp = _x_to_the_p(F, m)
-    rows = [_divide_monic(F, [1], m)[1], xp]
+    rows = [divide(F, (1,), m)[1], xp]
     while len(rows) < len(m) - 1:
         rows.append(_mul_mod(F, rows[-1], xp, m))
     return rows[:len(m) - 1]
@@ -219,7 +122,7 @@ def _frobenius(F: PrimeField, rows: list, h) -> list:
 
 def _reduce_rows(F: PrimeField, rows: list, g: list) -> list:
     """The Frobenius rows modulo g, a monic divisor of their modulus."""
-    return [_divide_monic(F, row, g)[1] for row in rows[:len(g) - 1]]
+    return [divide(F, row, g)[1] for row in rows[:len(g) - 1]]
 
 
 def _distinct_degree(F: PrimeField, f: list) -> list[tuple[int, list, list]]:
@@ -239,12 +142,12 @@ def _distinct_degree(F: PrimeField, f: list) -> list[tuple[int, list, list]]:
         h = _frobenius(F, rows, h)  # x^(p^d) mod rest
         shifted = list(h)
         shifted[1] = (shifted[1] - 1) % F.p
-        g = _gcd(F, rest, _trim(shifted))
+        g = monic_gcd(F, rest, trim(F, shifted))
         if len(g) > 1:
             out.append((d, g, rows))
-            rest = _divide_monic(F, rest, g)[0]
+            rest = divide(F, rest, g)[0]
             rows = _reduce_rows(F, rows, rest)
-            h = _divide_monic(F, h, rest)[1]
+            h = divide(F, h, rest)[1]
     return out
 
 
@@ -275,10 +178,10 @@ def _split_equal_degree(F: PrimeField, f: list, d: int, rows: list,
                 acc = _mul_mod(F, acc, term, f)
             acc = power(lambda a, b: _mul_mod(F, a, b, f), rows[0], acc,
                         (p - 1) // 2)
-            acc[0] = (acc[0] - 1) % p
-        g = _gcd(F, f, _trim(acc))
+            acc = [(acc[0] - 1) % p, *acc[1:]]
+        g = monic_gcd(F, f, trim(F, acc))
         if 1 < len(g) < len(f):
-            rest = _divide_monic(F, f, g)[0]
+            rest = divide(F, f, g)[0]
             return (_split_equal_degree(F, g, d, rows, rng)
                     + _split_equal_degree(F, rest, d, rows, rng))
 
@@ -298,7 +201,7 @@ def _factor_prime_field(f: Polynomial, seed: int | None = None) -> Factorization
     rng = random.Random(DEFAULT_SEED if seed is None else seed)
     unit = FieldScalar(field, f.leading_coefficient())
     items: list[Factor] = []
-    for part, mult in _squarefree_parts(field, _monic(field, list(f.coeffs))):
+    for part, mult in squarefree_parts(field, f.coeffs):
         for d, block, rows in _distinct_degree(field, part):
             for irreducible in _split_equal_degree(field, block, d, rows, rng):
                 items.append(Factor(Polynomial(field, irreducible, f.var),

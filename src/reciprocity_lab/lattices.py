@@ -366,29 +366,28 @@ LITERAL_BOUND = 1000
 def parse_lattice(text: str) -> MonomialLattice:
     """Parse "ray:<n0>;add:<i,...>;del:<i,...>" (add and del optional).
 
-    Every integer must lie in [-LITERAL_BOUND, LITERAL_BOUND].
+    Each clause may appear once, and every integer must lie in
+    [-LITERAL_BOUND, LITERAL_BOUND].
     """
-    n0 = None
-    added: list[int] = []
-    removed: list[int] = []
+    clauses: dict[str, list[int]] = {}
     for chunk in text.strip().split(";"):
         if not chunk:
             continue
         head, _, body = chunk.partition(":")
         head = head.strip()
+        if head not in ("ray", "add", "del"):
+            raise ParseError(f"unknown lattice clause {head!r}")
+        if head in clauses:
+            raise ParseError(f"repeated lattice clause {head!r}")
         try:
-            if head == "ray":
-                n0 = int(body)
-            elif head == "add":
-                added = [int(s) for s in body.split(",") if s.strip()]
-            elif head == "del":
-                removed = [int(s) for s in body.split(",") if s.strip()]
-            else:
-                raise ParseError(f"unknown lattice clause {head!r}")
+            clauses[head] = ([int(body)] if head == "ray" else
+                             [int(s) for s in body.split(",") if s.strip()])
         except ValueError as exc:
             raise ParseError(f"bad integer in lattice literal: {chunk!r}") from exc
-    if n0 is None:
+    if "ray" not in clauses:
         raise ParseError("lattice literal needs a ray:<n0> clause")
+    [n0] = clauses["ray"]
+    added, removed = clauses.get("add", []), clauses.get("del", [])
     for n in (n0, *added, *removed):
         if abs(n) > LITERAL_BOUND:
             raise ParseError(f"lattice literal integer {n} is outside "

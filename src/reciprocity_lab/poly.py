@@ -5,33 +5,50 @@ polynomial is the empty tuple and its degree is the sentinel None, never -1,
 so callers are forced to treat it explicitly.
 
 This module also owns the kernels on bare coefficient sequences that every
-dense type shares (k[t], k[T]/(pi), truncated k((w)) and k[z]/(z^(N+1))):
-`convolve` (products), `divide` (quotient and remainder, the one division
-loop over a generic field; factorization over F_p has its own on ints),
-`trim` (dropping trailing zeros) and `series_quotient` (power-series
-division).  `gcd` and `resultant` walk their remainder sequences as trimmed
+dense type shares (k[t], k[T]/(pi), truncated k((w)) and k[z]/(z^(N+1)))
+and factorization over F_p: `convolve` (products), `divide` (quotient and
+remainder, the one division loop), `monic_gcd` (the one Euclid loop),
+`squarefree_parts` (the one Yun loop), `trim` (dropping trailing zeros)
+and `series_quotient` (power-series division).  It is the only module that
+decides how coefficients are multiplied and divided: `convolve` and
+`divide` check once per call for F_p, where they run on ints with exact
+sums and reduce each entry mod p once, and otherwise call the field's
+methods.  `gcd` and `resultant` walk their remainder sequences as trimmed
 tuples and build a `Polynomial` only for the result.
-
-`Polynomial.squarefree_part_decomposition` is Yun's loop in characteristic 0
-only, the first step of factoring over Q; factorization over F_p runs its
-own on ints.
 """
 from __future__ import annotations
 
 from operator import mul as _mul
 
 from .errors import DomainError, MixedFieldError, ZeroInputError
-from .fields import Field, ensure_same_field, power
+from .fields import Field, PrimeField, ensure_same_field, power
 
 
 def convolve(F: Field, a, b, length: int | None = None) -> list:
     """Coefficients of the product of the sequences a and b over F.
 
     Entry k sums a[i]*b[j] over i + j = k, for k < `length` (default: the
-    full product length).  Zero coefficients on either side cost nothing.
+    full product length), zero-padded past the product.  Over F_p the full
+    product is summed in exact ints, zeros of a are skipped, and each entry
+    kept is reduced once; over other fields zero coefficients on either
+    side cost nothing.
     """
+    full = len(a) + len(b) - 1
+    if isinstance(F, PrimeField):
+        out = [0] * full
+        for i, x in enumerate(a):
+            if x:
+                k = i
+                for y in b:
+                    out[k] += x * y
+                    k += 1
+        p = F.p
+        if length is None:
+            return [c % p for c in out]
+        out = [c % p for c in out[:length]]
+        return out + [0] * (length - len(out))
     if length is None:
-        length = len(a) + len(b) - 1
+        length = full
     out = [F.zero] * length
     right = [(j, y) for j, y in enumerate(b) if not F.is_zero(y)]
     for i, x in enumerate(a[:length]):
@@ -49,23 +66,88 @@ def divide(F: Field, a, b) -> tuple[list, tuple]:
 
     b must end in a nonzero coefficient.  The remainder has exactly
     len(b) - 1 entries (zero-padded, not trimmed).  b is inverted only when
-    it is not monic and a is not shorter than b.
+    it is not monic and a is not shorter than b.  Over F_p the entries of a
+    may be any ints: sums stay exact and each entry is reduced once, when
+    it is read as a quotient or a remainder coefficient.
     """
     d = len(b) - 1
     work = list(a)
     quot = [F.zero] * (len(work) - d)
     inv_lc = None if not quot or F.eq(b[-1], F.one) else F.inv(b[-1])
-    for i in range(len(work) - 1, d - 1, -1):
-        c = work[i]
-        if F.is_zero(c):
+    if isinstance(F, PrimeField):
+        p = F.p
+        low = b[:d]
+        for i in range(len(work) - 1, d - 1, -1):
+            c = work[i] % p
+            if c:
+                if inv_lc is not None:
+                    c = c * inv_lc % p
+                quot[i - d] = c
+                k = i - d
+                for y in low:
+                    work[k] -= c * y
+                    k += 1
+        rem = [w % p for w in work[:d]]
+    else:
+        for i in range(len(work) - 1, d - 1, -1):
+            c = work[i]
+            if F.is_zero(c):
+                continue
+            if inv_lc is not None:
+                c = F.mul(c, inv_lc)
+            quot[i - d] = c
+            for j in range(d):
+                work[i - d + j] = F.sub(work[i - d + j], F.mul(c, b[j]))
+        rem = work[:d]
+    if len(rem) < d:
+        rem += [F.zero] * (d - len(rem))
+    return quot, tuple(rem)
+
+
+def monic_gcd(F: Field, a, b) -> tuple:
+    """Monic greatest common divisor of the trimmed coefficient sequences
+    a and b over F, by Euclid's loop; gcd(0, 0) = ()."""
+    while b:
+        a, b = b, trim(F, divide(F, a, b)[1])
+    if not a or F.eq(a[-1], F.one):
+        return tuple(a)
+    inv = F.inv(a[-1])
+    return tuple(F.mul(inv, c) for c in a)
+
+
+def squarefree_parts(F: Field, f) -> list[tuple[tuple, int]]:
+    """Yun's squarefree decomposition of the nonzero trimmed sequence f: a
+    list of (monic squarefree part, multiplicity), pairwise coprime,
+    ascending in multiplicity, whose weighted product is f made monic.
+
+    With c = gcd(f, f') and w = f/c, each step takes y = gcd(w, c): the part
+    of multiplicity m is w/y, and the loop goes on with c/y and y.  Only in
+    characteristic p can the derivative vanish: then f = g(x^p) = h(x)^p,
+    its p-th root h keeps every p-th coefficient, and the multiplicities
+    found in h are scaled by p.  At the level of p^j they are p^j * k with
+    p not dividing k, so no two parts share one (Yun, SYMSAC 1976).
+    """
+    out = []
+    scale = 1
+    f = monic_gcd(F, f, ())
+    while len(f) > 1:
+        d = trim(F, [F.mul(F.from_int(k), c) for k, c in enumerate(f)][1:])
+        if not d:
+            f, scale = f[::F.char], scale * F.char
             continue
-        if inv_lc is not None:
-            c = F.mul(c, inv_lc)
-        quot[i - d] = c
-        for j in range(d):
-            work[i - d + j] = F.sub(work[i - d + j], F.mul(c, b[j]))
-    work.extend([F.zero] * (d - len(work)))
-    return quot, tuple(work[:d])
+        c = monic_gcd(F, f, d)
+        w = divide(F, f, c)[0]
+        m = scale
+        while len(w) > 1:
+            y = monic_gcd(F, w, c)
+            z = divide(F, w, y)[0]
+            if len(z) > 1:
+                out.append((tuple(z), m))
+            c = divide(F, c, y)[0]
+            w = y
+            m += scale
+        f = c
+    return sorted(out, key=lambda item: item[1])
 
 
 def series_quotient(F: Field, num, den, terms: int) -> list:
@@ -237,11 +319,9 @@ class Polynomial:
     def gcd(self, other: "Polynomial") -> "Polynomial":
         """Monic greatest common divisor; gcd(0, 0) = 0."""
         self._compat(other)
-        F = self.field
-        a, b = self.coeffs, other.coeffs
-        while b:
-            a, b = b, trim(F, divide(F, a, b)[1])
-        return Polynomial(F, a, self.var).monic()
+        return Polynomial(self.field,
+                          monic_gcd(self.field, self.coeffs, other.coeffs),
+                          self.var)
 
     def derivative(self) -> "Polynomial":
         F = self.field
@@ -310,14 +390,10 @@ class Polynomial:
             f, g = g, r
 
     def squarefree_part_decomposition(self):
-        """Yun's squarefree decomposition in characteristic 0: a list of
-        (monic squarefree part, multiplicity), pairwise coprime, ascending
-        in multiplicity, whose weighted product is the monic part.
-
-        With c = gcd(f, f') and w = f/c, each step takes y = gcd(w, c): the
-        part of multiplicity m is w/y, and the loop goes on with c/y and y.
-        Over F_p a part can have derivative 0, so `factor_polynomial` splits
-        there on its own (Yun, SYMSAC 1976).
+        """Yun's squarefree decomposition (`squarefree_parts`) of the monic
+        part, in characteristic 0: a list of (monic squarefree part,
+        multiplicity), pairwise coprime and ascending in multiplicity.
+        Over F_p `factor_polynomial` runs the same loop on the coefficients.
         """
         F = self.field
         if F.char:
@@ -326,20 +402,8 @@ class Polynomial:
                 "characteristic 0; factor_polynomial splits over F_p")
         if self.is_zero():
             raise ZeroInputError("zero polynomial has no squarefree decomposition")
-        f = self.monic()
-        c = f.gcd(f.derivative())
-        w = f.exact_div(c)
-        parts = []
-        m = 1
-        while not w.is_constant():
-            y = w.gcd(c)
-            z = w.exact_div(y)
-            if not z.is_constant():
-                parts.append((z, m))
-            c = c.exact_div(y)
-            w = y
-            m += 1
-        return parts
+        return [(Polynomial(F, g, self.var), m)
+                for g, m in squarefree_parts(F, self.coeffs)]
 
     def __eq__(self, other):
         if isinstance(other, int):

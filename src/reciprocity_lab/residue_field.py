@@ -16,7 +16,7 @@ coefficients in it and its classes travel as `FieldScalar`s tagged with it.
 """
 from __future__ import annotations
 
-from .errors import MixedFieldError, ZeroInputError
+from .errors import DomainError, MixedFieldError, ZeroInputError
 from .fields import Field, FieldScalar
 from .poly import Polynomial, convolve, divide, trim
 
@@ -29,7 +29,7 @@ class ResidueField(Field):
 
     def __init__(self, modulus: Polynomial):
         if not modulus.is_monic() or modulus.degree < 1:
-            raise ZeroInputError("residue field modulus must be monic of degree >= 1")
+            raise DomainError("residue field modulus must be monic of degree >= 1")
         F = modulus.field
         self.base = F
         self.modulus = modulus

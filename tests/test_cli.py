@@ -169,8 +169,9 @@ def test_parse_errors_exit_2(capsys):
                        "--place", "t")
     assert code == 2
     assert "parse error" in err
-    # a bad integer, no ray clause, a removed exponent below the ray start
-    for text in ("ray:]", "add:1", "ray:0;del:-1"):
+    # a bad integer, no ray clause, a removed exponent below the ray start,
+    # a repeated clause
+    for text in ("ray:]", "add:1", "ray:0;del:-1", "ray:0;add:-3;add:-2"):
         code, _, err = run(capsys, "index", "--f", "t", "--place", "t",
                            "--lattice", text)
         assert code == 2, text

@@ -190,8 +190,10 @@ def test_parse_lattice_grammar():
     assert parse_lattice("ray:0;;add:-1") == parse_lattice("ray:0;add:-1")
     with pytest.raises(ParseError):
         parse_lattice("add:1")
-    # bad set data surfaces as a parse failure too
-    for text in ("ray:0;add:5", "ray:0;del:-1"):
+    # bad set data surfaces as a parse failure too, and so does a clause
+    # given twice
+    for text in ("ray:0;add:5", "ray:0;del:-1", "ray:0;add:-3;add:-2",
+                 "ray:0;ray:5", "ray:0;del:2;add:-1;del:3"):
         with pytest.raises(ParseError):
             parse_lattice(text)
 

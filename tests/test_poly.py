@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from reciprocity_lab.errors import DomainError, ZeroInputError
-from reciprocity_lab.fields import field_from_descriptor
+from reciprocity_lab.fields import Field, PrimeField, field_from_descriptor
 from reciprocity_lab.funcfield import FractionField, RationalFunction
-from reciprocity_lab.poly import Polynomial, divide
+from reciprocity_lab.poly import (Polynomial, convolve, divide, monic_gcd,
+                                  squarefree_parts, trim)
 from reciprocity_lab.residue_field import ResidueField
 
 from helpers import F2, F5, F13, Q, rand_poly
@@ -355,3 +356,113 @@ def test_products_skip_zero_coefficients_on_both_sides(monkeypatch):
     calls.clear()
     assert cube * left == left.shift(3)
     assert len(calls) == 2
+
+
+class GenericPrimeField(Field):
+    """F_p with PrimeField's arithmetic that is not a PrimeField, so the
+    kernels run their generic loops on it: the reference for their F_p
+    loops on ints."""
+
+    def __init__(self, p: int):
+        self.prime = PrimeField(p)
+        self.char = p
+        self.descriptor = f"generic-Fp:{p}"
+        self.zero, self.one = self.prime.zero, self.prime.one
+
+    def __getattr__(self, name):
+        return getattr(self.prime, name)
+
+
+KERNEL_PRIMES = (2, 3, 5, 13, 1000003)
+
+
+def _kernel_sequences(rng, p, count):
+    """Coefficient lists of length 0-8, about a third of their entries 0,
+    ending in a nonzero entry."""
+    out = []
+    for _ in range(count):
+        seq = [rng.randrange(p) if rng.random() < 0.65 else 0
+               for _ in range(rng.randint(0, 8))]
+        if seq:
+            seq[-1] = rng.randrange(1, p)
+        out.append(seq)
+    return out
+
+
+def _squarefree_inputs(rng, p):
+    """Products of 1-4 powers of monic pieces of degree 1-3, some scaled by
+    a unit; for p <= 13 also inputs with p-th-power parts, whose
+    derivative vanishes in part or whole."""
+    F = PrimeField(p)
+    t = Polynomial.variable(F)
+    cases = []
+    for _ in range(25):
+        f = Polynomial.constant(F, rng.randrange(1, p))
+        for _ in range(rng.randint(1, 4)):
+            piece = Polynomial(F, [rng.randrange(p)
+                                   for _ in range(rng.randint(1, 3))] + [1])
+            f = f * piece ** rng.randint(1, 4)
+        cases.append(f)
+    if p <= 13:
+        cases += [(t ** p + 1) ** 2 * t ** 3, t ** (2 * p) + 2,
+                  (t + 1) ** (p + 1) * (t ** 2 + 1) ** p, t ** p * (t + 2),
+                  t ** (3 * p) * (t ** p - 1) ** 2 * (t + 1)]
+    if p <= 3:
+        cases.append((t ** 2 + t + 1) ** (p * p))
+    return cases
+
+
+def test_prime_field_kernels_agree_with_their_generic_loops():
+    rng = random.Random(83)
+    for p in KERNEL_PRIMES:
+        F, G = PrimeField(p), GenericPrimeField(p)
+        seqs = _kernel_sequences(rng, p, 40) + [[], [1], [0, 1]]
+        for _ in range(300):
+            a, b = rng.choice(seqs), rng.choice(seqs)
+            full = len(a) + len(b) - 1
+            for length in (None, 0, 1, max(full - 2, 0), full, full + 3):
+                assert convolve(F, a, b, length) == convolve(G, a, b, length), \
+                    (p, a, b, length)
+            if b:
+                # monic and non-monic divisors, longer and shorter than a
+                monic = [c * pow(b[-1], -1, p) % p for c in b]
+                for divisor in (b, monic):
+                    got = divide(F, a, divisor)
+                    assert got == divide(G, a, divisor), (p, a, divisor)
+                    assert len(got[1]) == len(divisor) - 1
+            common = rng.choice(seqs) or [1]
+            x, y = convolve(F, a, common), convolve(F, b, common)
+            for u, v in ((a, b), (x, y), (a, []), ([], b), ([], [])):
+                u, v = trim(F, u), trim(F, v)
+                assert monic_gcd(F, u, v) == monic_gcd(G, u, v), (p, u, v)
+        for f in _squarefree_inputs(rng, p):
+            parts = squarefree_parts(F, f.coeffs)
+            assert parts == squarefree_parts(G, f.coeffs), (p, str(f))
+            mults = [m for _, m in parts]
+            assert mults == sorted(set(mults)), (p, str(f))
+            rebuilt = Polynomial.one(F)
+            for g, m in parts:
+                rebuilt = rebuilt * Polynomial(F, g) ** m
+            assert rebuilt == f.monic(), (p, str(f))
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def test_prime_field_squarefree_parts_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(89)
+    checked = 0
+    for p in KERNEL_PRIMES:
+        for f in _squarefree_inputs(rng, p):
+            expr = sum(int(c) * x ** k for k, c in enumerate(f.coeffs))
+            _, items = sympy.sqf_list(expr, x, modulus=p)
+            expected = []
+            for g, m in items:
+                coeffs = [int(c) % p
+                          for c in reversed(sympy.Poly(g, x).all_coeffs())]
+                inv = pow(coeffs[-1], -1, p)
+                expected.append((tuple(c * inv % p for c in coeffs), int(m)))
+            assert squarefree_parts(f.field, f.coeffs) == sorted(
+                expected, key=lambda item: item[1]), (p, str(f))
+            checked += 1
+    assert checked >= 140
