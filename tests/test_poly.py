@@ -390,9 +390,9 @@ def _kernel_sequences(rng, p, count):
 
 
 def _squarefree_inputs(rng, p):
-    """Products of 1-4 powers of monic pieces of degree 1-3, some scaled by
-    a unit; for p <= 13 also inputs with p-th-power parts, whose
-    derivative vanishes in part or whole."""
+    """A random unit times 1-4 powers of monic pieces of degree 1-3; for
+    p <= 13 also inputs with p-th-power parts, whose derivative vanishes in
+    part or whole."""
     F = PrimeField(p)
     t = Polynomial.variable(F)
     cases = []
