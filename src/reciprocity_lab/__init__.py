@@ -11,7 +11,7 @@ from .errors import (DomainError, HypothesisViolation, MixedFieldError,
 from .fields import (Field, FieldScalar, PrimeField, RationalField,
                      field_from_descriptor)
 from .poly import Polynomial
-from .factor import Factor, Factorization, factor_polynomial, is_irreducible
+from .factor import Factor, Factorization, factor_polynomial
 from .residue_field import ResidueField
 from .funcfield import FractionField, Place, RationalFunction, support_union
 from .localfield import LaurentSeries, expand
@@ -20,9 +20,9 @@ from .lattices import (BlockShiftOperator, MonomialLattice, lattice_index,
 from .tate import (abstract_residue_trace, banded_commutator_trace,
                    classical_residue, differential_residue, minimal_window)
 from .report import VerificationReport
-from .symbols1d import (hilbert_symbol, hilbert_verify, milnor_symbol,
-                        residue_differential, residue_theorem_verify,
-                        sum_of_valuations_verify, tame_symbol, weil_verify)
+from .symbols1d import (hilbert_symbol, hilbert_verify, residue_differential,
+                        residue_theorem_verify, sum_of_valuations_verify,
+                        tame_symbol, weil_verify)
 from .xsymbol import (IndexSymbol, ResidueSymbol, TameSymbol, XSymbolFamily,
                       curve_index_family, curve_residue_family,
                       curve_tame_family, general_reciprocity_run,
@@ -33,7 +33,7 @@ from .surface import (curve_place, curve_tame, curve_valuation, hk4, horozov3,
                       surface_generators, vbar)
 from .segalwilson import (DEFAULT_ORDER, TruncatedPowerSeries, cocycle_c,
                           cocycle_on_lattice, exp_z2, sw_verify)
-from .parsing import parse_field, parse_place, parse_rational, parse_surface
+from .parsing import parse_place, parse_rational, parse_surface
 
 __version__ = "0.1.0"
 
@@ -54,10 +54,9 @@ __all__ = [
     "factor_polynomial",
     "field_from_descriptor", "general_reciprocity_run", "hilbert_symbol",
     "hilbert_verify", "hk4", "horozov3", "independence_check",
-    "is_irreducible", "lambda_shift", "lattice_index", "milnor_symbol",
-    "minimal_window", "nu_symbol", "nu_verify", "parse_field",
-    "parse_lattice", "parse_place", "parse_rational", "parse_surface",
-    "parshin3", "phi_z",
+    "lambda_shift", "lattice_index", "minimal_window", "nu_symbol",
+    "nu_verify", "parse_lattice", "parse_place", "parse_rational",
+    "parse_surface", "parshin3", "phi_z",
     "reciprocity_verify_2d", "residue_differential",
     "residue_theorem_verify", "restrict_to_curve", "sum_of_valuations_verify",
     "support_union", "surface_generators", "sw_verify", "tame_symbol",

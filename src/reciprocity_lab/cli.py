@@ -23,9 +23,9 @@ import sys
 from typing import Callable, NamedTuple
 
 from .errors import HypothesisViolation, ParseError, ReciprocityError
-from .fields import Field
+from .fields import Field, field_from_descriptor
 from .lattices import BlockShiftOperator, lattice_index, parse_lattice
-from .parsing import parse_field, parse_place, parse_rational, parse_surface
+from .parsing import parse_place, parse_rational, parse_surface
 from .report import VerificationReport
 from .segalwilson import DEFAULT_ORDER, ORDER_BOUND, cocycle_c, sw_verify
 from .surface import (hk4, horozov3, nu_symbol, nu_verify, parshin3,
@@ -80,7 +80,7 @@ def _order(args) -> dict:
 
 
 def _index(args) -> VerificationReport:
-    field = parse_field(args.field)
+    field = field_from_descriptor(args.field)
     f = parse_rational(args.f, field)
     if args.verify:
         return general_reciprocity_run(curve_index_family(f))
@@ -95,7 +95,7 @@ def _index(args) -> VerificationReport:
 
 
 def _xsymbol(args) -> VerificationReport:
-    field = parse_field(args.field)
+    field = field_from_descriptor(args.field)
     f = parse_rational(args.f, field)
     if args.instance == "index":
         family = curve_index_family(f)
@@ -233,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _symbol_or_law(command: _Command, args) -> VerificationReport:
     """Parse --field, the functions, --z and --place, in that order; the
     law when --place is absent or --verify is set, else the value there."""
-    field = parse_field(args.field)
+    field = field_from_descriptor(args.field)
     params = command.params(args)
     parse = parse_surface if command.surface else parse_rational
     functions = [parse(getattr(args, name), field)

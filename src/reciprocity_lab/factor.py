@@ -35,9 +35,11 @@ p = 2 the trace map is a sum of d - 1 applications.  (von zur Gathen &
 Gerhard, Modern Computer Algebra, ch. 14.)
 
 Factor order is deterministic: ascending degree, then ascending coefficient
-tuples.  The factorization into monic irreducibles is unique, so the
-Cantor-Zassenhaus seed only picks the splitting path, never the factors;
-the library never passes one, so DEFAULT_SEED always applies.
+tuples.  Irreducibility is read off the factors, as `Place.finite` does: one
+certified factor of multiplicity 1.  The factorization into monic
+irreducibles is unique, so the Cantor-Zassenhaus seed only picks the
+splitting path, never the factors; the library never passes one, so
+DEFAULT_SEED always applies.
 """
 from __future__ import annotations
 
@@ -308,18 +310,3 @@ def factor_polynomial(f: Polynomial) -> Factorization:
         _factor_cache.clear()
     _factor_cache[key] = result
     return result
-
-
-def is_irreducible(f: Polynomial) -> bool:
-    """True when f is certified irreducible over its ground field.
-
-    False covers both a genuine splitting and, over Q, a single factor the
-    limited factorizer could not certify (t^4 + 2, say); callers that must
-    tell the two apart read the certified flag of `factor_polynomial`.
-    """
-    if f.is_zero() or f.is_constant():
-        return False
-    fac = factor_polynomial(f)
-    if len(fac.factors) != 1 or fac.factors[0].multiplicity != 1:
-        return False
-    return fac.factors[0].certified

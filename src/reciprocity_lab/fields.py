@@ -328,9 +328,6 @@ class FieldScalar:
     def __neg__(self):
         return FieldScalar(self.field, self.field.neg(self.raw))
 
-    def inverse(self) -> "FieldScalar":
-        return FieldScalar(self.field, self.field.inv(self.raw))
-
     def is_zero(self) -> bool:
         return self.field.is_zero(self.raw)
 

@@ -215,9 +215,6 @@ class RationalFunction:
             return RationalFunction(self.den ** (-n), self.num ** (-n))
         return RationalFunction(self.num ** n, self.den ** n)
 
-    def inverse(self) -> "RationalFunction":
-        return self ** (-1)
-
     def derivative(self) -> "RationalFunction":
         return RationalFunction(
             self.num.derivative() * self.den - self.num * self.den.derivative(),
@@ -286,7 +283,7 @@ class RationalFunction:
         """Raw residue-field value of the unit part f * z**(-v) at the place."""
         _, u, w = self.split(place)
         L = place.residue_field()
-        return L.div(L.from_polynomial(u), L.from_polynomial(w))
+        return L.div(L.from_coeffs(u.coeffs), L.from_coeffs(w.coeffs))
 
     def evaluate(self, place: Place) -> FieldScalar:
         """The class of f in the residue field; f must be a unit at the place."""
@@ -296,7 +293,7 @@ class RationalFunction:
         if v != 0:
             raise NotAUnitError(f"function has a zero or pole at {place}")
         L = place.residue_field()
-        return L.scalar(L.div(L.from_polynomial(u), L.from_polynomial(w)))
+        return L.scalar(L.div(L.from_coeffs(u.coeffs), L.from_coeffs(w.coeffs)))
 
     def support(self) -> list[tuple[Place, int]]:
         """The divisor of f: all places with nonzero valuation, canonical order.
@@ -392,7 +389,7 @@ class FractionField(Field):
     def inv(self, a):
         if a.is_zero():
             raise ZeroInputError(f"division by zero in {self.descriptor}")
-        return a.inverse()
+        return a ** -1
 
     def pow(self, a, n: int):
         return a ** n

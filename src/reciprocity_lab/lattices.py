@@ -220,9 +220,6 @@ class MonomialLattice:
             frozenset((r + m) % d for r in self.low_pat),
             frozenset((r + m) % d for r in self.high_pat))
 
-    def restrict_to_progression(self, residues, modulus: int) -> "MonomialLattice":
-        return self.intersect(MonomialLattice.progression(residues, modulus))
-
     def extract_progression(self, offset: int, step: int) -> "MonomialLattice":
         """The set {m : offset + m*step in self}; local coordinates of a block."""
         if step < 1:
@@ -417,7 +414,7 @@ class BlockShiftOperator:
     def apply(self, lattice: MonomialLattice) -> MonomialLattice:
         out = MonomialLattice.empty()
         for r in range(self.modulus):
-            part = lattice.restrict_to_progression((r,), self.modulus)
+            part = lattice.intersect(MonomialLattice.progression((r,), self.modulus))
             out = out.union(part.shift(self.shifts.get(r, 0)))
         return out
 

@@ -41,7 +41,7 @@ import re
 from functools import lru_cache, partial
 
 from .errors import ParseError, ZeroInputError
-from .fields import Field, field_from_descriptor, power
+from .fields import Field, power
 from .funcfield import FractionField, Place, RationalFunction
 from .poly import Polynomial
 
@@ -328,7 +328,3 @@ def parse_place(text: str, field: Field, var: str = "t") -> Place:
     if value.den.degree != 0:
         raise ParseError(f"a place needs a polynomial, got {text!r}")
     return Place.finite(value.num)
-
-
-def parse_field(text: str) -> Field:
-    return field_from_descriptor(text)

@@ -280,15 +280,9 @@ class Polynomial:
         F = self.field
         return Polynomial(F, [F.mul(raw, c) for c in self.coeffs], self.var)
 
-    def shift(self, k: int) -> "Polynomial":
-        """Multiply by var**k (k >= 0)."""
-        if not self.coeffs:
-            return self
-        return Polynomial(self.field, (self.field.zero,) * k + self.coeffs, self.var)
-
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
-            raise ZeroInputError("negative power of a polynomial")
+            raise DomainError("negative power of a polynomial")
         return power(_mul, Polynomial.one(self.field, self.var), self, n)
 
     def divmod(self, other: "Polynomial"):
@@ -299,22 +293,11 @@ class Polynomial:
         return (Polynomial(self.field, quot, self.var),
                 Polynomial(self.field, rem, self.var))
 
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return self.divmod(other)[1]
-
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return self.divmod(other)[0]
-
     def exact_div(self, other: "Polynomial") -> "Polynomial":
         q, r = self.divmod(other)
         if not r.is_zero():
-            raise ZeroInputError("division was not exact")
+            raise DomainError("division was not exact")
         return q
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
-            return self
-        return self.scale(self.field.inv(self.coeffs[-1]))
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
         """Monic greatest common divisor; gcd(0, 0) = 0."""

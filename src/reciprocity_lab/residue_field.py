@@ -68,9 +68,6 @@ class ResidueField(Field):
         """Reduce an arbitrary coefficient sequence mod pi into a raw tuple."""
         return divide(self.base, coeffs, self.modulus.coeffs)[1]
 
-    def from_polynomial(self, p: Polynomial):
-        return self.from_coeffs(p.coeffs)
-
     def is_zero(self, a) -> bool:
         F = self.base
         return all(F.is_zero(c) for c in a)

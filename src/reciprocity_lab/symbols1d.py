@@ -56,9 +56,9 @@ def monomial_symbol(functions, exponents, x: Place):
     factors = []
     for (_, u, w), e in zip(splits, es):
         if e:
-            factors.append((ring.from_polynomial(u), e))
+            factors.append((ring.from_coeffs(u.coeffs), e))
             if w.degree:
-                factors.append((ring.from_polynomial(w), -e))
+                factors.append((ring.from_coeffs(w.coeffs), -e))
     return ring.norm(ring.monomial(alpha, factors)), b
 
 
@@ -77,13 +77,6 @@ def _tame(f: RationalFunction, g: RationalFunction, x: Place):
 def tame_symbol(f: RationalFunction, g: RationalFunction, x: Place) -> FieldScalar:
     """The k-valued tame symbol: norm of the unit part with the degree sign."""
     return _tame(f, g, x)[0]
-
-
-def milnor_symbol(f: RationalFunction, g: RationalFunction, x: Place) -> FieldScalar:
-    """The rational-point form of the tame symbol; only for degree-1 places."""
-    if x.degree != 1:
-        raise DomainError("the rational-point symbol needs a degree-1 place")
-    return tame_symbol(f, g, x)
 
 
 def _hilbert_power(f: RationalFunction, m: int) -> int:

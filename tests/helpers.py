@@ -7,6 +7,7 @@ quadratic); over F_p any dense polynomial factors fine.
 import random
 from fractions import Fraction
 
+from reciprocity_lab.factor import factor_polynomial
 from reciprocity_lab.fields import field_from_descriptor
 from reciprocity_lab.funcfield import RationalFunction
 from reciprocity_lab.lattices import MonomialLattice
@@ -19,6 +20,15 @@ F3 = field_from_descriptor("Fp:3")
 F5 = field_from_descriptor("Fp:5")
 F7 = field_from_descriptor("Fp:7")
 F13 = field_from_descriptor("Fp:13")
+
+
+def certified_irreducible(f):
+    """True when f is one certified irreducible factor of multiplicity 1,
+    read off `factor_polynomial` the way `Place.finite` reads it; False for
+    a constant, a genuine splitting or an uncertified cofactor over Q."""
+    factors = factor_polynomial(f).factors
+    return (len(factors) == 1 and factors[0].multiplicity == 1
+            and factors[0].certified)
 
 
 def rand_poly(rng, field, max_deg, var="t", nonzero=False):

@@ -9,7 +9,7 @@ from reciprocity_lab.errors import (DomainError, MixedFieldError,
                                     ZeroInputError)
 from reciprocity_lab.funcfield import (FractionField, Place, RationalFunction,
                                       support_union)
-from reciprocity_lab.poly import Polynomial
+from reciprocity_lab.poly import Polynomial, monic_gcd
 
 from helpers import F3, F5, F7, Q, rand_fn, rand_fn_for, rand_fn_q
 
@@ -67,8 +67,9 @@ def test_canonical_form_matches_the_full_gcd_route():
             k, j = exponents.randint(0, 3), exponents.randint(0, 3)
             ck = c * Polynomial.variable(field) ** k
             tj = Polynomial.variable(field) ** j
-            pairs = ((p, c), (c, p), (p, q), (p, q.monic()), (p * q, q),
-                     (ck * p, tj), (tj, p), (p, ck), (p.shift(j), ck))
+            monic_q = Polynomial(field, monic_gcd(field, q.coeffs, ()))
+            pairs = ((p, c), (c, p), (p, q), (p, monic_q), (p * q, q),
+                     (ck * p, tj), (tj, p), (p, ck), (p * tj, ck))
             for num, den in pairs:
                 f = RationalFunction(num, den)
                 want_num, want_den = _full_gcd_form(num, den)
@@ -250,7 +251,7 @@ def test_arithmetic_mixes_polynomials_and_ints():
 def test_inverse_and_power():
     t = tt(Q)
     f = (t - 1) / t
-    assert f.inverse() * f == 1
+    assert f ** -1 * f == 1
     assert f ** -2 == (t / (t - 1)) ** 2
     assert f ** 0 == 1
 

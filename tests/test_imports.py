@@ -1,4 +1,8 @@
 import ast
+import contextlib
+import io
+import json
+import re
 from pathlib import Path
 
 import reciprocity_lab
@@ -120,3 +124,15 @@ def test_the_lattice_layer_depends_only_on_errors():
     siblings = {node.module for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.level}
     assert siblings == {"errors"}
+
+
+def test_the_readme_library_snippet_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    (snippet,) = re.findall(r"^```python\n(.*?)^```", library, re.M | re.S)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(snippet, "README.md", "exec"), {})
+    first, *rest = out.getvalue().splitlines()
+    assert first == "4"
+    assert json.loads("\n".join(rest))["ok"] is True

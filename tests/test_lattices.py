@@ -171,8 +171,8 @@ def test_extract_progression_splits_by_residue():
     odds = lattice.extract_progression(1, 2)
     assert evens == MonomialLattice.ray(0)
     assert odds == MonomialLattice.ray(0)
-    assert lattice.restrict_to_progression((0,), 2).extract_progression(0, 2) \
-        == MonomialLattice.ray(0)
+    assert lattice.intersect(MonomialLattice.progression((0,), 2)) \
+        .extract_progression(0, 2) == MonomialLattice.ray(0)
 
 
 def test_parse_lattice_grammar():

@@ -13,9 +13,8 @@ from reciprocity_lab.errors import (DomainError, ParseError,
 from reciprocity_lab.fields import field_from_descriptor
 from reciprocity_lab.funcfield import Place, RationalFunction
 from reciprocity_lab.parsing import (DEGREE_BOUND, DIGIT_BOUND,
-                                     EXPONENT_BOUND, _tokenize, parse_field,
-                                     parse_place, parse_rational,
-                                     parse_surface)
+                                     EXPONENT_BOUND, _tokenize, parse_place,
+                                     parse_rational, parse_surface)
 from reciprocity_lab.poly import Polynomial
 from reciprocity_lab.surface import surface_generators
 
@@ -130,16 +129,16 @@ def test_place_literals_in_other_variables():
 
 
 def test_field_descriptors():
-    assert parse_field("Q") is Q or parse_field("Q") == Q
-    assert parse_field("Fp:7") == F7
+    assert field_from_descriptor("Q") is Q
+    assert field_from_descriptor("Fp:7") == F7
     with pytest.raises(ParseError):
-        parse_field("R")
+        field_from_descriptor("R")
     with pytest.raises(ParseError):
-        parse_field("Fp:")
+        field_from_descriptor("Fp:")
     with pytest.raises(ParseError):
-        parse_field("Fp:x")
+        field_from_descriptor("Fp:x")
     with pytest.raises(DomainError):
-        parse_field("Fp:9")
+        field_from_descriptor("Fp:9")
 
 
 def test_whitespace_is_tolerated():

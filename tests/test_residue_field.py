@@ -4,12 +4,11 @@ from fractions import Fraction
 import pytest
 
 from reciprocity_lab.errors import DomainError, MixedFieldError, ZeroInputError
-from reciprocity_lab.factor import is_irreducible
 from reciprocity_lab.fields import Field
 from reciprocity_lab.poly import Polynomial
 from reciprocity_lab.residue_field import ResidueField
 
-from helpers import F3, F5, F7, Q
+from helpers import F3, F5, F7, Q, certified_irreducible
 
 
 def quadratic_ring(field, b, c, var="T"):
@@ -32,7 +31,7 @@ def test_norm_matches_multiplication_matrix_determinant():
         for b, c in ((0, 2), (1, 1), (3, 4)):
             modulus = Polynomial(field, [field.from_int(c),
                                          field.from_int(b), field.one], "T")
-            if not is_irreducible(modulus):
+            if not certified_irreducible(modulus):
                 continue
             ring = quadratic_ring(field, b, c)
             for _ in range(25):
@@ -54,7 +53,7 @@ def test_trace_of_the_generator():
 def test_norm_is_multiplicative_and_trace_additive():
     rng = random.Random(41)
     t = Polynomial.variable(F5, "T")
-    ring = ResidueField((t ** 3 + t + 1).monic())
+    ring = ResidueField(t ** 3 + t + 1)
     for _ in range(40):
         a = ring.from_coeffs([F5.from_int(rng.randint(0, 4)) for _ in range(3)])
         b = ring.from_coeffs([F5.from_int(rng.randint(0, 4)) for _ in range(3)])
@@ -122,7 +121,7 @@ def test_classes_of_different_places_do_not_mix():
 def test_frobenius_fixed_points_have_full_norm():
     # over F_p the norm of a base scalar c in a degree-d extension is c^d
     t = Polynomial.variable(F3, "T")
-    ring = ResidueField((t ** 3 - t + 1).monic())
+    ring = ResidueField(t ** 3 - t + 1)
     for c in range(1, 3):
         raw = ring.from_base(F3.from_int(c))
         assert ring.norm_raw(raw) == F3.pow(c, 3)
@@ -145,7 +144,8 @@ def test_products_and_reduction_match_polynomial_division():
         def remainder(coeffs):
             rem = Polynomial(F, coeffs, "T")
             while not rem.is_zero() and rem.degree >= d:
-                rem -= ring.modulus.shift(rem.degree - d).scale(
+                shifted = (F.zero,) * (rem.degree - d) + ring.modulus.coeffs
+                rem -= Polynomial(F, shifted, "T").scale(
                     rem.leading_coefficient())
             return rem.coeffs + (F.zero,) * (d - len(rem.coeffs))
 
