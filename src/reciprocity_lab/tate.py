@@ -7,18 +7,23 @@ of one f dg at many places builds h once and passes it to every place.
 
 The abstract residue realizes the same number as the trace of a commutator
 [f1, g1] on the local Laurent model: f1 projects onto a monomial lattice
-after multiplying by f, g1 multiplies by g.  Both operators are materialized
-as finite banded matrices over the residue field on an index block wide
-enough that every matrix entry of the commutator's diagonal is exact; the
-block support of that diagonal is predicted set-theoretically from the
-lattice and asserted, never assumed.  Truncating f, g, or both gives the
-same answer, which the test suite exercises.
+after multiplying by f, g1 multiplies by g.  Both operators are banded
+matrices over the residue field, read entry by entry from the expansion
+bands of f and g and the lattice, on an index block wide enough that every
+entry of the commutator's diagonal is exact; the block support of that
+diagonal is predicted set-theoretically from the lattice and asserted,
+never assumed.  Truncating f, g, or both gives the same answer, which the
+test suite exercises, and a test keeps the route that builds both matrices
+as its reference.
 
-`CommutatorTrace`, built once per (f, g, x), is the one recipe: against
-each lattice it computes the predicted support once, which both bounds the
-window and checks the materialized diagonal.
+`CommutatorTrace`, built once per (f, g, x) and kept in a small memo by
+`abstract_residue_trace`, is the one recipe: against each lattice it
+computes the predicted support once, which both bounds the window and
+checks every diagonal entry.
 """
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .errors import DomainError, PrecisionError, ZeroInputError
 from .fields import FieldScalar
@@ -27,6 +32,9 @@ from .lattices import MonomialLattice
 from .localfield import expand
 
 _MARGIN = 3
+# CommutatorTraces kept by abstract_residue_trace; its callers ask for one
+# (f, g, x) a few times in a row (one per truncation, one per lattice)
+_TRACE_MEMO = 16
 
 
 def differential_residue(h: RationalFunction, x: Place) -> FieldScalar:
@@ -155,7 +163,20 @@ def abstract_residue_trace(f: RationalFunction, g: RationalFunction, x: Place,
     both.  All choices agree and equal classical_residue(f, g, x).
     """
     lattice = MonomialLattice.ray(0) if lattice is None else lattice
-    return CommutatorTrace(f, g, x).trace(lattice, window, truncate)
+    return _commutator_trace(f, g, x).trace(lattice, window, truncate)
+
+
+@lru_cache(maxsize=_TRACE_MEMO)
+def _commutator_trace(f: RationalFunction, g: RationalFunction,
+                      x: Place) -> CommutatorTrace:
+    """The CommutatorTrace of (f, g, x), built once while it stays cached.
+
+    f, g and x compare by field, variable and coefficients, so equal keys
+    have equal bands, and a function of another variable or field is
+    another key.  An input the constructor refuses is not cached: it raises
+    again on every call.
+    """
+    return CommutatorTrace(f, g, x)
 
 
 def banded_commutator_trace(ring, f_band: dict[int, tuple],
@@ -164,48 +185,41 @@ def banded_commutator_trace(ring, f_band: dict[int, tuple],
                             truncate: str = "f"):
     """Raw residue-field trace of [f1, g1] from precomputed expansion bands.
 
+    The operators are read from their bands, never built: M_f[r, c] is
+    f_(r-c) when row r is kept (r in the lattice when f is projected), and
+    M_g likewise.  At j in the block, M_f[j, j-i] M_g[j-i, j] and
+    M_g[j, j+i] M_f[j+i, j] are both p_i = f_i g_(-i), so the diagonal
+    entry is the sum of p_i times the difference of the two presence tests.
+    Each p_i is formed once, and the ring is touched only where that
+    difference is nonzero.  Since |i| is at most the band reach, j - i and
+    j + i stay in the index range the block extends to, so only the
+    projection decides presence.
+
     [low, high] is the predicted support of the commutator diagonal; an
-    entry that is nonzero outside it raises PrecisionError.  Callers that
-    evaluate one pair of functions against many lattices can reuse the
-    bands; the matrices are still rebuilt per call.
+    entry that is nonzero outside it raises PrecisionError.
     """
     if truncate not in ("f", "g", "both"):
         raise DomainError(f"unknown truncation choice {truncate!r}")
-    reach = max([abs(n) for n in (*f_band, *g_band)] + [0])
-    block = range(-window, window + 1)
-    extended = set(range(-window - reach, window + reach + 1))
-
-    # finite matrices over the extended index range, entries in k(x)
     project_f = truncate in ("f", "both")
     project_g = truncate in ("g", "both")
-    fmat: dict[tuple[int, int], tuple] = {}
-    gmat: dict[tuple[int, int], tuple] = {}
-    for col in extended:
-        for i, coeff in f_band.items():
-            row = col + i
-            if row in extended and (not project_f or row in lattice):
-                fmat[(row, col)] = coeff
-        for m, coeff in g_band.items():
-            row = col + m
-            if row in extended and (not project_g or row in lattice):
-                gmat[(row, col)] = coeff
+    products = {i: ring.mul(coeff, g_band[-i])
+                for i, coeff in f_band.items() if -i in g_band}
 
     acc = ring.zero
-    for j in block:
+    for j in range(-window, window + 1):
+        kept = j in lattice
         entry = ring.zero
-        for i in f_band:
-            c = j - i
-            left = fmat.get((j, c))
-            right = gmat.get((c, j))
-            if left is not None and right is not None:
-                entry = ring.add(entry, ring.mul(left, right))
-        for m in g_band:
-            c = j - m
-            left = gmat.get((j, c))
-            right = fmat.get((c, j))
-            if left is not None and right is not None:
-                entry = ring.sub(entry, ring.mul(left, right))
-        if not ring.is_zero(entry) and not (low <= j <= high):
+        for i, product in products.items():
+            left = ((kept or not project_f)
+                    and (not project_g or j - i in lattice))
+            right = ((kept or not project_g)
+                     and (not project_f or j + i in lattice))
+            if left != right:
+                entry = (ring.add if left else ring.sub)(entry, product)
+        # an entry no product touched is ring.zero itself
+        if entry is ring.zero or ring.is_zero(entry):
+            continue
+        if not low <= j <= high:
             raise PrecisionError(
                 f"commutator diagonal leaked outside its predicted support at {j}")
         acc = ring.add(acc, entry)

@@ -1,19 +1,23 @@
+import itertools
 import random
 from collections import Counter
 
 import pytest
 
 from reciprocity_lab import tate
-from reciprocity_lab.errors import DomainError, PrecisionError, ZeroInputError
+from reciprocity_lab.errors import (DomainError, MixedFieldError,
+                                   PrecisionError, ZeroInputError)
 from reciprocity_lab.funcfield import Place, RationalFunction, support_union
 from reciprocity_lab.lattices import MonomialLattice
+from reciprocity_lab.parsing import parse_place, parse_rational
 from reciprocity_lab.poly import Polynomial
-from reciprocity_lab.tate import (_data_spread as data_spread,
+from reciprocity_lab.tate import (_data_spread as data_spread, _radius,
                                   _support_bound, abstract_residue_trace,
                                   classical_residue, minimal_window)
 from reciprocity_lab.xsymbol import curve_residue_family
 
-from helpers import F3, F5, Q, rand_fn, rand_fn_q, rand_lattice
+from helpers import (F3, F5, F13, Q, certified_irreducible, rand_fn, rand_fn_q,
+                     rand_lattice)
 
 TRUNCATIONS = ("f", "g", "both")
 
@@ -187,8 +191,10 @@ def test_zero_inputs_are_rejected():
     zero = t - t
     with pytest.raises(ZeroInputError):
         classical_residue(zero, t, x)
-    with pytest.raises(ZeroInputError):
-        abstract_residue_trace(t, zero, x)
+    # a refusal is not cached: the second call raises again
+    for _ in range(2):
+        with pytest.raises(ZeroInputError):
+            abstract_residue_trace(t, zero, x)
     with pytest.raises(ZeroInputError):
         minimal_window(zero, zero, x)
 
@@ -262,3 +268,169 @@ def test_support_bound_matches_the_loop_over_every_offset():
                 assert outcome(_support_bound, lattice, vf, vg) == want
                 refused += want is DomainError
     assert refused
+
+
+def reference_banded_trace(ring, f_band, g_band, low, high, lattice, window,
+                           truncate="f"):
+    """The commutator diagonal from both operators materialized as finite
+    matrices over the extended index range, entry by entry."""
+    if truncate not in ("f", "g", "both"):
+        raise DomainError(f"unknown truncation choice {truncate!r}")
+    reach = max([abs(n) for n in (*f_band, *g_band)] + [0])
+    block = range(-window, window + 1)
+    extended = set(range(-window - reach, window + reach + 1))
+
+    project_f = truncate in ("f", "both")
+    project_g = truncate in ("g", "both")
+    fmat = {}
+    gmat = {}
+    for col in extended:
+        for i, coeff in f_band.items():
+            row = col + i
+            if row in extended and (not project_f or row in lattice):
+                fmat[(row, col)] = coeff
+        for m, coeff in g_band.items():
+            row = col + m
+            if row in extended and (not project_g or row in lattice):
+                gmat[(row, col)] = coeff
+
+    acc = ring.zero
+    for j in block:
+        entry = ring.zero
+        for i in f_band:
+            c = j - i
+            left = fmat.get((j, c))
+            right = gmat.get((c, j))
+            if left is not None and right is not None:
+                entry = ring.add(entry, ring.mul(left, right))
+        for m in g_band:
+            c = j - m
+            left = gmat.get((j, c))
+            right = fmat.get((c, j))
+            if left is not None and right is not None:
+                entry = ring.sub(entry, ring.mul(left, right))
+        if not ring.is_zero(entry) and not (low <= j <= high):
+            raise PrecisionError(
+                f"commutator diagonal leaked outside its predicted support at {j}")
+        acc = ring.add(acc, entry)
+    return acc
+
+
+def small_places(field, degree, count):
+    """The first `count` monic irreducible polynomials of a degree, as places,
+    with lower coefficients drawn from 0, 1, -1, 2, -2 and 3."""
+    values = [0, 1, -1, 2, -2, 3]
+    found = []
+    for n in range(len(values) ** degree):
+        coeffs = []
+        for _ in range(degree):
+            n, r = divmod(n, len(values))
+            coeffs.append(field.from_int(values[r]))
+        pi = Polynomial(field, coeffs + [field.one], "t")
+        if pi not in found and certified_irreducible(pi):
+            found.append(pi)
+            if len(found) == count:
+                break
+    return [Place.finite(pi) for pi in found]
+
+
+def value_or_leak(fn, *args):
+    try:
+        return fn(*args)
+    except PrecisionError:
+        return PrecisionError
+
+
+def traces_at_small_places(rng):
+    """A CommutatorTrace over F_5, F_13 and Q at two places of each degree
+    1-3, for random f and g with nonzero valuations there."""
+    for field in (F5, F13, Q):
+        for degree in (1, 2, 3):
+            for x in small_places(field, degree, 2):
+                pi = RationalFunction.from_polynomial(x.pi)
+                if field is Q:
+                    f, g = rand_fn_q(rng, max_deg=3), rand_fn_q(rng, max_deg=3)
+                else:
+                    f = rand_fn(rng, field, max_deg=3)
+                    g = rand_fn(rng, field, max_deg=3)
+                yield tate.CommutatorTrace(f * pi ** rng.choice([-2, -1, 1]),
+                                           g * pi ** rng.choice([-1, 1, 2]), x)
+
+
+def test_banded_kernel_matches_the_materialized_matrices():
+    rng = random.Random(409)
+    compared = narrowed_leaks = 0
+    for trace in traces_at_small_places(rng):
+        bands = (trace.ring, trace.f_band, trace.g_band)
+        lattices = [rand_lattice(rng) for _ in range(5)]
+        lattices.append(MonomialLattice.progression_ray({1, 2}, 3, -2))
+        for lattice in lattices:
+            try:
+                low, high = _support_bound(lattice, trace.vf, trace.vg)
+            except DomainError:
+                continue
+            bound = _radius(lattice, (low, high), trace.vf, trace.vg,
+                            trace.spread)
+            for window, tr in itertools.product((bound, bound + 3),
+                                                 TRUNCATIONS):
+                rest = (lattice, window, tr)
+                want = reference_banded_trace(*bands, low, high, *rest)
+                got = tate.banded_commutator_trace(*bands, low, high, *rest)
+                assert got == want, (str(lattice), window, tr)
+                compared += 1
+                # a support narrowed by one on each side: both routes
+                # refuse, or both give the same value
+                narrow = (low + 1, high - 1)
+                got = value_or_leak(tate.banded_commutator_trace, *bands,
+                                    *narrow, *rest)
+                assert got == value_or_leak(reference_banded_trace, *bands,
+                                            *narrow, *rest)
+                narrowed_leaks += got is PrecisionError
+    assert compared >= 300
+    assert 0 < narrowed_leaks < compared
+
+
+def test_equal_inputs_share_one_commutator_trace(monkeypatch):
+    built = Counter()
+
+    class Counted(tate.CommutatorTrace):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built["traces"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(tate, "CommutatorTrace", Counted)
+    values = set()
+    for tr in TRUNCATIONS:
+        # a separate parse each time: equal values, distinct objects
+        f = parse_rational("(t^2+1)/(t^3-t)", Q)
+        g = parse_rational("t^2-3", Q)
+        x = parse_place("t-1", Q)
+        values.add(abstract_residue_trace(f, g, x, truncate=tr))
+    assert built["traces"] == 1
+    assert values == {classical_residue(f, g, x)}
+
+
+def test_the_memo_keeps_fields_and_variables_apart():
+    text_f, text_g = "(t^2+1)/(t^3-t)", "t^2-3"
+    x = parse_place("t-1", Q)
+    abstract_residue_trace(parse_rational(text_f, Q),
+                           parse_rational(text_g, Q), x)
+    assert tate._commutator_trace.cache_info().currsize == 1
+    in_s = (parse_rational(text_f.replace("t", "s"), Q, "s"),
+            parse_rational(text_g.replace("t", "s"), Q, "s"))
+    over_f5 = (parse_rational(text_f, F5), parse_rational(text_g, F5))
+    for f, g in (in_s, over_f5):
+        with pytest.raises(MixedFieldError):
+            abstract_residue_trace(f, g, x)
+
+
+def test_the_memo_stays_bounded():
+    t = tt(F13)
+    x = Place.at_infinity(F13)
+    for k in range(100):
+        abstract_residue_trace(t + k % 13, t ** (1 + k // 13), x)
+    info = tate._commutator_trace.cache_info()
+    assert info.misses == 100
+    assert info.currsize <= tate._TRACE_MEMO
