@@ -1,33 +1,38 @@
 """Factorization of univariate polynomials over F_p and (partially) Q.
 
-Over a prime field this is distinct-degree decomposition followed by seeded
-Cantor-Zassenhaus equal-degree splitting (the trace map for p = 2), so the
-result is complete and certified.  Over Q we stop at what exact elementary
-means certify: Yun's monic squarefree parts (from
-`Polynomial.squarefree_part_decomposition`), rational-root extraction, and
-the degree-2/3 irreducibility test; any surviving cofactor of degree >= 4 is
-returned flagged as not certified irreducible.  Rational roots are lifted
-by Newton's iteration from the simple roots mod the least suitable prime p;
-p grows with the degree and the digits of f, not with its coefficients.
+Both fields share one loop (`_factor`): Yun's monic squarefree parts
+(`poly.squarefree_parts`), each factored once while the process cache
+keeps it.  The cache maps a coefficient tuple to its sorted factors, for
+each polynomial asked for and for each of its parts, so a repeated
+polynomial skips Yun's loop and a part shared by two polynomials, such as
+den(f) inside den(f*g'), is split once.  Over a prime field a part is split
+by distinct-degree decomposition followed by seeded Cantor-Zassenhaus
+equal-degree splitting (the trace map for p = 2), so the result is
+complete and certified.  Over Q we stop at what exact elementary means
+certify: rational-root extraction and the degree-2/3 irreducibility test;
+any surviving cofactor of degree >= 4 is returned flagged as not certified
+irreducible.  Rational roots are lifted by Newton's iteration from the
+simple roots mod the least suitable prime p; p grows with the degree and
+the digits of f, not with its coefficients.
 
-Over F_p the whole path runs on coefficient sequences of ints 0..p-1,
-from the input to the output factors, and a `Polynomial` is built only for
-each output factor.  It runs on the kernels of `poly`, which work on ints
-over F_p with exact sums and one reduction mod p per entry: `convolve` and
-`divide` for products mod f and exact division, `monic_gcd`, and
-`squarefree_parts` for Yun's squarefree split (with the p-th root
+Over F_p the whole path runs on coefficient sequences of ints 0..p-1, from
+the input to the output factors, and a `Polynomial` is built only for each
+output factor.  It runs on the kernels of `poly`, which work on ints over
+F_p with exact sums and one reduction mod p per entry: `mul_mod` (imported
+as `_mul_mod`) for products mod f, `divide` for exact division, `monic_gcd`,
+and `squarefree_parts` for Yun's squarefree split (with the p-th root
 g(x^p) -> g(x) where the derivative vanishes).  For each monic squarefree
-part f of degree n, x^p mod f is computed once, left to right over the
-bits of p: floor(log2 p) squarings, and for each set bit below the top one
-a product with x, which is a shift and one reduction step (19 squarings at
+part f of degree n, x^p mod f is computed once, left to right over the bits
+of p: floor(log2 p) squarings, and for each set bit below the top one a
+product with x, which is a shift and one reduction step (19 squarings at
 p = 1000003, where square-and-multiply takes 27 products).  It is extended
 to the Frobenius matrix, the rows x^(p*i) mod f for i < n (n - 2 more
-products).  Since h(x)^p = h(x^p) over F_p, every later p-th power mod f
-is that matrix applied to h: n^2 integer multiply-adds instead of a
-square-and-multiply chain.  A distinct-degree step costs one application
-and one gcd; the rest continues with the rows reduced mod itself, and a
-block that splits off reduces them only if it holds more than one
-irreducible, which is when equal-degree splitting reads them.
+products).  Since h(x)^p = h(x^p) over F_p, every later p-th power mod f is
+that matrix applied to h: n^2 integer multiply-adds instead of a
+square-and-multiply chain.  A distinct-degree step costs one application and
+one gcd; the rest continues with the rows reduced mod itself, and a block
+that splits off reduces them only if it holds more than one irreducible,
+which is when equal-degree splitting reads them.
 Equal-degree splitting of a block of degree-d factors forms
 r^((p^d-1)/2) as (r * r^p * ... * r^(p^(d-1)))^((p-1)/2): d - 1
 applications and d - 1 products, then one power of exponent (p-1)/2.  For
@@ -39,7 +44,8 @@ tuples.  Irreducibility is read off the factors, as `Place.finite` does: one
 certified factor of multiplicity 1.  The factorization into monic
 irreducibles is unique, so the Cantor-Zassenhaus seed only picks the
 splitting path, never the factors; the library never passes one, so
-DEFAULT_SEED always applies.
+DEFAULT_SEED always applies, afresh for each part.  A test that passes a
+seed splits every part again, past the cache.
 """
 from __future__ import annotations
 
@@ -47,10 +53,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .errors import DomainError, ZeroInputError
 from .fields import FieldScalar, PrimeField, RationalField, power
-from .poly import (Polynomial, convolve, divide, monic_gcd,
+from .poly import (Polynomial, divide, monic_gcd, mul_mod as _mul_mod,
                    squarefree_parts, trim)
 
 DEFAULT_SEED = 20140901
@@ -82,11 +89,6 @@ class Factorization:
 
 def _sorted_factors(items: list[Factor]) -> tuple[Factor, ...]:
     return tuple(sorted(items, key=lambda it: it.base.sort_key()))
-
-
-def _mul_mod(F: PrimeField, a, b, m) -> tuple:
-    """The product a*b modulo the monic m."""
-    return divide(F, convolve(F, a, b), m)[1]
 
 
 def _x_to_the_p(F: PrimeField, m) -> tuple:
@@ -188,27 +190,33 @@ def _split_equal_degree(F: PrimeField, f: list, d: int, rows: list,
                     + _split_equal_degree(F, rest, d, rows, rng))
 
 
+def _split_prime_part(field: PrimeField, part: tuple, var: str,
+                      seed: int = DEFAULT_SEED) -> list[Factor]:
+    """The monic irreducible factors of a monic squarefree part over F_p,
+    each certified: distinct-degree blocks split by Cantor-Zassenhaus."""
+    rng = random.Random(seed)
+    return [Factor(Polynomial(field, irreducible, var), 1, True)
+            for d, block, rows in _distinct_degree(field, part)
+            for irreducible in _split_equal_degree(field, block, d, rows,
+                                                   rng)]
+
+
 def _factor_prime_field(f: Polynomial, seed: int | None = None) -> Factorization:
     """Complete factorization over F_p into monic irreducibles.
 
     The seed (default DEFAULT_SEED) drives the random splittings; the
     factors are unique and reported in canonical order, so every seed gives
-    the same result.
+    the same result.  An explicit seed splits every part afresh, past the
+    cache.
     """
     field = f.field
     if not isinstance(field, PrimeField):
         raise DomainError(f"prime-field factorization over {field.descriptor}")
     if f.is_zero():
         raise ZeroInputError("cannot factor the zero polynomial")
-    rng = random.Random(DEFAULT_SEED if seed is None else seed)
-    unit = FieldScalar(field, f.leading_coefficient())
-    items: list[Factor] = []
-    for part, mult in squarefree_parts(field, f.coeffs):
-        for d, block, rows in _distinct_degree(field, part):
-            for irreducible in _split_equal_degree(field, block, d, rows, rng):
-                items.append(Factor(Polynomial(field, irreducible, f.var),
-                                    mult, True))
-    return Factorization(unit, _sorted_factors(items))
+    if seed is None:
+        return _factor(f, _split_prime_part, _factor_cache)
+    return _factor(f, partial(_split_prime_part, seed=seed), {})
 
 
 def _rational_roots(f: Polynomial) -> list[Fraction]:
@@ -259,54 +267,83 @@ def _rational_roots(f: Polynomial) -> list[Fraction]:
     return roots
 
 
-def _factor_rationals_limited(f: Polynomial) -> Factorization:
-    """Factor over Q as far as elementary certified tests reach.
+def _split_rational_part(field: RationalField, part: tuple,
+                         var: str) -> list[Factor]:
+    """The factors of a monic squarefree part over Q as far as elementary
+    certified tests reach: every rational root, and a quadratic or cubic
+    cofactor certified irreducible by having none.  A cofactor of degree
+    >= 4 may still be reducible, so it is returned with certified=False
+    rather than silently trusted."""
+    rest = Polynomial(field, part, var)
+    out = []
+    for root in sorted(_rational_roots(rest)):
+        linear = Polynomial(field, [-root, Fraction(1)], var)
+        rest = rest.exact_div(linear)
+        out.append(Factor(linear, 1, True))
+    # a monic part divided by monic linears stays monic
+    if not rest.is_constant():
+        out.append(Factor(rest, 1, rest.degree <= 3))
+    return out
 
-    Splits off the squarefree-coprime parts, extracts every rational root,
-    and certifies quadratic/cubic cofactors irreducible by the absence of
-    rational roots.  A cofactor of degree >= 4 may still be reducible, so it
-    is returned with certified=False rather than silently trusted.
-    """
+
+def _factor_rationals_limited(f: Polynomial) -> Factorization:
+    """Factor over Q as far as elementary certified tests reach
+    (`_split_rational_part` on each squarefree part)."""
     field = f.field
     if not isinstance(field, RationalField):
         raise DomainError(f"rational factorization over {field.descriptor}")
     if f.is_zero():
         raise ZeroInputError("cannot factor the zero polynomial")
-    unit = FieldScalar(field, f.leading_coefficient())
-    items: list[Factor] = []
-    for squarefree, mult in f.squarefree_part_decomposition():
-        rest = squarefree
-        for root in sorted(_rational_roots(squarefree)):
-            linear = Polynomial(field, [-root, Fraction(1)], f.var)
-            rest = rest.exact_div(linear)
-            items.append(Factor(linear, mult, True))
-        # a monic part divided by monic linears stays monic
-        if not rest.is_constant():
-            items.append(Factor(rest, mult, rest.degree <= 3))
-    return Factorization(unit, _sorted_factors(items))
+    return _factor(f, _split_rational_part, _factor_cache)
 
 
 _factor_cache: dict = {}
 _CACHE_LIMIT = 4096
 
 
-def factor_polynomial(f: Polynomial) -> Factorization:
-    """Factor over the polynomial's ground field, with a small process cache.
+def _factor(f: Polynomial, split_part, cache: dict) -> Factorization:
+    """The factorization of a nonzero f from Yun's monic squarefree parts
+    (`squarefree_parts`), each split by split_part(field, part, var) into
+    its factors of multiplicity 1.
 
-    The cache is keyed by (field, variable, coefficients).  It needs no
-    lock: every read and store is one dict operation, a factorization is a
-    pure function of its key, and a race between threads can only factor
-    a polynomial twice or empty the cache twice.
+    `cache` maps (field, variable, coefficients) to the sorted factors of
+    that polynomial, for each f and each of its parts, so a repeated f
+    skips Yun's loop and a part met before, in f or as a part of another
+    polynomial, is split once.  A monic squarefree part is its own
+    factorization with multiplicity 1, so the two kinds of key agree.  The
+    cache needs no lock: every read and store is one dict operation, the
+    factors are a pure function of the key, and a race between threads
+    can only factor a polynomial twice or empty the cache twice.
     """
-    key = (f.field.descriptor, f.var, f.coeffs)
-    hit = _factor_cache.get(key)
-    if hit is not None:
-        return hit
+    field, var = f.field, f.var
+    key = (field.descriptor, var, f.coeffs)
+    factors = cache.get(key)
+    if factors is None:
+        items = []
+        for part, mult in squarefree_parts(field, f.coeffs):
+            part_key = (field.descriptor, var, part)
+            found = cache.get(part_key)
+            if found is None:
+                found = _sorted_factors(split_part(field, part, var))
+                _store(cache, part_key, found)
+            items.extend(found if mult == 1 else
+                         (Factor(item.base, mult, item.certified)
+                          for item in found))
+        factors = _sorted_factors(items)
+        _store(cache, key, factors)
+    return Factorization(FieldScalar(field, f.leading_coefficient()), factors)
+
+
+def _store(cache: dict, key, factors) -> None:
+    """Keep factors under key, emptying the cache first when it is full."""
+    if len(cache) >= _CACHE_LIMIT:
+        cache.clear()
+    cache[key] = factors
+
+
+def factor_polynomial(f: Polynomial) -> Factorization:
+    """Factor over the polynomial's ground field, F_p or Q, each monic
+    squarefree part once while the process cache keeps it."""
     if isinstance(f.field, PrimeField):
-        result = _factor_prime_field(f)
-    else:
-        result = _factor_rationals_limited(f)
-    if len(_factor_cache) >= _CACHE_LIMIT:
-        _factor_cache.clear()
-    _factor_cache[key] = result
-    return result
+        return _factor_prime_field(f)
+    return _factor_rationals_limited(f)

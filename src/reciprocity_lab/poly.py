@@ -6,14 +6,21 @@ so callers are forced to treat it explicitly.
 
 This module also owns the kernels on bare coefficient sequences that every
 dense type shares (k[t], k[T]/(pi), truncated k((w)) and k[z]/(z^(N+1)))
-and factorization over F_p: `convolve` (products), `divide` (quotient and
-remainder, the one division loop), `monic_gcd` (the one Euclid loop),
-`squarefree_parts` (the one Yun loop), `trim` (dropping trailing zeros)
-and `series_quotient` (power-series division).  It is the only module that
-decides how coefficients are multiplied and divided: `convolve` and
-`divide` check once per call for F_p, where they run on ints with exact
-sums and reduce each entry mod p once, and otherwise call the field's
-methods.  `gcd` and `resultant` walk their remainder sequences as trimmed
+and factorization over F_p: `convolve` (products), `mul_mod` (products
+mod a monic m), `divide` (quotient and remainder; `_long_division` is the
+one division loop), `monic_gcd` (the one Euclid loop), `squarefree_parts`
+(the one Yun loop), `trim` (dropping trailing zeros) and `series_quotient`
+(power-series division).  It is the only module that decides how
+coefficients are multiplied and divided: the kernels check once per call
+for F_p, where they run on ints, and otherwise call the field's methods.
+Over F_p every product is summed exactly by the one product loop,
+`_exact_products`; `convolve` reduces each entry kept once, and `mul_mod`
+hands the exact sums to the division loop, which reduces each entry once
+as it reads it.  Over Q, `monic_gcd` first tries to prove two sides of
+degree >= 2 coprime from their images mod the prime 2^61 - 1, an exact
+certificate (`_coprime_mod_p`); most canonical forms have gcd 1, and
+Euclid's loop on Fractions runs only where the certificate cannot
+decide.  `gcd` and `resultant` walk their remainder sequences as trimmed
 tuples and build a `Polynomial` only for the result.
 """
 from __future__ import annotations
@@ -21,7 +28,25 @@ from __future__ import annotations
 from operator import mul as _mul
 
 from .errors import DomainError, MixedFieldError, ZeroInputError
-from .fields import Field, PrimeField, ensure_same_field, power
+from .fields import (Field, PrimeField, RationalField, ensure_same_field,
+                     power)
+
+# The prime of the coprimality certificate over Q (`_coprime_mod_p`).
+_CERTIFICATE_FIELD = PrimeField(2 ** 61 - 1)
+
+
+def _exact_products(a, b) -> list:
+    """Entries of the product of the int sequences a and b, summed exactly
+    and never reduced; zeros of a are skipped.  The one product loop over
+    F_p, which `convolve` and `mul_mod` reduce."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            k = i
+            for y in b:
+                out[k] += x * y
+                k += 1
+    return out
 
 
 def convolve(F: Field, a, b, length: int | None = None) -> list:
@@ -29,26 +54,18 @@ def convolve(F: Field, a, b, length: int | None = None) -> list:
 
     Entry k sums a[i]*b[j] over i + j = k, for k < `length` (default: the
     full product length), zero-padded past the product.  Over F_p the full
-    product is summed in exact ints, zeros of a are skipped, and each entry
+    product is summed in exact ints (`_exact_products`), and each entry
     kept is reduced once; over other fields zero coefficients on either
     side cost nothing.
     """
-    full = len(a) + len(b) - 1
     if isinstance(F, PrimeField):
-        out = [0] * full
-        for i, x in enumerate(a):
-            if x:
-                k = i
-                for y in b:
-                    out[k] += x * y
-                    k += 1
         p = F.p
+        out = [c % p for c in _exact_products(a, b)[:length]]
         if length is None:
-            return [c % p for c in out]
-        out = [c % p for c in out[:length]]
+            return out
         return out + [0] * (length - len(out))
     if length is None:
-        length = full
+        length = len(a) + len(b) - 1
     out = [F.zero] * length
     right = [(j, y) for j, y in enumerate(b) if not F.is_zero(y)]
     for i, x in enumerate(a[:length]):
@@ -61,19 +78,18 @@ def convolve(F: Field, a, b, length: int | None = None) -> list:
     return out
 
 
-def divide(F: Field, a, b) -> tuple[list, tuple]:
-    """Quotient and remainder of the coefficient sequence a by b over F.
+def _long_division(F: Field, work: list, b, inv_lc) -> tuple:
+    """Divide the list `work` by b in place; return the remainder.
 
-    b must end in a nonzero coefficient.  The remainder has exactly
-    len(b) - 1 entries (zero-padded, not trimmed).  b is inverted only when
-    it is not monic and a is not shorter than b.  Over F_p the entries of a
-    may be any ints: sums stay exact and each entry is reduced once, when
-    it is read as a quotient or a remainder coefficient.
+    b ends in a nonzero coefficient, and inv_lc is its inverse, or None
+    when b is monic.  Each quotient coefficient is left where its leading
+    entry was read, so work[len(b) - 1:] ends as the quotient.  The
+    remainder has exactly len(b) - 1 entries (zero-padded, not trimmed).
+    Over F_p the entries of work may be any ints: sums stay exact and each
+    entry is reduced once, when it is read as a quotient or a remainder
+    coefficient.
     """
     d = len(b) - 1
-    work = list(a)
-    quot = [F.zero] * (len(work) - d)
-    inv_lc = None if not quot or F.eq(b[-1], F.one) else F.inv(b[-1])
     if isinstance(F, PrimeField):
         p = F.p
         low = b[:d]
@@ -82,31 +98,97 @@ def divide(F: Field, a, b) -> tuple[list, tuple]:
             if c:
                 if inv_lc is not None:
                     c = c * inv_lc % p
-                quot[i - d] = c
                 k = i - d
                 for y in low:
                     work[k] -= c * y
                     k += 1
+            work[i] = c
         rem = [w % p for w in work[:d]]
     else:
         for i in range(len(work) - 1, d - 1, -1):
             c = work[i]
             if F.is_zero(c):
+                work[i] = F.zero
                 continue
             if inv_lc is not None:
                 c = F.mul(c, inv_lc)
-            quot[i - d] = c
+            work[i] = c
             for j in range(d):
                 work[i - d + j] = F.sub(work[i - d + j], F.mul(c, b[j]))
         rem = work[:d]
     if len(rem) < d:
         rem += [F.zero] * (d - len(rem))
-    return quot, tuple(rem)
+    return tuple(rem)
+
+
+def divide(F: Field, a, b) -> tuple[list, tuple]:
+    """Quotient and remainder of the coefficient sequence a by b over F.
+
+    b must end in a nonzero coefficient.  The remainder has exactly
+    len(b) - 1 entries (zero-padded, not trimmed).  b is inverted only when
+    it is not monic and a is not shorter than b.  Over F_p the entries of a
+    may be any ints, as in `_long_division`.
+    """
+    d = len(b) - 1
+    work = list(a)
+    inv_lc = None if len(work) <= d or F.eq(b[-1], F.one) else F.inv(b[-1])
+    rem = _long_division(F, work, b, inv_lc)
+    return work[d:], rem
+
+
+def mul_mod(F: Field, a, b, m) -> tuple:
+    """The product of a and b modulo the monic m, as len(m) - 1 entries.
+
+    Over F_p the exact int sums of the product are divided, so each entry
+    is reduced once; no quotient is kept and m's leading coefficient is
+    never read.
+    """
+    if isinstance(F, PrimeField):
+        return _long_division(F, _exact_products(a, b), m, None)
+    return _long_division(F, convolve(F, a, b), m, None)
+
+
+def _coprime_mod_p(a, b) -> bool:
+    """True when the images of a and b over Q in F_P, P = 2^61 - 1, prove
+    that a and b are coprime: P divides no denominator and neither leading
+    numerator, and the gcd of the images is constant.
+
+    A common factor g of a and b over Q, taken primitive in Z[t], divides
+    both in Z[t] (Gauss), and its leading coefficient divides theirs, so
+    its image keeps its degree and divides both images.  A constant gcd
+    mod P therefore excludes it: the certificate is exact, and False only
+    means that Euclid's loop must decide (Brown, J. ACM 1971; von zur
+    Gathen & Gerhard, Modern Computer Algebra, ch. 6).
+    """
+    p = _CERTIFICATE_FIELD.p
+    images = []
+    for seq in (a, b):
+        image = []
+        for c in seq:
+            den = c.denominator
+            if den == 1:
+                image.append(c.numerator % p)
+            elif den % p:
+                image.append(c.numerator * pow(den, -1, p) % p)
+            else:
+                return False
+        if not image[-1]:
+            return False
+        images.append(image)
+    return len(monic_gcd(_CERTIFICATE_FIELD, *images)) == 1
 
 
 def monic_gcd(F: Field, a, b) -> tuple:
     """Monic greatest common divisor of the trimmed coefficient sequences
-    a and b over F, by Euclid's loop; gcd(0, 0) = ()."""
+    a and b over F, by Euclid's loop; gcd(0, 0) = ().
+
+    Over Q, when both have degree >= 2, `_coprime_mod_p` first tries to
+    prove the gcd is 1 from one image mod a large prime; for a linear side
+    Euclid's loop is one division anyway.
+    """
+    if (len(a) > 2 and len(b) > 2 and isinstance(F, RationalField)
+            and _coprime_mod_p(a, b)):
+        return (F.one,)
     while b:
         a, b = b, trim(F, divide(F, a, b)[1])
     if not a or F.eq(a[-1], F.one):
@@ -376,7 +458,8 @@ class Polynomial:
         """Yun's squarefree decomposition (`squarefree_parts`) of the monic
         part, in characteristic 0: a list of (monic squarefree part,
         multiplicity), pairwise coprime and ascending in multiplicity.
-        Over F_p `factor_polynomial` runs the same loop on the coefficients.
+        `factor_polynomial` runs the same loop on the coefficients over
+        both Q and F_p.
         """
         F = self.field
         if F.char:

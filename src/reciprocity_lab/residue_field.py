@@ -7,9 +7,10 @@ pairing tr(T^j) = p_j with the p_j obtained from Newton's identities, which
 need no division and therefore work in any characteristic.  Both are
 cross-checked in the test suite against the multiplication-matrix oracle.
 
-Products are reduced mod pi by `poly.divide`, which inverts nothing since
-pi is monic, and `inv` runs extended Euclid on coefficient tuples with its
-cofactors reduced in the ring.
+Products are `poly.mul_mod`, the product mod the monic pi: it inverts
+nothing, keeps no quotient, and over F_p reduces each entry once.  `inv`
+runs extended Euclid on coefficient tuples with its cofactors reduced in
+the ring.
 
 `ResidueField` is a `Field` like Q and F_p, so polynomials can take their
 coefficients in it and its classes travel as `FieldScalar`s tagged with it.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from .errors import DomainError, MixedFieldError, ZeroInputError
 from .fields import Field, FieldScalar
-from .poly import Polynomial, convolve, divide, trim
+from .poly import Polynomial, divide, mul_mod, trim
 
 
 class ResidueField(Field):
@@ -92,7 +93,7 @@ class ResidueField(Field):
         F = self.base
         if self.degree == 1:
             return (F.mul(a[0], b[0]),)
-        return divide(F, convolve(F, a, b), self.modulus.coeffs)[1]
+        return mul_mod(F, a, b, self.modulus.coeffs)
 
     def inv(self, a):
         if self.is_zero(a):

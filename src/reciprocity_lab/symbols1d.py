@@ -154,10 +154,20 @@ def residue_differential(
         f: RationalFunction,
         g: RationalFunction) -> tuple[RationalFunction, list[Place]]:
     """f dg as h dt with h = f*g', and the places where its residue can be
-    nonzero: the joint support of f, g and h, plus infinity."""
+    nonzero: the joint support of f, g and h, plus infinity.
+
+    The supports of f and g are read before h is formed, in the order
+    `support_union(f, g, h)` reads them, so a refusal at f or g costs
+    nothing of h.  A pair from two function fields is refused first, as
+    forming f*g' would refuse it.
+    """
+    g = f._coerce(g)
+    places = set(support_union(f, g))
     h = f * g.derivative()
-    funcs = [f, g] + ([h] if not h.is_zero() else [])
-    return h, support_union(*funcs, include_infinity=True)
+    if not h.is_zero():
+        places.update(support_union(h))
+    places.add(Place.at_infinity(f.field, f.var))
+    return h, sorted(places, key=lambda x: x.sort_key())
 
 
 def residue_theorem_verify(f: RationalFunction, g: RationalFunction,

@@ -18,8 +18,8 @@ as its reference.
 
 `CommutatorTrace`, built once per (f, g, x) and kept in a small memo by
 `abstract_residue_trace`, is the one recipe: against each lattice it
-computes the predicted support once, which both bounds the window and
-checks every diagonal entry.
+computes the predicted support once, keeps it in a small memo of its own,
+and uses it both to bound the window and to check every diagonal entry.
 """
 from __future__ import annotations
 
@@ -35,6 +35,9 @@ _MARGIN = 3
 # CommutatorTraces kept by abstract_residue_trace; its callers ask for one
 # (f, g, x) a few times in a row (one per truncation, one per lattice)
 _TRACE_MEMO = 16
+# supports kept by each CommutatorTrace; a caller comparing truncations or
+# windows asks one trace for the same lattice several times
+_SUPPORT_MEMO = 16
 
 
 def differential_residue(h: RationalFunction, x: Place) -> FieldScalar:
@@ -125,7 +128,8 @@ class CommutatorTrace:
     further.
     """
 
-    __slots__ = ("ring", "vf", "vg", "spread", "f_band", "g_band")
+    __slots__ = ("ring", "vf", "vg", "spread", "f_band", "g_band",
+                 "_supports")
 
     def __init__(self, f: RationalFunction, g: RationalFunction, x: Place):
         if f.is_zero() or g.is_zero():
@@ -136,11 +140,21 @@ class CommutatorTrace:
         self.spread = _data_spread(f) + _data_spread(g)
         self.f_band = _local_band(f, x, -self.vg + _MARGIN)
         self.g_band = _local_band(g, x, -self.vf + _MARGIN)
+        self._supports: dict = {}
 
     def trace(self, lattice: MonomialLattice, window: int | None = None,
               truncate: str = "f") -> FieldScalar:
-        """Ground-field trace of [f1, g1]; the support bounds and checks it."""
-        support = _support_bound(lattice, self.vf, self.vg)
+        """Ground-field trace of [f1, g1]; the support bounds and checks it.
+
+        The support is computed once per lattice while the trace's small
+        memo keeps it; a lattice whose support is refused raises again.
+        """
+        support = self._supports.get(lattice)
+        if support is None:
+            support = _support_bound(lattice, self.vf, self.vg)
+            if len(self._supports) >= _SUPPORT_MEMO:
+                self._supports.clear()
+            self._supports[lattice] = support
         bound = _radius(lattice, support, self.vf, self.vg, self.spread)
         if window is None:
             window = bound

@@ -100,9 +100,18 @@ def test_seeded_factorization_is_deterministic():
         assert a.factors == b.factors
 
 
-def test_every_seed_gives_the_same_factorization():
+def test_every_seed_gives_the_same_factorization(monkeypatch):
     # the factorization into monic irreducibles is unique, so the seed only
-    # picks the Cantor-Zassenhaus splitting path
+    # picks the Cantor-Zassenhaus splitting path; a seeded call splits past
+    # the cache, so every seed is really tried
+    splits = []
+    split = factor._split_equal_degree
+
+    def counted(*args):
+        splits.append(args)
+        return split(*args)
+
+    monkeypatch.setattr(factor, "_split_equal_degree", counted)
     rng = random.Random(37)
     fields = (F2, F3, F5, field_from_descriptor("Fp:13"),
               field_from_descriptor("Fp:1000003"))
@@ -112,9 +121,34 @@ def test_every_seed_gives_the_same_factorization():
             f = Polynomial(field, coeffs + [rng.randrange(1, field.p)])
             expected = factor_prime_field(f)
             for seed in (0, 1, 7, rng.randint(0, 10 ** 9)):
+                splits.clear()
                 got = factor_prime_field(f, seed=seed)
+                assert splits
                 assert got.unit == expected.unit
                 assert got.factors == expected.factors
+
+
+def test_residue_theorem_factors_each_squarefree_part_once(monkeypatch):
+    # den(h) = den(f) * den(g)^2 for h = f*g': its squarefree parts are
+    # den(f) and den(g), which the supports of f and g have factored
+    from reciprocity_lab.funcfield import RationalFunction
+    from reciprocity_lab.symbols1d import residue_theorem_verify
+    moduli = []
+    distinct_degree = factor._distinct_degree
+
+    def recorded(F, f):
+        moduli.append(str(Polynomial(F, f)))
+        return distinct_degree(F, f)
+
+    monkeypatch.setattr(factor, "_distinct_degree", recorded)
+    t = RationalFunction.variable(F5)
+    f = 1 / (t * t + 2)
+    g = 1 / (t * t + t + 1)
+    report = residue_theorem_verify(f, g)
+    assert report.ok
+    assert str(f * g.derivative()) == "(3*t+4)/(t^6+2*t^5+t^3+2*t^2+4*t+2)"
+    # den(f), den(g), then the part t+3 of num(h); den(h) comes from the cache
+    assert moduli == ["t^2+2", "t^2+t+1", "t+3"]
 
 
 def test_surface_coefficient_polynomials_are_out_of_scope():

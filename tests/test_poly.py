@@ -6,8 +6,9 @@ import pytest
 from reciprocity_lab.errors import DomainError, ZeroInputError
 from reciprocity_lab.fields import Field, PrimeField, field_from_descriptor
 from reciprocity_lab.funcfield import FractionField, RationalFunction
+from reciprocity_lab import poly
 from reciprocity_lab.poly import (Polynomial, convolve, divide, monic_gcd,
-                                  squarefree_parts, trim)
+                                  mul_mod, squarefree_parts, trim)
 from reciprocity_lab.residue_field import ResidueField
 
 from helpers import F2, F5, F13, Q, rand_poly
@@ -112,6 +113,107 @@ def test_gcd_is_monic_and_divides():
         q = rand_poly(rng, Q, 4, nonzero=True)
         g = p.gcd(q)
         assert p.divmod(g)[1].is_zero() and q.divmod(g)[1].is_zero()
+
+
+CERTIFICATE_PRIME = 2 ** 61 - 1
+
+
+def reference_gcd(a, b) -> tuple:
+    """Monic gcd of two Fraction sequences by Euclid's loop with long
+    division on Fractions: the route the certificate must agree with."""
+    a, b = list(trim(Q, a)), list(trim(Q, b))
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            c = r[-1] / b[-1]
+            for j, y in enumerate(b):
+                r[len(r) - len(b) + j] -= c * y
+            r.pop()
+            while r and r[-1] == 0:
+                r.pop()
+        a, b = b, r
+    return tuple(c / a[-1] for c in a)
+
+
+def _certificate_cases(rng):
+    """(a, b, whether the certificate may prove them coprime) over Q with
+    fractional coefficients: coprime pairs, pairs with a common factor,
+    pairs whose leading numerator or a denominator P divides, a coprime
+    pair that shares a factor mod P, and pairs with a linear side."""
+    P = CERTIFICATE_PRIME
+
+    def rand_q(deg):
+        coeffs = [Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 40))
+                  for _ in range(deg)]
+        return Polynomial(Q, coeffs + [Fraction(rng.randint(1, 99),
+                                                rng.randint(1, 9))])
+
+    t = Polynomial.variable(Q)
+    cases = []
+    for _ in range(40):
+        a, b = rand_q(rng.randint(2, 8)), rand_q(rng.randint(2, 8))
+        if a.gcd(b).degree == 0:
+            cases.append((a, b, True))
+        shared = rand_q(rng.randint(1, 3))
+        cases.append((a * shared, b * shared, False))
+    cases += [
+        (P * t ** 3 + t + 1, t ** 2 + 2, False),
+        # coprime mod P only because the common factor P*t + 1 drops
+        # its degree there
+        ((P * t + 1) * (t ** 2 + 1), (P * t + 1) * (t ** 2 + 3), False),
+        (t ** 3 + t + 1, (t ** 2).scale(Fraction(2 * P, 3)) + 5, False),
+        (t ** 3 + t.scale(Fraction(1, P)) + 1, t ** 2 + 2, False),
+        (t ** 2 + 1, t ** 2 + 1 + P, False),
+        (t ** 2 + 1, t ** 2 + 1, False),
+    ]
+    for _ in range(10):
+        linear = Polynomial(Q, [Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+                                Fraction(1)])
+        other = rand_q(rng.randint(1, 6)) * rng.choice([linear, t + 1])
+        cases += [(linear, other, False), (other, linear, False)]
+    return cases
+
+
+def test_coprimality_certificate_matches_fraction_euclid(monkeypatch):
+    outcomes = []
+    certificate = poly._coprime_mod_p
+
+    def recorded(a, b):
+        outcomes.append(certificate(a, b))
+        return outcomes[-1]
+
+    monkeypatch.setattr(poly, "_coprime_mod_p", recorded)
+    proved = 0
+    for a, b, provable in _certificate_cases(random.Random(97)):
+        outcomes.clear()
+        want = reference_gcd(a.coeffs, b.coeffs)
+        assert monic_gcd(Q, a.coeffs, b.coeffs) == want, (a, b)
+        assert a.gcd(b).coeffs == want, (a, b)
+        if min(a.degree, b.degree) < 2:
+            # a linear side never pays for the certificate
+            assert outcomes == [], (a, b)
+            continue
+        assert len(outcomes) == 2, (a, b)
+        assert outcomes[0] == outcomes[1]
+        if provable:
+            assert outcomes[0] and want == (Fraction(1),), (a, b)
+            proved += 1
+        else:
+            # P in a leading numerator or a denominator, or a common
+            # factor mod P: Euclid's loop decides
+            assert not outcomes[0], (a, b)
+    assert proved >= 30
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def test_coprimality_certificate_agrees_with_sympy_gcd():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for a, b, _ in _certificate_cases(random.Random(101)):
+        got = monic_gcd(Q, a.coeffs, b.coeffs)
+        expected = sympy.gcd(_sympy_poly(sympy, x, a), _sympy_poly(sympy, x, b))
+        coeffs = [_from_sympy(Q, c) for c in expected.all_coeffs()[::-1]]
+        assert got == tuple(c / coeffs[-1] for c in coeffs), (a, b)
 
 
 def _sympy_poly(sympy, x, p: Polynomial):
@@ -438,6 +540,11 @@ def test_prime_field_kernels_agree_with_their_generic_loops():
                     got = divide(F, a, divisor)
                     assert got == divide(G, a, divisor), (p, a, divisor)
                     assert len(got[1]) == len(divisor) - 1
+                # products mod a monic m, against the product then division
+                c = rng.choice(seqs)
+                want = divide(G, convolve(G, a, c), monic)[1]
+                assert mul_mod(F, a, c, monic) == want, (p, a, c, monic)
+                assert mul_mod(G, a, c, monic) == want, (p, a, c, monic)
             common = rng.choice(seqs) or [1]
             x, y = convolve(F, a, common), convolve(F, b, common)
             for u, v in ((a, b), (x, y), (a, []), ([], b), ([], [])):

@@ -329,3 +329,33 @@ def test_residue_theorem_at_quadratic_place():
     by_place = {term["place"]: term for term in report.terms}
     assert by_place["t^2+1"]["value"] == "2"
     assert by_place["t^2+1"]["deg"] == 2
+
+
+def test_a_refusal_at_f_or_g_comes_before_f_dg_is_formed(monkeypatch):
+    # the supports of f and g are read before h = f*g', in the order the
+    # union over f, g and h reads them, so the refusal is the same one
+    from reciprocity_lab.segalwilson import sw_verify
+    derivatives = []
+    derivative = RationalFunction.derivative
+
+    def counted(self):
+        derivatives.append(self)
+        return derivative(self)
+
+    monkeypatch.setattr(RationalFunction, "derivative", counted)
+    t = tt(Q)
+    f = (t ** 4 + 2) * (t - 1) / (t * t + 1)
+    g = t * t + 3
+    for verify in (residue_theorem_verify, sw_verify):
+        with pytest.raises(UncertifiedFactorError) as refused:
+            verify(f, g)
+        assert str(refused.value) == \
+            "uncertified irreducible factor t^4+2 of t^5-t^4+2*t-2"
+        with pytest.raises(UncertifiedFactorError) as refused:
+            verify(g, f)
+        assert str(refused.value) == \
+            "uncertified irreducible factor t^4+2 of t^5-t^4+2*t-2"
+        # a pair from two fields is refused first, as forming f*g' refuses it
+        with pytest.raises(MixedFieldError, match="mixed fields: Q vs Fp:5"):
+            verify(f, tt(F5))
+    assert derivatives == []

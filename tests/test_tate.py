@@ -172,11 +172,19 @@ def test_each_trace_computes_its_support_once(monkeypatch):
     g = rand_fn(rng, F5, max_deg=3)
     lattices = [MonomialLattice.ray(0), MonomialLattice.ray(2).complement(),
                 MonomialLattice.from_ray_spec(1, added={-2}, removed={3})]
-    for x in support_union(f, g, include_infinity=True):
+    places = support_union(f, g, include_infinity=True)
+    for x in places:
         for lattice in lattices:
             abstract_residue_trace(f, g, x, lattice=lattice)
-    assert calls["banded_commutator_trace"] > 0
-    assert calls["_support_bound"] == calls["banded_commutator_trace"]
+    distinct = len(places) * len(lattices)
+    assert calls["banded_commutator_trace"] == distinct > 0
+    assert calls["_support_bound"] == distinct
+    # a repeated lattice, also built anew, is served by the trace's memo
+    for x in places:
+        for lattice in lattices + [MonomialLattice.ray(0)]:
+            abstract_residue_trace(f, g, x, lattice=lattice, truncate="g")
+    assert calls["banded_commutator_trace"] == 2 * distinct + len(places)
+    assert calls["_support_bound"] == distinct
     calls.clear()
     family = curve_residue_family(f, g)
     for lattice in family.b_map.values():
