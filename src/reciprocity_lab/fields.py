@@ -27,10 +27,15 @@ from functools import reduce
 from .errors import DomainError, MixedFieldError, ParseError, ZeroInputError
 
 
-# Deterministic Miller-Rabin with the first 13 prime bases is exact below
-# this bound (Sorenson and Webster 2015).
+# Miller-Rabin with the first k prime bases is exact below psi_k, the
+# least strong pseudoprime to all of them (Jaeschke 1993 up to psi_8;
+# Jiang and Deng 2014; Sorenson and Webster 2015 for psi_12 and psi_13).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3317044064679887385961981
+_MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747,
+           3474749660383, 341550071728321, 341550071728321,
+           3825123056546413051, 3825123056546413051, 3825123056546413051,
+           318665857834031151167461, 3317044064679887385961981)
+_MR_LIMIT = _MR_PSI[-1]
 
 # Python turns at most 4300 digits of an int into text by default, and
 # 2^14284 < 10^4300: a rational whose numerator and denominator fit in
@@ -39,7 +44,8 @@ _RENDER_BITS = 14284
 
 
 def _is_prime(n: int) -> bool:
-    """Exact primality below `_MR_LIMIT`; larger n raise DomainError."""
+    """Exact primality below `_MR_LIMIT`; larger n raise DomainError.
+    Only the shortest prefix of `_MR_BASES` proven for n runs."""
     if n < 2:
         return False
     if n >= _MR_LIMIT:
@@ -51,7 +57,8 @@ def _is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:next(k for k, psi in enumerate(_MR_PSI, 1)
+                             if n < psi)]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

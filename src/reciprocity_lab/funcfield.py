@@ -16,6 +16,14 @@ residue field) read it, and so does every multiplicative local symbol,
 which reduces u and w into the residue field itself and so inverts at
 most once per place (`symbols1d.monomial_symbol`).
 
+`support` keeps the divisor it finds on the function, which is
+immutable, so `split` and `valuation` read v off it afterwards: at a
+finite place off the divisor the split is (0, num, den) with no trial
+division, and at a place on it pi is divided out exactly |v| times.
+Infinity is always read off the degrees, since its u and w are leading
+coefficients and not num and den.  Places are monic irreducible, as
+`Place.finite` and `support` make them, and hash once, when built.
+
 `FractionField` implements the same `Field` protocol with rational
 functions as raw values, which is how functions on the surface k(s)(t) are
 built from the same machinery.
@@ -33,13 +41,15 @@ from .residue_field import ResidueField
 class Place:
     """A closed point of the projective line over the ground field."""
 
-    __slots__ = ("field", "var", "pi", "_residue_field")
+    __slots__ = ("field", "var", "pi", "_residue_field", "_hash")
 
     def __init__(self, field: Field, var: str, pi: Polynomial | None):
         self.field = field
         self.var = var
         self.pi = pi
         self._residue_field = None
+        # a place is a key of every divisor it lies on
+        self._hash = hash((field, var, pi))
 
     @classmethod
     def finite(cls, pi: Polynomial) -> "Place":
@@ -90,7 +100,7 @@ class Place:
                 and self.pi == other.pi)
 
     def __hash__(self):
-        return hash((self.field, self.var, self.pi))
+        return self._hash
 
     def __str__(self):
         return "inf" if self.pi is None else str(self.pi)
@@ -102,7 +112,8 @@ class Place:
 class RationalFunction:
     """An element of k(t) in lowest terms with monic denominator."""
 
-    __slots__ = ("field", "var", "num", "den")
+    # _divisor: {place: valuation} once `support` has run, else None
+    __slots__ = ("field", "var", "num", "den", "_divisor")
 
     def __init__(self, num: Polynomial, den: Polynomial):
         if den.is_zero():
@@ -140,6 +151,7 @@ class RationalFunction:
             self.den = den
         self.field = field
         self.var = num.var
+        self._divisor = None
 
     # -- constructors -------------------------------------------------------
 
@@ -221,6 +233,8 @@ class RationalFunction:
             self.den * self.den)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         try:
             other = self._coerce(other)
         except (MixedFieldError, ZeroInputError):
@@ -235,7 +249,8 @@ class RationalFunction:
 
     def __str__(self):
         num = str(self.num)
-        if self.den == Polynomial.one(self.field, self.var):
+        # den is monic, so it is 1 exactly when it is constant
+        if self.den.degree == 0:
             return num
         return f"({num})/({str(self.den)})"
 
@@ -258,7 +273,9 @@ class RationalFunction:
         divided out, so pi divides neither.  num and den are coprime, so den
         is divided only when pi does not divide num.  At infinity u and w
         are the leading coefficients of num and den, as constants: the
-        value of f * z**(-v) there is u / w.
+        value of f * z**(-v) there is u / w.  Once `support` has run, v
+        is read off the divisor: a finite place off it is (0, num, den)
+        with no division, and a place on it divides pi out |v| times.
         """
         self._check_nonzero_at(place)
         num, den = self.num, self.den
@@ -266,6 +283,11 @@ class RationalFunction:
             return (den.degree - num.degree,
                     Polynomial(self.field, num.coeffs[-1:], self.var),
                     Polynomial(self.field, den.coeffs[-1:], self.var))
+        if self._divisor is not None:
+            v = self._divisor.get(place, 0)
+            num = _strip_power(num, place.pi, max(v, 0))[1]
+            den = _strip_power(den, place.pi, max(-v, 0))[1]
+            return v, num, den
         v, num = _strip_power(num, place.pi)
         if v:
             return v, num, den
@@ -277,6 +299,9 @@ class RationalFunction:
         if place.is_infinity:
             self._check_nonzero_at(place)
             return self.den.degree - self.num.degree
+        if self._divisor is not None:
+            self._check_nonzero_at(place)
+            return self._divisor.get(place, 0)
         return self.split(place)[0]
 
     def unit_value(self, place: Place):
@@ -299,10 +324,13 @@ class RationalFunction:
         """The divisor of f: all places with nonzero valuation, canonical order.
 
         Requires a fully certified factorization of numerator and denominator;
-        over Q an unresolved degree >= 4 cofactor raises.
+        over Q an unresolved degree >= 4 cofactor raises.  The divisor is
+        kept on the function, for `split` and for the next call.
         """
         if self.is_zero():
             raise ZeroInputError("the zero function has no divisor")
+        if self._divisor is not None:
+            return list(self._divisor.items())
         entries: list[tuple[Place, int]] = []
         for poly, sign in ((self.num, 1), (self.den, -1)):
             if poly.is_constant():
@@ -318,20 +346,23 @@ class RationalFunction:
         if v_inf != 0:
             entries.append((Place.at_infinity(self.field, self.var), v_inf))
         entries.sort(key=lambda pair: pair[0].sort_key())
+        self._divisor = dict(entries)
         return entries
 
 
-def _strip_power(p: Polynomial, pi: Polynomial) -> tuple[int, Polynomial]:
-    """Largest k with pi**k | p, together with the cofactor p / pi**k."""
+def _strip_power(p: Polynomial, pi: Polynomial, known: int | None = None):
+    """Largest k with pi**k | p, together with the cofactor p / pi**k.
+    A `known` k costs k divisions, with no remainder read: none for 0."""
     F = p.field
     coeffs = p.coeffs
     count = 0
-    while True:
+    while count != known:
         q, r = divide(F, coeffs, pi.coeffs)
-        if trim(F, r):
-            return count, (Polynomial(F, coeffs, p.var) if count else p)
+        if known is None and trim(F, r):
+            break
         count += 1
         coeffs = q
+    return count, (Polynomial(F, coeffs, p.var) if count else p)
 
 
 def support_union(*functions: RationalFunction,

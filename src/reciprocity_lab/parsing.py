@@ -7,6 +7,10 @@ than unary minus, and "/" associates left like "*", so "1/2*t" is (1/2)*t
 and "1/t^2" is t^(-2).  Round trips parse(str(f)) == f hold for every
 canonical form.
 
+The tokeniser is one `findall` of blanks followed by a token or else one
+bad character, which is refused; the list ends in the sentinel None, so
+the parser reads ahead with no bounds check.
+
 While parsing, a value is an unreduced pair (num, den) of sparse
 polynomials in k[t, s], each a dict {(t_exp, s_exp): c} of plain ints
 without zero entries: exact integers over Q, since every literal is one and
@@ -14,14 +18,17 @@ without zero entries: exact integers over Q, since every literal is one and
 sums exactly and reduces each entry mod p once.  "+" adds numerators over
 an equal denominator and cross-multiplies otherwise, "*" and "/"
 cross-multiply, and "^" goes through `fields.power` (a negative power swaps
-num and den).  Nothing is reduced on the way.  Field values (Fractions,
-residues mod p) appear only when the pair becomes `Polynomial`s at the end:
+num and den; a side that is 1 stays 1, unmultiplied).  Nothing is reduced
+on the way.  Field values (Fractions, residues mod p) appear only when the
+pair becomes `Polynomial`s at the end:
 `parse_rational` makes it one `RationalFunction(num, den)` and never binds
 s.  `parse_surface` builds the k(s)(t) form in one pass.  It groups the
 pair by t-exponent and divides each row, a polynomial in s, by
 L = lc_t(den) as one `RationalFunction(row, L)` in k(s): one gcd in k[s]
 per coefficient, none when L = 1 or the row is L, as den's top row is, which
-becomes k(s)'s one.  The denominator in t is then monic, so
+becomes k(s)'s one.  Rows are compared with L as int dicts, before any
+`Polynomial` is built: their entries are canonical and nonzero, so equal
+dicts are equal polynomials.  The denominator in t is then monic, so
 the final `RationalFunction(num, den)` over k(s) only strips a common power
 of t, or runs the gcd over k(s)[t] when neither side is a monomial in t.
 
@@ -45,7 +52,8 @@ from .fields import Field, power
 from .funcfield import FractionField, Place, RationalFunction
 from .poly import Polynomial
 
-_TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|\^|[-+*/()]")
+# each match is blanks, then a token or else one bad character
+_TOKENS = re.compile(r"\s*(?:(\d+|[A-Za-z_][A-Za-z_0-9]*|\^|[-+*/()])|(\S))")
 
 # Largest |n| in "^n".  README, tests and perfbench write at most ^13; 50
 # leaves almost 4x headroom.  (1+s+t)^50 parses in about 0.05 s over Q
@@ -71,19 +79,15 @@ DIGIT_BOUND = 1000
 _T, _S = (1, 0), (0, 1)
 
 
-def _tokenize(text: str) -> list[str]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            raise ParseError(f"bad character {text[pos]!r} in {text!r}")
-        out.append(match.group(0))
-        pos = match.end()
-    return out
+def _tokenize(text: str) -> list:
+    """The tokens of text, ended by the sentinel None."""
+    tokens = []
+    for token, bad in _TOKENS.findall(text):
+        if bad:
+            raise ParseError(f"bad character {bad!r} in {text!r}")
+        tokens.append(token)
+    tokens.append(None)
+    return tokens
 
 
 def _add(p: int, a: dict, b: dict) -> dict:
@@ -146,10 +150,11 @@ class _ExpressionParser:
         self.height_limit = None if self.p else 10 ** DIGIT_BOUND
 
     def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        # the token list ends in None, and take() never passes it
+        return self.tokens[self.pos]
 
     def take(self) -> str:
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token is None:
             raise ParseError("unexpected end of expression")
         self.pos += 1
@@ -232,7 +237,9 @@ class _ExpressionParser:
         if self.height_limit:
             self.check_height(max(_height(num)[0], _height(den)[0]) ** n)
         mul = partial(_mul, self.p)
-        return power(mul, self.one, num, n), power(mul, self.one, den, n)
+        # 1^n is 1, which stays self.one so that `mul` skips it
+        return tuple(a if a is self.one else power(mul, self.one, a, n)
+                     for a in (num, den))
 
     def exponent(self) -> int:
         sign = 1
@@ -296,13 +303,15 @@ def parse_surface(text: str, base: Field) -> RationalFunction:
                                  {"s": _S, "t": _T}).parse()
     ks = _coefficient_field(base)
     top = max(i for i, _ in den)
-    lead = _polynomial(base, {j: c for (i, j), c in den.items() if i == top},
-                       "s")
+    lead_row = {j: c for (i, j), c in den.items() if i == top}
+    lead = _polynomial(base, lead_row, "s")
 
     def coefficient(row: dict):
-        # a row equal to lead, as den's top row is, divides to k(s)'s one
-        c = _polynomial(base, row, "s")
-        return ks.one if c == lead else RationalFunction(c, lead)
+        # entries are canonical nonzero ints, so rows compare as dicts; a
+        # row equal to lead, as den's top row is, divides to k(s)'s one
+        if row == lead_row:
+            return ks.one
+        return RationalFunction(_polynomial(base, row, "s"), lead)
 
     def in_t(terms: dict) -> Polynomial:
         rows: dict = {}

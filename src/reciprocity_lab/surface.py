@@ -21,6 +21,9 @@ a_i and b_j nonzero in k(s):
     phi_z(f)        = phi_t(f) * phi_t(z)**(-v_C(f))
 
 so no element of k(s)(t) is built, and no gcd over k(s) runs, to restrict.
+den is monic in t, so when den is a power of t its one coefficient b_j
+is k(s)'s one, and phi_t(f) is a_i itself, with no division by 1.  Likewise
+phi_z is phi_t, with no rescaling, when phi_t(z) = 1, as for z = t*(1+t).
 
 Each call reads this data once per input, and once for z, in `_curve_data`,
 which also defaults and checks z.  `_local_symbol` builds the intersection
@@ -104,6 +107,9 @@ def _t_adic(f: RationalFunction) -> tuple[int, RationalFunction]:
     _coefficient_field(f)
     i = f.num.lowest_index()
     j = f.den.lowest_index()
+    # den is monic, so when it is a power of t its lowest coefficient is 1
+    if j == f.den.degree:
+        return i - j, f.num.coeffs[i]
     return i - j, f.num.coeffs[i] / f.den.coeffs[j]
 
 
@@ -147,7 +153,7 @@ def _curve_data(functions, z: RationalFunction | None):
         pz = _parameter_phi(z)
     for f in functions:
         _same_model(f, functions[0] if z is None else z)
-    if z is None:
+    if z is None or pz == z.field.one:
         return data
     return [(v, phi / pz ** v if v else phi) for v, phi in data]
 

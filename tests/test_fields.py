@@ -5,7 +5,8 @@ from hypothesis import given, strategies as st
 
 from reciprocity_lab.errors import (DomainError, MixedFieldError, ParseError,
                                     ZeroInputError)
-from reciprocity_lab.fields import (FieldScalar, PrimeField, RationalField,
+from reciprocity_lab.fields import (_MR_BASES, _MR_PSI, FieldScalar,
+                                    PrimeField, RationalField, _is_prime,
                                     field_from_descriptor)
 from reciprocity_lab.funcfield import FractionField, RationalFunction
 from reciprocity_lab.poly import Polynomial
@@ -154,6 +155,33 @@ def test_primality_of_moduli_is_exact():
             PrimeField(n)
     for p in (2 ** 61 - 1, 10 ** 18 + 3, 3317044064679887385961813):
         assert PrimeField(p).p == p
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2 ** r, n) == n - 1
+                                  for r in range(1, s))
+
+
+def test_miller_rabin_runs_the_shortest_proven_prefix_of_bases():
+    limit = 10 ** 5
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for d in range(2, int(limit ** 0.5) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = bytes(len(range(d * d, limit, d)))
+    assert [_is_prime(n) for n in range(limit)] == [bool(b) for b in sieve]
+    # psi_k passes the first k bases: the prefix `_is_prime` runs on it
+    # must be longer than the one it runs below psi_k
+    for k, psi in enumerate(_MR_PSI[:-1], 1):
+        assert all(_strong_probable_prime(psi, a) for a in _MR_BASES[:k])
+        assert not _is_prime(psi)
+    with pytest.raises(DomainError, match="too large"):
+        _is_prime(_MR_PSI[-1])
 
 
 def test_moduli_beyond_the_certified_range_are_rejected():

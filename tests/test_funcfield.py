@@ -11,7 +11,7 @@ from reciprocity_lab.funcfield import (FractionField, Place, RationalFunction,
                                       support_union)
 from reciprocity_lab.poly import Polynomial, monic_gcd
 
-from helpers import F3, F5, F7, Q, rand_fn, rand_fn_for, rand_fn_q
+from helpers import F3, F5, F7, F13, Q, rand_fn, rand_fn_for, rand_fn_q
 
 
 def tt(field):
@@ -285,3 +285,40 @@ def test_finite_places_factor_once(monkeypatch):
             with pytest.raises(error):
                 Place.finite(pi)
         assert calls == [pi]
+
+
+def _places_off_the_support(field):
+    """Places of degree 1 and 2 that random functions often miss."""
+    t = Polynomial.variable(field)
+    places = [Place.finite(t - a) for a in range(-2, 3)]
+    # t^2 + 2 is irreducible over F_5, F_13 and Q
+    return places + [Place.finite(t * t + 2)]
+
+
+@pytest.mark.parametrize("field", [F5, F13, Q], ids=lambda F: F.descriptor)
+def test_split_off_a_known_divisor_matches_trial_division(field):
+    """`split` and `valuation` of a function whose `support` has run (read
+    off the kept divisor) equal those of a fresh copy that never ran it
+    (trial division), at every place of a support union, at places off
+    the support, at poles and at infinity."""
+    rng = random.Random(71 + field.char)
+    t = tt(field)
+    # v = 0 at infinity with num not constant: u, w are leading
+    # coefficients there, not num and den
+    fixed = [((t + 1) / (t + 2), t), (2 * t / (t * t + 2), 1 / t)]
+    pairs = fixed + [(rand_fn_for(rng, field), rand_fn_for(rng, field))
+                     for _ in range(25)]
+    seen = set()
+    for f, g in pairs:
+        fresh = RationalFunction(f.num, f.den)
+        places = support_union(f, g, include_infinity=True)
+        assert f._divisor is not None and fresh._divisor is None
+        for x in places + _places_off_the_support(field):
+            v = fresh.valuation(x)
+            seen.add("inf" if x.is_infinity else (v > 0) - (v < 0))
+            assert f.split(x) == fresh.split(x)
+            assert f.valuation(x) == v
+            assert f.unit_value(x) == fresh.unit_value(x)
+        assert fresh._divisor is None
+        assert f.support() == fresh.support()
+    assert seen == {"inf", -1, 0, 1}

@@ -214,10 +214,31 @@ def test_coefficient_heights_are_bounded():
 
 # -- the route before pairs, kept as the oracle of the differential tests ----
 
+_REFERENCE_TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|\^|[-+*/()]")
+
+
+def _reference_tokenize(text):
+    """The character loop before one `findall`: skip each blank, match one
+    token at each other position, refuse the first character none
+    matches."""
+    out = []
+    pos = 0
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        match = _REFERENCE_TOKEN.match(text, pos)
+        if match is None:
+            raise ParseError(f"bad character {text[pos]!r} in {text!r}")
+        out.append(match.group(0))
+        pos = match.end()
+    return out
+
+
 def _reference_parse(text, variables, make_int):
     """Recursive descent where every +, -, *, / and ^ builds a canonical
     RationalFunction: the parser before (num, den) pairs."""
-    tokens = _tokenize(text)
+    tokens = _reference_tokenize(text)
     pos = 0
 
     def peek():
@@ -444,3 +465,33 @@ def test_a_surface_parse_normalizes_each_coefficient_once(monkeypatch):
     assert len(calls) <= bound
     assert len(gcds) > 300
     assert not any(gcds)
+
+
+def _token_outcome(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+def test_tokenizer_matches_the_character_loop():
+    """One `findall` gives the character loop's tokens, then the sentinel
+    None, and the same ParseError at the first bad character."""
+    rng = random.Random(29)
+    pieces = ["t", "s", "x_1", "7", "042", "٣", "+", "-", "*", "/", "^",
+              "(", ")", " ", "\t", "\n", "\u00a0", "\u2003", "#", ".",
+              "\u00b2", "ab9"]
+    texts = ["", " ", "\t\n", "t", " t^2 ", "(s+1)*t\u00a0", "t\u2003+ 1",
+             "2\u00b2", "t.5", "#", "t #", " \u00a0\n"]
+    texts += ["".join(rng.choice(pieces) for _ in range(rng.randint(1, 12)))
+              for _ in range(3000)]
+    bad = 0
+    for text in texts:
+        want = _token_outcome(_reference_tokenize, text)
+        got = _token_outcome(_tokenize, text)
+        if isinstance(want, str):
+            bad += 1
+            assert got == want, text
+        else:
+            assert got == want + [None], text
+    assert 0 < bad < len(texts)

@@ -5,7 +5,7 @@ import pytest
 
 from reciprocity_lab.errors import (DomainError, MixedFieldError,
                                     ZeroInputError)
-from reciprocity_lab.funcfield import Place, RationalFunction
+from reciprocity_lab.funcfield import Place, RationalFunction, support_union
 from reciprocity_lab.parsing import parse_place
 from reciprocity_lab.poly import Polynomial
 from reciprocity_lab.surface import (curve_place, curve_tame,
@@ -358,6 +358,44 @@ def test_t_adic_restriction_matches_the_kst_route():
                 want = -want
             got = curve_tame(f, g)
             assert (got.num, got.den) == (want.num, want.den)
+
+
+def _t_adic_by_division(f):
+    """(v_C(f), phi_t(f)) with the lowest t-coefficients divided, even when
+    den's is 1: the reference for the route that skips that division."""
+    i, j = f.num.lowest_index(), f.den.lowest_index()
+    return i - j, f.num.coeffs[i] / f.den.coeffs[j]
+
+
+def test_phi_t_without_division_matches_the_division_route():
+    rng = random.Random(367)
+    for base in (F5, Q):
+        s, t = gens(base)
+        # dens that are powers of t (lowest coefficient 1), and dens whose
+        # lowest coefficient is s, 1 + s or 1 but that are not powers of t
+        samples = [1 / (t * t + s * t), (s + t) / (s * t ** 2 + t ** 3),
+                   s * t / ((1 + s) * t + t * t), (1 + s * t) / t ** 2,
+                   s / (1 + s * t), (s - 1) * t ** 2 / (1 + t)]
+        for _ in range(10):
+            f = rand_surface_fn(rng, base)
+            samples += [f, f / (s + t), f * t / (1 + s * t)]
+        assert {f.den.lowest_index() == f.den.degree for f in samples} \
+            == {True, False}
+        fixed = [place_s(base, shift=a) for a in range(-2, 3)]
+        for z in (None, t, t * (1 + t), 2 * t, s * t, t / (1 + s)):
+            pz = None if z is None else _t_adic_by_division(z)[1]
+            for f in samples:
+                v, want = _t_adic_by_division(f)
+                if pz is not None:
+                    want = want / pz ** v
+                assert curve_valuation(f) == v
+                got = phi_z(f, z)
+                assert (got.num, got.den) == (want.num, want.den)
+                # the divisor kept on phi_z(f), read by vbar where phi_z(f)
+                # is one of f's own coefficients, against trial division
+                places = support_union(got, include_infinity=True)
+                for x in places + fixed:
+                    assert vbar(f, x, z) == want.valuation(x)
 
 
 def test_restriction_of_a_curve_unit_is_phi_for_every_parameter():
