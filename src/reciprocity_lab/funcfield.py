@@ -39,7 +39,9 @@ from .residue_field import ResidueField
 
 
 class Place:
-    """A closed point of the projective line over the ground field."""
+    """A closed point of the projective line over the ground field: pi is
+    monic irreducible, or None at infinity.  The constructor does not
+    check pi; `Place.finite` does."""
 
     __slots__ = ("field", "var", "pi", "_residue_field", "_hash")
 
