@@ -11,6 +11,13 @@ parsed, 3 the inputs are outside a symbol's domain (every library error
 that is not a parse error or a violated hypothesis), 4 a reciprocity
 hypothesis was violated.
 
+A process loads only what its command calls.  At import this module
+loads the parser, the fields and the report; each command imports its
+library module when it runs (`_Command.library`, or inside `run`), so weil
+never loads `tate`, `lattices` or the surface code, and only sw loads
+`segalwilson`.  The --order default and bound come from `parsing` for the
+same reason.
+
 Reports print as aligned text, or as canonical JSON with --json: keys are
 sorted and separators fixed, so identical inputs are byte-identical.
 Factorization into monic irreducibles is unique and reported in canonical
@@ -20,22 +27,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from importlib import import_module
 from typing import Callable, NamedTuple
 
 from .errors import HypothesisViolation, ParseError, ReciprocityError
 from .fields import Field, field_from_descriptor
-from .lattices import BlockShiftOperator, lattice_index, parse_lattice
-from .parsing import parse_place, parse_rational, parse_surface
+from .parsing import (DEFAULT_ORDER, ORDER_BOUND, parse_place, parse_rational,
+                      parse_surface)
 from .report import VerificationReport
-from .segalwilson import DEFAULT_ORDER, ORDER_BOUND, cocycle_c, sw_verify
-from .surface import (hk4, horozov3, nu_symbol, nu_verify, parshin3,
-                      reciprocity_verify_2d)
-from .symbols1d import (hilbert_symbol, hilbert_verify, residue_theorem_verify,
-                        sum_of_valuations_verify, tame_symbol, weil_verify)
-from .tate import classical_residue
-from .xsymbol import (curve_index_family, curve_residue_family,
-                      curve_tame_family, general_reciprocity_run,
-                      xsymbol_axiom_check)
 
 _REQUIRED = {"required": True, "type": str}
 _OPTIONAL = {"type": str}
@@ -51,14 +50,17 @@ class _Command(NamedTuple):
     """A subcommand: its function flags (in k(s, t) if `surface`, else in
     k(t)), then `flags`, each with its argparse keywords.  `params(args)`
     renders the other report inputs, checked before any function is
-    parsed; `value(args, functions, x, z)` is the symbol at the place x,
-    reported as `label`; `law(args, functions, z)` is the report over all
-    places.  `run(args)` replaces these where a command's rules differ."""
+    parsed; `value(lib, args, functions, x, z)` is the symbol at the place
+    x, reported as `label`; `law(lib, args, functions, z)` is the report
+    over all places.  `lib` is the module of this package named by
+    `library`, imported when the command runs.  `run(args)` replaces these
+    where a command's rules differ, and imports what it calls itself."""
     help: str
     functions: tuple = ()
     flags: dict = {}
     surface: bool = False
     params: Callable = lambda args: {}
+    library: str | None = None
     label: str | None = None
     value: Callable | None = None
     law: Callable | None = None
@@ -80,9 +82,12 @@ def _order(args) -> dict:
 
 
 def _index(args) -> VerificationReport:
+    from .lattices import BlockShiftOperator, lattice_index, parse_lattice
+
     field = field_from_descriptor(args.field)
     f = parse_rational(args.f, field)
     if args.verify:
+        from .xsymbol import curve_index_family, general_reciprocity_run
         return general_reciprocity_run(curve_index_family(f))
     if args.place is None:
         raise ParseError("index needs --place (or --verify)")
@@ -95,6 +100,11 @@ def _index(args) -> VerificationReport:
 
 
 def _xsymbol(args) -> VerificationReport:
+    from .lattices import parse_lattice
+    from .xsymbol import (curve_index_family, curve_residue_family,
+                          curve_tame_family, general_reciprocity_run,
+                          xsymbol_axiom_check)
+
     field = field_from_descriptor(args.field)
     f = parse_rational(args.f, field)
     if args.instance == "index":
@@ -123,56 +133,63 @@ def _xsymbol(args) -> VerificationReport:
         details={})
 
 
-# Library functions are looked up when a command runs, not here, so that a
-# name patched on this module is the one called.
+# Library modules are imported when a command runs, not here, so that a
+# command loads only the modules it calls; a name patched on its defining
+# module is the one called.
 _COMMANDS = {
     "tame": _Command(
         "tame symbol of (f, g) at a place", ("f", "g"),
-        {"place": _REQUIRED}, label="tame-symbol",
-        value=lambda args, fs, x, z: tame_symbol(*fs, x)),
+        {"place": _REQUIRED}, library="symbols1d", label="tame-symbol",
+        value=lambda lib, args, fs, x, z: lib.tame_symbol(*fs, x)),
     "weil": _Command(
         "product of tame symbols over the joint support", ("f", "g"),
-        law=lambda args, fs, z: weil_verify(*fs)),
+        library="symbols1d",
+        law=lambda lib, args, fs, z: lib.weil_verify(*fs)),
     "sumval": _Command(
         "degree-weighted sum of valuations of f", ("f",),
-        law=lambda args, fs, z: sum_of_valuations_verify(*fs)),
+        library="symbols1d",
+        law=lambda lib, args, fs, z: lib.sum_of_valuations_verify(*fs)),
     "residue": _Command(
         "residue of f dg at a place, traced to the ground field", ("f", "g"),
-        {"place": _REQUIRED}, label="residue",
-        value=lambda args, fs, x, z: classical_residue(*fs, x)),
+        {"place": _REQUIRED}, library="tate", label="residue",
+        value=lambda lib, args, fs, x, z: lib.classical_residue(*fs, x)),
     "restheorem": _Command(
         "sum of residues of f dg over all places", ("f", "g"),
         {"oracle": {"action": "store_true", "help": "cross-check each term "
                     "against the commutator trace"}},
-        law=lambda args, fs, z: residue_theorem_verify(*fs,
-                                                       oracle=args.oracle)),
+        library="symbols1d",
+        law=lambda lib, args, fs, z: lib.residue_theorem_verify(
+            *fs, oracle=args.oracle)),
     "hilbert": _Command(
         "norm residue symbol of order m (value with --place, "
         "reciprocity product without)", ("f", "g"),
         {"m": {"required": True, "type": int}, "place": _OPTIONAL},
-        params=lambda args: {"m": str(args.m)}, label="hilbert-symbol",
-        value=lambda args, fs, x, z: hilbert_symbol(*fs, x, args.m),
-        law=lambda args, fs, z: hilbert_verify(*fs, args.m)),
+        params=lambda args: {"m": str(args.m)}, library="symbols1d",
+        label="hilbert-symbol",
+        value=lambda lib, args, fs, x, z: lib.hilbert_symbol(*fs, x, args.m),
+        law=lambda lib, args, fs, z: lib.hilbert_verify(*fs, args.m)),
     "nu": _Command(
         "intersection pairing against the curve t = 0", ("f", "g"),
-        _SURFACE, surface=True, label="nu-symbol",
-        value=lambda args, fs, x, z: nu_symbol(*fs, x, z),
-        law=lambda args, fs, z: nu_verify(*fs)),
+        _SURFACE, surface=True, library="surface", label="nu-symbol",
+        value=lambda lib, args, fs, x, z: lib.nu_symbol(*fs, x, z),
+        law=lambda lib, args, fs, z: lib.nu_verify(*fs)),
     "horozov": _Command(
         "three-slot local symbol on the surface", ("f", "g", "h"),
-        _SURFACE, surface=True, label="horozov-symbol",
-        value=lambda args, fs, x, z: horozov3(*fs, x, z=z),
-        law=lambda args, fs, z: reciprocity_verify_2d("horozov", fs, z)),
+        _SURFACE, surface=True, library="surface", label="horozov-symbol",
+        value=lambda lib, args, fs, x, z: lib.horozov3(*fs, x, z=z),
+        law=lambda lib, args, fs, z: lib.reciprocity_verify_2d("horozov", fs,
+                                                               z)),
     "parshin": _Command(
         "antisymmetric three-slot symbol on the surface", ("f", "g", "h"),
-        _SURFACE, surface=True, label="parshin-symbol",
-        value=lambda args, fs, x, z: parshin3(*fs, x, z=z),
-        law=lambda args, fs, z: reciprocity_verify_2d("parshin", fs, z)),
+        _SURFACE, surface=True, library="surface", label="parshin-symbol",
+        value=lambda lib, args, fs, x, z: lib.parshin3(*fs, x, z=z),
+        law=lambda lib, args, fs, z: lib.reciprocity_verify_2d("parshin", fs,
+                                                               z)),
     "hk4": _Command(
         "four-slot local symbol on the surface", ("f", "g", "h", "w"),
-        _SURFACE, surface=True, label="hk4-symbol",
-        value=lambda args, fs, x, z: hk4(*fs, x, z=z),
-        law=lambda args, fs, z: reciprocity_verify_2d("hk4", fs, z)),
+        _SURFACE, surface=True, library="surface", label="hk4-symbol",
+        value=lambda lib, args, fs, x, z: lib.hk4(*fs, x, z=z),
+        law=lambda lib, args, fs, z: lib.reciprocity_verify_2d("hk4", fs, z)),
     "sw": _Command(
         "exponential residue pairing (value with --place, product without)",
         ("f", "g"),
@@ -180,9 +197,9 @@ _COMMANDS = {
          "order": {"type": int, "default": DEFAULT_ORDER,
                    "help": f"truncation order in z (default {DEFAULT_ORDER}, "
                            f"from 0 to {ORDER_BOUND})"}},
-        params=_order, label="segal-wilson",
-        value=lambda args, fs, x, z: cocycle_c(*fs, x, args.order),
-        law=lambda args, fs, z: sw_verify(*fs, args.order)),
+        params=_order, library="segalwilson", label="segal-wilson",
+        value=lambda lib, args, fs, x, z: lib.cocycle_c(*fs, x, args.order),
+        law=lambda lib, args, fs, z: lib.sw_verify(*fs, args.order)),
     "index": _Command(
         "lattice index of multiplication by f at a place",
         flags={"f": _REQUIRED, "place": _OPTIONAL,
@@ -242,11 +259,12 @@ def _symbol_or_law(command: _Command, args) -> VerificationReport:
     place = getattr(args, "place", None)
     x = (None if place is None
          else parse_place(place, field, "s" if command.surface else "t"))
+    lib = import_module(f".{command.library}", __package__)
     if x is None or getattr(args, "verify", False):
-        return command.law(args, functions, z)
+        return command.law(lib, args, functions, z)
     inputs = {name: str(fn) for name, fn in zip(command.functions, functions)}
     return _value_report(command.label, field, {**inputs, **params}, x,
-                         command.value(args, functions, x, z))
+                         command.value(lib, args, functions, x, z))
 
 
 def _dispatch(args) -> VerificationReport:

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -63,17 +62,53 @@ from .poly import (Polynomial, divide, monic_gcd, mul_mod as _mul_mod,
 DEFAULT_SEED = 20140901
 
 
-@dataclass(frozen=True)
-class Factor:
-    base: Polynomial
-    multiplicity: int
-    certified: bool = True
+class _Frozen:
+    """A value whose fields `__init__` writes once into `__dict__`: equal
+    and hashed by them in that order, shown as Name(field=value, ...), and
+    assigning or deleting an attribute raises AttributeError, as for a
+    frozen dataclass."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={value!r}"
+                          for name, value in self.__dict__.items())
+        return f"{type(self).__name__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: "
+                             f"cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: "
+                             f"cannot delete {name!r}")
 
 
-@dataclass(frozen=True)
-class Factorization:
-    unit: FieldScalar
-    factors: tuple[Factor, ...]
+class Factor(_Frozen):
+    """A monic factor and its multiplicity; `certified` is False only for
+    a cofactor over Q not proven irreducible."""
+
+    def __init__(self, base: Polynomial, multiplicity: int,
+                 certified: bool = True):
+        fields = self.__dict__
+        fields["base"] = base
+        fields["multiplicity"] = multiplicity
+        fields["certified"] = certified
+
+
+class Factorization(_Frozen):
+    """unit * prod base**multiplicity over the factors, in canonical order."""
+
+    def __init__(self, unit: FieldScalar, factors: tuple[Factor, ...]):
+        fields = self.__dict__
+        fields["unit"] = unit
+        fields["factors"] = factors
 
     def product(self) -> Polynomial:
         field = self.unit.field

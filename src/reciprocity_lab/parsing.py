@@ -40,7 +40,9 @@ power, the product or the integer is built.  Over Q the coefficients are
 integers, and a product or power whose coefficients could pass DIGIT_BOUND
 digits, by a bound from the sums and maxima of its operands' coefficients,
 is refused too, so ((7^50)^50)^50 never reaches the renderer.  Sums are not
-checked: they add at most one digit per "+" of the text.
+checked: they add at most one digit per "+" of the text.  The truncation
+order of `sw --order` has its bound and default here too, beside the other
+input bounds, so the command line reads them without loading `segalwilson`.
 """
 from __future__ import annotations
 
@@ -75,6 +77,17 @@ DEGREE_BOUND = 100
 # and ROADMAP has 25 digits; 1000 leaves 40x headroom and stays under the
 # 4300 digits that int() and str() accept by default.
 DIGIT_BOUND = 1000
+
+# Truncation order of the exponential pairing (`segalwilson`) when none is
+# given.
+DEFAULT_ORDER = 12
+
+# Largest truncation order the command line accepts.  exp_z2(1/2) has the
+# coefficients 1/(2^n n!) for 2n <= order: at order 3000 their denominators
+# pass Python's 4300-digit limit on int-to-str conversion, so rendering the
+# report failed.  At 1000 they stay under 1300 digits, `sw --f 1/t --g t
+# --order 1000` takes about 2 s, and the bound is 83x the default.
+ORDER_BOUND = 1000
 
 _T, _S = (1, 0), (0, 1)
 

@@ -13,19 +13,33 @@ theorem, exponential pairing, intersection pairing and surface laws.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 
-@dataclass
 class VerificationReport:
-    law: str
-    field_descriptor: str
-    inputs: dict
-    terms: list
-    value: str
-    expected: str
-    ok: bool
-    details: dict = field(default_factory=dict)
+    """A report is equal to another exactly when all its fields are; with
+    no `details` it gets a fresh empty dict."""
+
+    def __init__(self, law: str, field_descriptor: str, inputs: dict,
+                 terms: list, value: str, expected: str | None, ok: bool,
+                 details: dict | None = None):
+        self.law = law
+        self.field_descriptor = field_descriptor
+        self.inputs = inputs
+        self.terms = terms
+        self.value = value
+        self.expected = expected
+        self.ok = ok
+        self.details = {} if details is None else details
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={value!r}"
+                          for name, value in self.__dict__.items())
+        return f"VerificationReport({shown})"
 
     def to_dict(self) -> dict:
         return {

@@ -10,7 +10,9 @@ cross-checked in the test suite against the multiplication-matrix oracle.
 Products are `poly.mul_mod`, the product mod the monic pi: it inverts
 nothing, keeps no quotient, and over F_p reduces each entry once.  `inv`
 runs extended Euclid on coefficient tuples with its cofactors reduced in
-the ring.
+the ring.  `from_coeffs` divides only a sequence longer than deg pi; a
+shorter one, such as the constant unit values every split at infinity
+hands over, is its own remainder and is only padded.
 
 `ResidueField` is a `Field` like Q and F_p, so polynomials can take their
 coefficients in it and its classes travel as `FieldScalar`s tagged with it.
@@ -18,7 +20,7 @@ coefficients in it and its classes travel as `FieldScalar`s tagged with it.
 from __future__ import annotations
 
 from .errors import DomainError, MixedFieldError, ZeroInputError
-from .fields import Field, FieldScalar
+from .fields import Field, FieldScalar, PrimeField
 from .poly import Polynomial, divide, mul_mod, trim
 
 
@@ -66,8 +68,19 @@ class ResidueField(Field):
         return self.from_base(self.base.from_int(n))
 
     def from_coeffs(self, coeffs):
-        """Reduce an arbitrary coefficient sequence mod pi into a raw tuple."""
-        return divide(self.base, coeffs, self.modulus.coeffs)[1]
+        """Reduce an arbitrary coefficient sequence mod pi into a raw tuple.
+
+        A sequence no longer than deg pi is its own remainder: it is only
+        zero-padded, with each entry reduced mod p over F_p, as `divide`
+        would return it.
+        """
+        pad = self.degree - len(coeffs)
+        if pad < 0:
+            return divide(self.base, coeffs, self.modulus.coeffs)[1]
+        if isinstance(self.base, PrimeField):
+            p = self.base.p
+            return tuple([c % p for c in coeffs]) + self.zero[:pad]
+        return tuple(coeffs) + self.zero[:pad]
 
     def is_zero(self, a) -> bool:
         F = self.base

@@ -24,20 +24,12 @@ from .errors import DomainError, ZeroInputError
 from .fields import Field, FieldScalar
 from .funcfield import Place, RationalFunction
 from .lattices import MonomialLattice
+from .parsing import DEFAULT_ORDER
 from .poly import convolve
 from .report import VerificationReport, place_law_report
 from .symbols1d import residue_differential
 from .tate import (abstract_residue_trace, classical_residue,
                    differential_residue)
-
-DEFAULT_ORDER = 12
-
-# Largest truncation order the command line accepts.  exp_z2(1/2) has the
-# coefficients 1/(2^n n!) for 2n <= order: at order 3000 their denominators
-# pass Python's 4300-digit limit on int-to-str conversion, so rendering the
-# report failed.  At 1000 they stay under 1300 digits, `sw --f 1/t --g t
-# --order 1000` takes about 2 s, and the bound is 83x the default.
-ORDER_BOUND = 1000
 
 
 class TruncatedPowerSeries:

@@ -23,7 +23,9 @@ places and its group to `report.place_law_report`, which combines the terms
 and builds the report; only the sum of valuations, whose details carry no
 count of trivial terms, keeps its own loop.  The residue theorem builds
 f dg = h dt once (`residue_differential`) and reads each place's residue
-off h.
+off h; it imports `tate` when it runs, so loading this module (as every
+curve and surface command does) does not load `tate`, `localfield` or
+`lattices`.
 """
 from __future__ import annotations
 
@@ -33,7 +35,6 @@ from .errors import DomainError, ZeroInputError
 from .fields import FieldScalar, PrimeField
 from .funcfield import Place, RationalFunction, support_union
 from .report import VerificationReport, place_law_report
-from .tate import abstract_residue_trace, differential_residue
 
 
 def monomial_symbol(functions, exponents, x: Place):
@@ -177,6 +178,10 @@ def residue_theorem_verify(f: RationalFunction, g: RationalFunction,
     With `oracle` set, every classical coefficient residue is recomputed as
     an abstract commutator trace and the two must agree.
     """
+    # tate (with localfield and lattices) loads here, not with the module,
+    # so the multiplicative laws and the surface laws never load it
+    from .tate import abstract_residue_trace, differential_residue
+
     if f.is_zero() or g.is_zero():
         raise ZeroInputError("residue theorem needs nonzero functions")
     h, places = residue_differential(f, g)

@@ -7,11 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from reciprocity_lab import cli, segalwilson, symbols1d, xsymbol
+from reciprocity_lab import cli, symbols1d, tate, xsymbol
 from reciprocity_lab.errors import (HypothesisViolation, ParseError,
                                     ReciprocityError)
 from reciprocity_lab.lattices import BlockShiftOperator, MonomialLattice
-from reciprocity_lab.parsing import DIGIT_BOUND
+from reciprocity_lab.parsing import DIGIT_BOUND, ORDER_BOUND
 from reciprocity_lab.report import VerificationReport
 from reciprocity_lab.xsymbol import IndexSymbol, XSymbolFamily
 
@@ -217,7 +217,7 @@ def test_every_library_error_maps_to_its_exit_code(capsys, monkeypatch):
         def refuse(*functions, error=error):
             raise error
 
-        monkeypatch.setattr(cli, "weil_verify", refuse)
+        monkeypatch.setattr(symbols1d, "weil_verify", refuse)
         code, out, err = run(capsys, "weil", "--f", "t", "--g", "t-1")
         assert (code, out) == (code_wanted, "")
         assert err.startswith(prefix)
@@ -226,12 +226,12 @@ def test_every_library_error_maps_to_its_exit_code(capsys, monkeypatch):
 def test_restheorem_oracle_refuses_a_disagreeing_trace(capsys, monkeypatch):
     argv = ("restheorem", "--f", "1/(t^2-t)", "--g", "t", "--oracle")
     assert run(capsys, *argv)[0] == 0
-    trace = symbols1d.abstract_residue_trace
+    trace = tate.abstract_residue_trace
 
     def off_by_one(f, g, x):
         return trace(f, g, x) + f.field.one_scalar()
 
-    monkeypatch.setattr(symbols1d, "abstract_residue_trace", off_by_one)
+    monkeypatch.setattr(tate, "abstract_residue_trace", off_by_one)
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert err.startswith("domain error: classical and commutator residues "
@@ -280,7 +280,7 @@ def test_failed_verification_exits_1(capsys, monkeypatch):
         return VerificationReport(
             law="weil", field_descriptor="Q", inputs={}, terms=[],
             value="2", expected="1", ok=False, details={})
-    monkeypatch.setattr(cli, "weil_verify", broken)
+    monkeypatch.setattr(symbols1d, "weil_verify", broken)
     code, out, _ = run(capsys, "weil", "--f", "t", "--g", "1-t")
     assert code == 1
     assert out.strip().endswith("FAILED")
@@ -291,7 +291,7 @@ def test_hypothesis_violation_exits_4(capsys, monkeypatch):
         sym = IndexSymbol(BlockShiftOperator(1, {0: 1}))
         return XSymbolFamily.with_derived_b(
             sym, [MonomialLattice.ray(0), MonomialLattice.ray(0)])
-    monkeypatch.setattr(cli, "curve_index_family", inadmissible)
+    monkeypatch.setattr(xsymbol, "curve_index_family", inadmissible)
     code, _, err = run(capsys, "index", "--f", "t^2", "--verify")
     assert code == 4
     assert "hypothesis violation (b)" in err
@@ -935,7 +935,7 @@ def test_orders_above_the_bound_are_rejected(capsys):
                        "t", "--order", "0")
     assert code == 0
     code, out, _ = run(capsys, "sw", "--f", "1/t", "--g", "t", "--place",
-                       "t", "--order", str(segalwilson.ORDER_BOUND))
+                       "t", "--order", str(ORDER_BOUND))
     assert code == 0
     assert out.strip().endswith("OK")
 

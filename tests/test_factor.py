@@ -385,3 +385,31 @@ def test_rational_factorization_agrees_with_sympy():
             if item.base.degree <= 3:
                 assert item.certified, str(f)
                 assert (item.base.coeffs, item.multiplicity) in expected
+
+
+def test_factors_and_factorizations_are_immutable_values():
+    # equal and hashed by their fields, like the frozen dataclasses they were
+    t = Polynomial.variable(F5)
+    a, b = factor.Factor(t + 1, 2), factor.Factor(t + 1, 2, True)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a.certified is True
+    for other in (factor.Factor(t + 2, 2), factor.Factor(t + 1, 1),
+                  factor.Factor(t + 1, 2, False)):
+        assert other != a and {other, a} != {a}
+    assert a != (t + 1, 2, True) and a != "Factor"
+    fac = factor_polynomial(t * t - 1)
+    again = factor.Factorization(fac.unit, tuple(fac.factors))
+    assert again == fac and hash(again) == hash(fac)
+    assert factor.Factorization(fac.unit, fac.factors[:1]) != fac
+    assert fac != again.factors[0]
+    for value, name in ((a, "multiplicity"), (fac, "factors"),
+                        (a, "new_field")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 3)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert (a.base, a.multiplicity) == (t + 1, 2)
+    assert repr(factor.Factor(t, 1, False)) == \
+        f"Factor(base={t!r}, multiplicity=1, certified=False)"
+    assert repr(fac) == f"Factorization(unit={fac.unit!r}, " \
+                        f"factors={fac.factors!r})"

@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from reciprocity_lab import residue_field
 from reciprocity_lab.errors import DomainError, MixedFieldError, ZeroInputError
 from reciprocity_lab.fields import Field
-from reciprocity_lab.poly import Polynomial
+from reciprocity_lab.parsing import parse_surface
+from reciprocity_lab.poly import Polynomial, divide
 from reciprocity_lab.residue_field import ResidueField
+from reciprocity_lab.surface import curve_place
 
-from helpers import F3, F5, F7, Q, certified_irreducible
+from helpers import F3, F5, F7, F13, Q, certified_irreducible, rand_fn
 
 
 def quadratic_ring(field, b, c, var="T"):
@@ -185,3 +188,52 @@ def test_products_never_invert_in_the_base_field(monkeypatch):
         assert len({ring.mul(a, b) for a in elements for b in elements}) > 1
         assert len(pairs) > 6 and not inverted
         monkeypatch.undo()
+
+
+def test_short_sequences_are_padded_as_divide_returns_them(monkeypatch):
+    # a sequence no longer than deg pi is its own remainder: from_coeffs
+    # pads it without dividing, and returns exactly divide's remainder,
+    # entries reduced mod p over F_p; a longer one still divides
+    rng = random.Random(59)
+
+    def monic(field, degree, var="T"):
+        return Polynomial(field, [field.from_int(rng.randint(-9, 9))
+                                  for _ in range(degree)] + [field.one], var)
+
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    k_s = curve_place(parse_surface("s*t", F5)).residue_field()
+    s = parse_surface("s", F5).num.coeffs[0]
+    cases = [(ResidueField(monic(F, d)),
+              lambda p=F.p: rng.choice((rng.randint(-3 * p, 3 * p),
+                                        rng.randint(-10 ** 30, 10 ** 30))))
+             for F in (F5, F13) for d in (1, 2, 3)]
+    cases += [(ResidueField(monic(Q, d)), rational) for d in (1, 2, 3)]
+    cases += [(k_s, lambda: rand_fn(rng, F5, 2, "s")),
+              (ResidueField(Polynomial(k_s.base, [s, k_s.base.zero,
+                                                  k_s.base.one], "T")),
+               lambda: rand_fn(rng, F5, 2, "s"))]
+    divided = []
+
+    def counted(F, a, b):
+        divided.append(len(a))
+        return divide(F, a, b)
+
+    monkeypatch.setattr(residue_field, "divide", counted)
+    checked = 0
+    for ring, draw in cases:
+        d = ring.degree
+        for length in range(2 * d + 2):
+            for _ in range(4):
+                coeffs = tuple(draw() for _ in range(length))
+                want = divide(ring.base, coeffs, ring.modulus.coeffs)[1]
+                divided.clear()
+                got = ring.from_coeffs(coeffs)
+                assert type(got) is tuple and got == want, (ring, coeffs)
+                assert divided == ([length] if length > d else [])
+                checked += 1
+    assert checked == 4 * sum(2 * ring.degree + 2 for ring, _ in cases)
+    # every entry of an F_p remainder is reduced
+    ring = cases[1][0]
+    assert ring.from_coeffs((-1, 26)) == (4, 1)
