@@ -8,7 +8,8 @@ This module also owns the kernels on bare coefficient sequences that every
 dense type shares (k[t], k[T]/(pi), truncated k((w)) and k[z]/(z^(N+1)))
 and factorization over F_p: `convolve` (products), `mul_mod` (products
 mod a monic m), `divide` (quotient and remainder; `_long_division` is the
-one division loop), `monic_gcd` (the one Euclid loop), `squarefree_parts`
+one division loop), `monic_gcd` (the one Euclid loop), `inverse_mod`
+(the one extended-Euclid loop, inverses mod a monic m), `squarefree_parts`
 (the one Yun loop), `trim` (dropping trailing zeros) and `series_quotient`
 (power-series division).  It is the only module that decides how
 coefficients are multiplied and divided: the kernels check once per call
@@ -146,6 +147,27 @@ def mul_mod(F: Field, a, b, m) -> tuple:
     if isinstance(F, PrimeField):
         return _long_division(F, _exact_products(a, b), m, None)
     return _long_division(F, convolve(F, a, b), m, None)
+
+
+def inverse_mod(F: Field, a, m) -> tuple:
+    """The inverse of a modulo the monic m, as len(m) - 1 entries; a zero
+    or non-unit a raises ZeroInputError.
+
+    The one extended-Euclid loop: it walks the remainder sequence of m and
+    a, keeping s * a = r mod m with each cofactor s reduced by `mul_mod`,
+    so a need not be reduced.
+    """
+    n = len(m) - 1
+    r0, r1 = m, trim(F, a)
+    s0, s1 = (F.zero,) * n, (F.one,) + (F.zero,) * (n - 1)
+    while len(r1) > 1:
+        q, r = divide(F, r0, r1)
+        r0, r1 = r1, trim(F, r)
+        s0, s1 = s1, tuple(map(F.sub, s0, mul_mod(F, q, s1, m)))
+    if not r1:
+        raise ZeroInputError("element is not a unit mod the modulus")
+    scale = F.inv(r1[0])
+    return tuple(F.mul(scale, c) for c in s1)
 
 
 def _coprime_mod_p(a, b) -> bool:

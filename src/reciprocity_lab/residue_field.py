@@ -2,17 +2,18 @@
 
 Raw elements are coefficient tuples of length deg(pi) over the ground
 field's raw representation.  The norm of a class is Res(pi, a) (pi monic, so
-this is the product of a over the roots of pi), and the trace is the power-sum
-pairing tr(T^j) = p_j with the p_j obtained from Newton's identities, which
-need no division and therefore work in any characteristic.  Both are
-cross-checked in the test suite against the multiplication-matrix oracle.
+this is the product of a over the roots of pi).  The trace is the top
+coefficient of a pi' mod pi: it is the residue of a pi'/pi dt at pi, read
+in k[t] as `tate.differential_residue` reads residues, and needs no
+division, so it works in any characteristic.  Both are cross-checked in
+the test suite against the multiplication-matrix oracle.
 
 Products are `poly.mul_mod`, the product mod the monic pi: it inverts
 nothing, keeps no quotient, and over F_p reduces each entry once.  `inv`
-runs extended Euclid on coefficient tuples with its cofactors reduced in
-the ring.  `from_coeffs` divides only a sequence longer than deg pi; a
-shorter one, such as the constant unit values every split at infinity
-hands over, is its own remainder and is only padded.
+is `poly.inverse_mod`, the library's one extended-Euclid loop.
+`from_coeffs` divides only a sequence longer than deg pi; a shorter one,
+such as the constant unit values every split at infinity hands over, is
+its own remainder and is only padded.
 
 `ResidueField` is a `Field` like Q and F_p, so polynomials can take their
 coefficients in it and its classes travel as `FieldScalar`s tagged with it.
@@ -21,14 +22,13 @@ from __future__ import annotations
 
 from .errors import DomainError, MixedFieldError, ZeroInputError
 from .fields import Field, FieldScalar, PrimeField
-from .poly import Polynomial, divide, mul_mod, trim
+from .poly import Polynomial, divide, inverse_mod, mul_mod
 
 
 class ResidueField(Field):
     """k[T]/(pi) for a monic irreducible pi over the ground field."""
 
-    __slots__ = ("base", "modulus", "degree", "char", "zero", "one",
-                 "_power_sums")
+    __slots__ = ("base", "modulus", "degree", "char", "zero", "one")
 
     def __init__(self, modulus: Polynomial):
         if not modulus.is_monic() or modulus.degree < 1:
@@ -40,7 +40,6 @@ class ResidueField(Field):
         self.char = F.char
         self.zero = (F.zero,) * self.degree
         self.one = (F.one,) + (F.zero,) * (self.degree - 1)
-        self._power_sums = None
 
     @classmethod
     def trivial(cls, base: Field) -> "ResidueField":
@@ -111,20 +110,9 @@ class ResidueField(Field):
     def inv(self, a):
         if self.is_zero(a):
             raise ZeroInputError("division by zero in a residue field")
-        F = self.base
         if self.degree == 1:
-            return (F.inv(a[0]),)
-        # extended Euclid on coefficient tuples, keeping s*a = r mod pi
-        r0, r1 = self.modulus.coeffs, trim(F, a)
-        s0, s1 = self.zero, self.one
-        while len(r1) > 1:
-            q, r = divide(F, r0, r1)
-            r0, r1 = r1, trim(F, r)
-            s0, s1 = s1, self.sub(s0, self.mul(q, s1))
-        if not r1:
-            raise ZeroInputError("element is not a unit mod pi")
-        scale = F.inv(r1[0])
-        return tuple(F.mul(scale, c) for c in s1)
+            return (self.base.inv(a[0]),)
+        return inverse_mod(self.base, a, self.modulus.coeffs)
 
     # -- norm and trace ------------------------------------------------------
 
@@ -137,33 +125,12 @@ class ResidueField(Field):
         rep = Polynomial(self.base, a, self.modulus.var)
         return self.modulus.resultant(rep)
 
-    def power_sums(self):
-        """p_0..p_{d-1}: power sums of the roots of pi, via Newton's identities."""
-        if self._power_sums is None:
-            F = self.base
-            d = self.degree
-            # Newton with plain coefficients of monic pi:
-            # p_k + a_{d-1} p_{k-1} + ... + a_{d-k+1} p_1 + k a_{d-k} = 0
-            a = [self.modulus.coeffs[d - i] for i in range(d + 1)]
-            p = [F.from_int(d)]
-            for k in range(1, d):
-                acc = F.mul(F.from_int(k), a[k])
-                for i in range(1, k):
-                    acc = F.add(acc, F.mul(a[i], p[k - i]))
-                p.append(F.neg(acc))
-            self._power_sums = p
-        return self._power_sums
-
     def trace_raw(self, a):
-        """Trace down to the ground field: sum of coefficients against tr(T^j)."""
-        F = self.base
+        """Trace down to the ground field: the top coefficient of a pi' mod pi."""
         if self.degree == 1:
             return a[0]
-        p = self.power_sums()
-        acc = F.zero
-        for c, pj in zip(a, p):
-            acc = F.add(acc, F.mul(c, pj))
-        return acc
+        pi = self.modulus
+        return mul_mod(self.base, a, pi.derivative().coeffs, pi.coeffs)[-1]
 
     def norm(self, a) -> FieldScalar:
         return FieldScalar(self.base, self.norm_raw(a))

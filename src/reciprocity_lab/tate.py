@@ -1,13 +1,20 @@
 """Residues of f dg at places: classical coefficient and commutator trace.
 
-The classical residue of f dg is `differential_residue` of h = f * g': it
-reads the coefficient of the (-1) power off a local Laurent expansion of h
-and traces it down to the ground field.  A caller that needs the residues
-of one f dg at many places builds h once and passes it to every place.
+The classical residue of f dg is `differential_residue` of h = f * g'.
+It reads the traced residue off one identity in k[t], with no expansion
+and no residue-field arithmetic: at a pole of order k at pi,
+h = u / (pi^k w), and the residue is the coefficient of t^(k deg pi - 1)
+in u w^-1 mod pi^k; at infinity it is minus the coefficient of
+t^(deg den - 1) in num mod den (Tate, "Residues of differentials on
+curves", 1968; Serre, Algebraic Groups and Class Fields, ch. II).  A
+caller that needs the residues of one f dg at many places builds h once
+and passes it to every place.
 
 The abstract residue realizes the same number as the trace of a commutator
 [f1, g1] on the local Laurent model: f1 projects onto a monomial lattice
-after multiplying by f, g1 multiplies by g.  Both operators are banded
+after multiplying by f, g1 multiplies by g.  Only this route calls
+`localfield.expand`, so the two routes share nothing past the `poly`
+kernels, and each checks the other.  Both operators are banded
 matrices over the residue field, read entry by entry from the expansion
 bands of f and g and the lattice, on an index block wide enough that every
 entry of the commutator's diagonal is exact; the block support of that
@@ -30,6 +37,7 @@ from .fields import FieldScalar
 from .funcfield import Place, RationalFunction
 from .lattices import MonomialLattice
 from .localfield import expand
+from .poly import divide, inverse_mod, mul_mod
 
 _MARGIN = 3
 # CommutatorTraces kept by abstract_residue_trace; its callers ask for one
@@ -41,16 +49,31 @@ _SUPPORT_MEMO = 16
 
 
 def differential_residue(h: RationalFunction, x: Place) -> FieldScalar:
-    """tr_{k(x)/k} of the local residue of h dt; an exact ground field value."""
-    ring = x.residue_field()
+    """tr_{k(x)/k} of the local residue of h dt; an exact ground field value.
+
+    At a finite place h = u / (pi^k w) as `split` returns it, with pi
+    dividing neither u nor w.  With r = u w^-1 mod pi^k, h - r / pi^k is
+    regular at pi, and r / pi^k has no other finite pole and is
+    r_(kd-1) / t + O(t^-2) at infinity, d = deg pi; by the residue theorem
+    the traced residue is r_(kd-1).  At infinity the polynomial part of h
+    has no residue, and t = 1/u turns the rest, r / den with
+    r = num mod den, into -r_(n-1) u^-1 du + O(1) du, n = deg den.
+    """
+    F = x.field
+    raw = F.zero
     if h.is_zero():
-        raw = ring.zero
-    elif x.is_infinity:
-        # t = 1/u turns h dt into -h u^-2 du
-        raw = ring.neg(expand(h, x, 1).coefficient(1))
+        return FieldScalar(F, raw)
+    if x.is_infinity:
+        # valuation refuses a place of another k(t); v > 1 leaves no u^-1
+        if h.valuation(x) < 2:
+            r = divide(F, h.num.coeffs, h.den.coeffs)[1]
+            raw = F.neg(r[-1]) if r else raw
     else:
-        raw = expand(h, x, -1).coefficient(-1)
-    return ring.trace(raw)
+        v, u, w = h.split(x)
+        if v < 0:
+            m = (x.pi ** -v).coeffs
+            raw = mul_mod(F, u.coeffs, inverse_mod(F, w.coeffs, m), m)[-1]
+    return FieldScalar(F, raw)
 
 
 def classical_residue(f: RationalFunction, g: RationalFunction,

@@ -31,6 +31,29 @@ def certified_irreducible(f):
             and factors[0].certified)
 
 
+def irreducible_polynomials(field, degree, count=2, var="t"):
+    """The first `count` certified irreducible monic polynomials of a
+    degree, lower coefficients drawn from 0, 1, -1, 2, -2 and 3.  Over Q
+    no quartic is certified, so the quartics there are t^4 + 2 and
+    t^4 + 3t + 3, irreducible by Eisenstein's criterion at 2 and 3."""
+    if field is Q and degree == 4:
+        return [Polynomial(Q, coeffs, var)
+                for coeffs in ([2, 0, 0, 0, 1], [3, 3, 0, 0, 1])]
+    values = [0, 1, -1, 2, -2, 3]
+    found = []
+    for n in range(len(values) ** degree):
+        coeffs = []
+        for _ in range(degree):
+            n, r = divmod(n, len(values))
+            coeffs.append(field.from_int(values[r]))
+        pi = Polynomial(field, coeffs + [field.one], var)
+        if pi not in found and certified_irreducible(pi):
+            found.append(pi)
+            if len(found) == count:
+                break
+    return found
+
+
 def rand_poly(rng, field, max_deg, var="t", nonzero=False):
     while True:
         deg = rng.randint(0, max_deg)

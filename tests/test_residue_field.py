@@ -11,7 +11,8 @@ from reciprocity_lab.poly import Polynomial, divide
 from reciprocity_lab.residue_field import ResidueField
 from reciprocity_lab.surface import curve_place
 
-from helpers import F3, F5, F7, F13, Q, certified_irreducible, rand_fn
+from helpers import (F2, F3, F5, F7, F13, Q, certified_irreducible,
+                     irreducible_polynomials, rand_fn)
 
 
 def quadratic_ring(field, b, c, var="T"):
@@ -42,6 +43,46 @@ def test_norm_matches_multiplication_matrix_determinant():
                 a1 = field.from_int(rng.randint(0, 6))
                 raw = ring.from_coeffs([a0, a1])
                 assert ring.norm_raw(raw) == det2(field, a0, a1, b, c)
+
+
+def matrix_trace(ring, a):
+    """Diagonal sum of the matrix of multiplication by a on 1, T, ...,
+    T^(d-1): column j is a T^j mod pi, each made from the last by a shift
+    and one subtraction of the monic pi."""
+    F, pi = ring.base, ring.modulus.coeffs
+    column, total = list(a), F.zero
+    for j in range(ring.degree):
+        total = F.add(total, column[j])
+        top = column[-1]
+        column = [F.sub(c, F.mul(top, p))
+                  for c, p in zip([F.zero] + column[:-1], pi)]
+    return total
+
+
+def test_trace_matches_the_multiplication_matrix():
+    # over F_2 and F_3, pi' loses the terms of pi whose exponent p divides,
+    # in six of these moduli; F_2 has one irreducible quadratic, every
+    # other field two of each degree
+    rng = random.Random(67)
+    vanishing = checked = 0
+    for field in (F2, F3, F5, F13, Q):
+        for degree in (1, 2, 3, 4):
+            moduli = irreducible_polynomials(field, degree, var="T")
+            assert len(moduli) == (1 if (field, degree) == (F2, 2) else 2)
+            for modulus in moduli:
+                ring = ResidueField(modulus)
+                vanishing += any(
+                    not field.is_zero(c)
+                    and field.is_zero(field.mul(field.from_int(k), c))
+                    for k, c in enumerate(modulus.coeffs) if k)
+                for _ in range(12):
+                    a = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                              if field is Q else field.from_int(rng.randint(-9, 9))
+                              for _ in range(degree))
+                    assert ring.trace_raw(a) == matrix_trace(ring, a), (ring, a)
+                    checked += 1
+    assert checked == (5 * 4 * 2 - 1) * 12
+    assert vanishing == 6, vanishing
 
 
 def test_trace_of_the_generator():

@@ -9,15 +9,18 @@ from reciprocity_lab.errors import (DomainError, MixedFieldError,
                                    PrecisionError, ZeroInputError)
 from reciprocity_lab.funcfield import Place, RationalFunction, support_union
 from reciprocity_lab.lattices import MonomialLattice
+from reciprocity_lab.localfield import expand
 from reciprocity_lab.parsing import parse_place, parse_rational
 from reciprocity_lab.poly import Polynomial
+from reciprocity_lab.residue_field import ResidueField
 from reciprocity_lab.tate import (_data_spread as data_spread, _radius,
                                   _support_bound, abstract_residue_trace,
-                                  classical_residue, minimal_window)
+                                  classical_residue, differential_residue,
+                                  minimal_window)
 from reciprocity_lab.xsymbol import curve_residue_family
 
-from helpers import (F3, F5, F13, Q, certified_irreducible, rand_fn, rand_fn_q,
-                     rand_lattice)
+from helpers import (F3, F5, F13, Q, irreducible_polynomials, rand_fn,
+                     rand_fn_q, rand_lattice)
 
 TRUNCATIONS = ("f", "g", "both")
 
@@ -41,6 +44,78 @@ def test_residues_of_a_partial_fraction_split():
     assert classical_residue(f, g, p0) == Q.scalar(-1)
     assert classical_residue(f, g, p1) == Q.scalar(1)
     assert classical_residue(f, g, inf) == Q.scalar(0)
+
+
+def reference_differential_residue(h, x):
+    """The expansion route: the coefficient of the (-1) power of the local
+    Laurent expansion of h dt, traced down to the ground field."""
+    ring = x.residue_field()
+    if h.is_zero():
+        raw = ring.zero
+    elif x.is_infinity:
+        # t = 1/u turns h dt into -h u^-2 du
+        raw = ring.neg(expand(h, x, 1).coefficient(1))
+    else:
+        raw = expand(h, x, -1).coefficient(-1)
+    return ring.trace(raw)
+
+
+def test_residues_in_k_t_match_the_expansion_route():
+    # h = r / pi^k for random r, so the order at pi is k unless pi divides
+    # r; at infinity h t^(k deg pi) is read, whose order is that of r
+    rng = random.Random(1968)
+    finite, at_infinity = Counter(), Counter()
+    for field in (F5, F13, Q):
+        inf = Place.at_infinity(field)
+        t = tt(field)
+        for degree in (1, 2, 3, 4):
+            for x in small_places(field, degree, 2):
+                pi = RationalFunction.from_polynomial(x.pi)
+                for k in range(5):
+                    for _ in range(2):
+                        r = (rand_fn_q(rng, max_deg=3) if field is Q
+                             else rand_fn(rng, field, max_deg=3))
+                        h = r / pi ** k
+                        assert differential_residue(h, x) == \
+                            reference_differential_residue(h, x), (h, x)
+                        finite[degree, max(-h.valuation(x), 0)] += 1
+                        y = h * t ** (k * degree)
+                        assert differential_residue(y, inf) == \
+                            reference_differential_residue(y, inf), y
+                        at_infinity[min(max(y.valuation(inf), -1), 2)] += 1
+    for degree in (1, 2, 3, 4):
+        for order in range(5):
+            assert finite[degree, order] >= 10, finite
+    # at infinity: poles, units, simple zeros and higher zeros
+    for v in (-1, 0, 1, 2):
+        assert at_infinity[v] >= 20, at_infinity
+
+
+def test_the_classical_residue_shares_no_code_with_its_oracle(monkeypatch):
+    # the commutator-trace oracle reads expand and residue-field arithmetic;
+    # the classical residue reads neither, so a fault there shows as a
+    # disagreement
+    def refuse(*args, **kwargs):
+        raise AssertionError("the classical residue reached the oracle's code")
+
+    monkeypatch.setattr(tate, "expand", refuse)
+    for name in ("inv", "mul", "trace_raw"):
+        monkeypatch.setattr(ResidueField, name, refuse)
+    t = tt(Q)
+    h = (t + 2) / ((t * t + 1) ** 2 * (t - 1))
+    for x in (at(Polynomial(Q, [1, 0, 1])), at(Polynomial(Q, [-1, 1])),
+              Place.at_infinity(Q)):
+        differential_residue(h, x)
+
+
+def test_a_place_of_another_function_field_is_refused():
+    h = 1 / (tt(F5) ** 2 + 2)
+    for x in (at(Polynomial.variable(F13)), Place.at_infinity(F13),
+              at(Polynomial.variable(F5, "s")), Place.at_infinity(F5, "s")):
+        with pytest.raises(MixedFieldError, match="different function field"):
+            differential_residue(h, x)
+        with pytest.raises(MixedFieldError, match="different function field"):
+            reference_differential_residue(h, x)
 
 
 def test_logarithmic_residue_counts_valuation():
@@ -325,21 +400,10 @@ def reference_banded_trace(ring, f_band, g_band, low, high, lattice, window,
 
 
 def small_places(field, degree, count):
-    """The first `count` monic irreducible polynomials of a degree, as places,
-    with lower coefficients drawn from 0, 1, -1, 2, -2 and 3."""
-    values = [0, 1, -1, 2, -2, 3]
-    found = []
-    for n in range(len(values) ** degree):
-        coeffs = []
-        for _ in range(degree):
-            n, r = divmod(n, len(values))
-            coeffs.append(field.from_int(values[r]))
-        pi = Polynomial(field, coeffs + [field.one], "t")
-        if pi not in found and certified_irreducible(pi):
-            found.append(pi)
-            if len(found) == count:
-                break
-    return [Place.finite(pi) for pi in found]
+    """The places of `irreducible_polynomials`; over Q the quartics are
+    built unchecked, since `Place.finite` certifies no quartic there."""
+    return [Place(field, "t", pi)
+            for pi in irreducible_polynomials(field, degree, count)]
 
 
 def value_or_leak(fn, *args):
