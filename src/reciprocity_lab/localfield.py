@@ -13,10 +13,10 @@ residue-field products.  At infinity the parameter is u = 1/t and the
 expansion comes from coefficient reversal.  The API hands out raw values
 of L (`coefficient`, `coeffs`); `ring.scalar` wraps one as a `FieldScalar`
 where a caller needs one.  Inside the library the expansions serve only the
-commutator bands of `tate`; the classical residue reads k[t] directly.  A series is a read-only expansion: the library
-never adds or multiplies series, it reads coefficients.  Every series
-carries its precision and refuses to report coefficients it does not
-know.
+commutator bands of `tate`; the classical residue reads k[t] directly.  A
+series is a read-only expansion: the library never adds or multiplies
+series, it reads coefficients.  Every series carries its precision and
+refuses to report coefficients it does not know.
 """
 from __future__ import annotations
 
